@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .exactlin import (Matrix, Vec, ZERO, ONE, is_zero_vec, kernel_basis,
-                       primitive_signed, rref, row_space_reduce, vec)
+                       primitive_signed, rref, rref_pivots,
+                       row_space_reduce, vec)
 from .groups import ActionGroup, GroupElement
 
 
@@ -185,10 +186,14 @@ def make_subspace(eq_forms: Iterable[Vec], ineq_forms: Iterable[Vec],
 
 def transform(group: ActionGroup, g: GroupElement,
               s: HalfOpenSubspace) -> HalfOpenSubspace:
-    """The image g . s; forms are pulled back along g^-1."""
-    ginv = group.inv(g).matrix
-    new_eq = [ginv.transpose().matvec(row) for row in s.equalities.entries]
-    new_ineq = [ginv.transpose().matvec(q) for q in s.inequalities]
+    """The image g . s; forms are pulled back along g^-1.
+
+    g acts by a permutation matrix P, and the pullback (P^-1)^T equals P, so
+    a form is moved by the same reindexing as a vector.
+    """
+    pick = g.source
+    new_eq = [tuple(map(row.__getitem__, pick)) for row in s.equalities.entries]
+    new_ineq = [tuple(map(q.__getitem__, pick)) for q in s.inequalities]
     return make_subspace(new_eq, new_ineq, s.ambient_dim, s.label)
 
 
@@ -203,7 +208,7 @@ def intersect(a: HalfOpenSubspace, b: HalfOpenSubspace,
 
 def contains_set(big: HalfOpenSubspace, small: HalfOpenSubspace) -> bool:
     """Set containment small <= big."""
-    _, _, piv_small = rref(small.equalities)
+    piv_small = rref_pivots(small.equalities)
     for row in big.equalities.entries:
         if not is_zero_vec(row_space_reduce(row, small.equalities, piv_small)):
             return False
@@ -287,12 +292,6 @@ class Arrangement:
     maximal_elements: list[HalfOpenSubspace]
     group: ActionGroup
     ambient_dim: int
-
-    def element_index(self, s: HalfOpenSubspace) -> int:
-        for i, e in enumerate(self.maximal_elements):
-            if e.same_set(s):
-                return i
-        raise KeyError("subspace is not an element of the arrangement")
 
 
 def orbit_closure(group: ActionGroup,

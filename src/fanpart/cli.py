@@ -20,6 +20,10 @@ from .coinvariants import induced_action, modified_coinvariants
 from .fixtures import run_fixture
 from .obstruction import obstruction_class
 
+# largest a + b that `compute` accepts (n = 2(a + b) <= 12): larger inputs
+# are refused up front instead of running without a time bound
+MAX_A_PLUS_B = 6
+
 
 def _emit_json(payload: dict, path: str, started: float):
     payload = dict(payload)
@@ -38,6 +42,11 @@ def run_compute(args) -> int:
     started = time.monotonic()
     if args.a < 1 or args.b < 1:
         print("compute requires a >= 1 and b >= 1", file=sys.stderr)
+        return 1
+    if args.a + args.b > MAX_A_PLUS_B:
+        print(f"compute supports a + b <= {MAX_A_PLUS_B} (n <= "
+              f"{2 * MAX_A_PLUS_B}); got a + b = {args.a + args.b}",
+              file=sys.stderr)
         return 1
     n = 2 * (args.a + args.b)
     cert = obstruction_class(n, args.a, args.b)

@@ -264,7 +264,3 @@ def dual_coinvariants(action: OrientedGeneratorAction,
             if any(col):
                 rels.append(vec(col))
     return coinvariants_from_relations(rels, r)
-
-
-def project_class(x: Sequence, cg: CoinvariantGroup) -> tuple:
-    return cg.project(x)

@@ -32,19 +32,6 @@ def dot(u: Vec, v: Vec) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), ZERO)
 
 
-def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c, u: Vec) -> Vec:
-    c = Fraction(c)
-    return tuple(c * a for a in u)
-
-
 def is_zero_vec(u: Vec) -> bool:
     return all(x == 0 for x in u)
 
@@ -116,10 +103,16 @@ class Matrix:
 
     @staticmethod
     def zeros(r: int, c: int) -> "Matrix":
+        return Matrix._wrap(tuple((ZERO,) * c for _ in range(r)), c)
+
+    @staticmethod
+    def _wrap(entries: tuple, cols: int) -> "Matrix":
+        """A matrix on rows that are already tuples of Fractions of length
+        `cols`, taken without conversion or checks."""
         m = Matrix([])
-        object.__setattr__(m, "entries", tuple((ZERO,) * c for _ in range(r)))
-        object.__setattr__(m, "rows", r)
-        object.__setattr__(m, "cols", c)
+        object.__setattr__(m, "entries", entries)
+        object.__setattr__(m, "rows", len(entries))
+        object.__setattr__(m, "cols", cols)
         return m
 
     def __getitem__(self, ij):
@@ -181,28 +174,66 @@ def from_columns(columns: Sequence[Vec]) -> Matrix:
     return Matrix([[c[i] for c in columns] for i in range(dim)])
 
 
+def _integer_row(row: Vec) -> list[int]:
+    """The row times the least common multiple of its denominators."""
+    den = 1
+    for x in row:
+        d = x.denominator
+        if d != 1:
+            den = den * d // gcd(den, d)
+    if den == 1:
+        return [x.numerator for x in row]
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
 def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
-    """Reduced row echelon form: (R, rank, pivot column indices)."""
-    a = [list(row) for row in m.entries]
+    """Reduced row echelon form: (R, rank, pivot column indices).
+
+    Fraction-free Gauss-Jordan elimination: each row is scaled to integers,
+    rows are combined by cross-multiplication and divided by their content,
+    and the only divisions by the pivots happen once, at the end.  The RREF
+    is unique, so this is the same matrix a rational elimination gives.
+    """
+    a = [_integer_row(row) for row in m.entries]
     nr, nc = m.rows, m.cols
     pivots: list[int] = []
     r = 0
     for c in range(nc):
-        piv = next((i for i in range(r, nr) if a[i][c] != 0), None)
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if a[i][c]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = ONE / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        prow = a[r]
+        p = prow[c]
         for i in range(nr):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            row = a[i]
+            f = row[c]
+            if f and i != r:
+                g = gcd(p, f)
+                pg, fg = p // g, f // g
+                row = [pg * x - fg * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                a[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-        if r == nr:
+    rows = [tuple(Fraction(x, row[c]) if x else ZERO for x in row)
+            for row, c in zip(a, pivots)]
+    rows += [(ZERO,) * nc] * (nr - r)
+    return Matrix._wrap(tuple(rows), nc), r, pivots
+
+
+def rref_pivots(rref_m: Matrix) -> list[int]:
+    """Pivot columns of a matrix that is already in RREF: the leading
+    nonzero column of each nonzero row."""
+    pivots = []
+    for row in rref_m.entries:
+        c = next((j for j, x in enumerate(row) if x != 0), None)
+        if c is None:
             break
-    return Matrix.from_rows(a, cols=nc), len(pivots), pivots
+        pivots.append(c)
+    return pivots
 
 
 def rank(m: Matrix) -> int:
@@ -213,9 +244,11 @@ def row_space_reduce(form: Vec, rref_m: Matrix, pivots: Sequence[int]) -> Vec:
     """Residue of a linear form modulo the row space of an RREF matrix."""
     res = list(form)
     for r, c in enumerate(pivots):
-        if res[c] != 0:
-            f = res[c]
-            res = [x - f * y for x, y in zip(res, rref_m.entries[r])]
+        f = res[c]
+        if f:
+            for j, y in enumerate(rref_m.entries[r]):
+                if y:
+                    res[j] -= f * y
     return tuple(res)
 
 

@@ -1,22 +1,25 @@
-"""Finite groups acting by signed permutation matrices on R^N.
+"""Finite groups acting by coordinate permutations on R^N.
 
 Two families are needed: the generalized quaternion group of order 4n acting
 on R^n through its dihedral quotient (epsilon cycles the coordinates, j
 reverses them), and cyclic groups acting by coordinate permutations for the
-small worked fixtures.
+small worked fixtures.  Every element is stored as its permutation; the
+permutation matrix is derived on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import gcd
 
-from .exactlin import Matrix, Vec, determinant
+from .exactlin import Matrix, Vec
 
 
 @dataclass(frozen=True)
 class GroupElement:
     word: tuple[int, int]  # (k, jflag) meaning eps^k * j^jflag
-    matrix: Matrix
+    perm: tuple[int, ...]  # e_i -> e_{perm[i]} (0-based)
 
     def __repr__(self):
         k, j = self.word
@@ -24,13 +27,27 @@ class GroupElement:
             return "1" if k == 0 else f"eps^{k}"
         return f"eps^{k} j" if k else "j"
 
+    @cached_property
+    def source(self) -> tuple[int, ...]:
+        """The inverse permutation: (g v)[i] = v[source[i]]."""
+        inv = [0] * len(self.perm)
+        for i, p in enumerate(self.perm):
+            inv[p] = i
+        return tuple(inv)
 
-def _perm_matrix(images: dict[int, int], n: int) -> Matrix:
-    """Matrix sending e_i -> e_{images[i]} (1-based indices)."""
-    rows = [[0] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        rows[images[i] - 1][i - 1] = 1
-    return Matrix(rows)
+    @property
+    def matrix(self) -> Matrix:
+        """The permutation matrix, with column i equal to e_{perm[i]}."""
+        n = len(self.perm)
+        rows = [[0] * n for _ in range(n)]
+        for i, p in enumerate(self.perm):
+            rows[p][i] = 1
+        return Matrix(rows)
+
+
+def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation p after q (the matrix product P Q)."""
+    return tuple(p[i] for i in q)
 
 
 @dataclass
@@ -95,69 +112,61 @@ def quaternion_on_Wn(n: int) -> ActionGroup:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    eps_m = _perm_matrix({i: i % n + 1 for i in range(1, n + 1)}, n)
-    j_m = _perm_matrix({i: n - i + 1 for i in range(1, n + 1)}, n)
-    elements = []
-    acc = Matrix.identity(n)
-    powers = []
-    for k in range(2 * n):
-        powers.append(acc)
-        acc = eps_m.mul(acc)
-    for k in range(2 * n):
-        elements.append(GroupElement((k, 0), powers[k]))
-    for k in range(2 * n):
-        elements.append(GroupElement((k, 1), powers[k].mul(j_m)))
+    eps = tuple((i + 1) % n for i in range(n))
+    j = tuple(n - 1 - i for i in range(n))
+    powers = [tuple(range(n))]
+    for k in range(1, 2 * n):
+        powers.append(_compose(eps, powers[-1]))
+    elements = [GroupElement((k, 0), powers[k]) for k in range(2 * n)]
+    elements += [GroupElement((k, 1), _compose(powers[k], j))
+                 for k in range(2 * n)]
     group = ActionGroup(elements, n, [], "quaternion", 2 * n)
     group.generators = [group.by_word(1, 0), group.by_word(0, 1)]
     return group
 
 
-def _perm_order(images: tuple[int, ...]) -> int:
-    n = len(images)
-    seen = [False] * n
-    order = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = images[j] - 1
+def _cycle_lengths(perm: tuple[int, ...]) -> list[int]:
+    seen = [False] * len(perm)
+    lengths = []
+    for start in range(len(perm)):
+        length, i = 0, start
+        while not seen[i]:
+            seen[i] = True
+            i = perm[i]
             length += 1
-        lcm = order * length
-        from math import gcd
-        order = lcm // gcd(order, length)
-    return order
+        if length:
+            lengths.append(length)
+    return lengths
 
 
 def cyclic_shift_group(m: int, N: int, shift_spec: tuple[int, ...]) -> ActionGroup:
     """Cyclic group of order m whose generator sends e_i to e_{shift_spec[i-1]}."""
     if sorted(shift_spec) != list(range(1, N + 1)):
         raise ValueError("shift_spec must be a permutation of 1..N")
-    order = _perm_order(tuple(shift_spec))
+    gen = tuple(x - 1 for x in shift_spec)
+    order = 1
+    for length in _cycle_lengths(gen):
+        order = order * length // gcd(order, length)
     if m % order != 0:
         raise ValueError(f"permutation order {order} does not divide {m}")
-    gen = _perm_matrix({i: shift_spec[i - 1] for i in range(1, N + 1)}, N)
     elements = []
-    acc = Matrix.identity(N)
+    acc = tuple(range(N))
     for k in range(m):
         elements.append(GroupElement((k, 0), acc))
-        acc = gen.mul(acc)
+        acc = _compose(gen, acc)
     group = ActionGroup(elements, N, [], "cyclic", m)
     group.generators = [group.by_word(1)]
     return group
 
 
 def det_character(g: GroupElement) -> int:
-    """Determinant of the action matrix; always +1 or -1 here."""
-    d = determinant(g.matrix)
-    if d not in (1, -1):
-        raise ValueError(f"action matrix of {g} has determinant {d}")
-    return int(d)
+    """Determinant of the action matrix: the sign of the permutation."""
+    cycles = _cycle_lengths(g.perm)
+    return -1 if (len(g.perm) - len(cycles)) % 2 else 1
 
 
 def act(g: GroupElement, v: Vec) -> Vec:
-    if g.matrix.cols != len(v):
+    """g v, by reindexing: (g v)[i] = v[source[i]]."""
+    if len(g.perm) != len(v):
         raise ValueError("vector dimension does not match the action")
-    return g.matrix.matvec(v)
+    return tuple(map(v.__getitem__, g.source))

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Optional
 
 from .exactlin import (Matrix, Vec, change_of_basis_det, kernel_basis,
-                       primitive, primitive_signed, rref, row_space_reduce,
-                       sign, smith_normal_form, solve_affine,
-                       sparse_rank_and_factors, vec)
+                       primitive, primitive_signed, rref, rref_pivots,
+                       row_space_reduce, sign, smith_normal_form,
+                       solve_affine, sparse_rank_and_factors, vec)
 from .arrangement import HalfOpenSubspace, IntersectionPoset
 
 
@@ -102,14 +103,9 @@ def _integer_cycles(bd: Matrix) -> list[tuple]:
     for v in kernel_basis(bd):
         den = 1
         for x in v:
-            den = den * x.denominator // _gcd(den, x.denominator)
+            den = den * x.denominator // gcd(den, x.denominator)
         out.append(tuple(int(x * den) for x in v))
     return out
-
-
-def _gcd(a, b):
-    from math import gcd
-    return gcd(a, b)
 
 
 def _sparse_boundary(cx: SimplicialComplex, d: int) -> dict:
@@ -303,7 +299,7 @@ class ZZBasis:
 def _wall_form(carrier_eq: Matrix, element: HalfOpenSubspace) -> Vec:
     """Primitive functional cutting the wall inside the element's carrier."""
     E = element.equalities
-    _, _, piv = rref(E)
+    piv = rref_pivots(E)
     residues = [row_space_reduce(row, E, piv) for row in carrier_eq.entries]
     R, rk, _ = rref(Matrix.from_rows(residues, cols=E.cols))
     if rk != 1:
@@ -401,11 +397,6 @@ def zz_basis(poset: IntersectionPoset, ambient_dim: Optional[int] = None) -> ZZB
             generators.append(ZZGenerator("wall", w.node, local,
                                           tuple(w.spine_basis), e))
     return basis
-
-
-def homology_of_union(basis: ZZBasis) -> HomologyGroup:
-    """Top homology of the compactified union: free on the basis."""
-    return HomologyGroup(basis.rank, [], [])
 
 
 def verify_lemma16(poset: IntersectionPoset, n: int) -> bool:

@@ -83,8 +83,6 @@ class SphereComplex:
         b_part = sorted(i for fam, i in imgs if fam == "b")
         if len(a_part) != 2 or len(b_part) != 2:
             return None
-        for (lo, hi), out in ((tuple(a_part), None),):
-            pass
         def arc_start(pair):
             lo, hi = pair
             if hi == lo + 1:
@@ -149,16 +147,26 @@ def check_equivariance(h: GeneralPositionMap, group: ActionGroup) -> bool:
 # exact simplex/subspace intersections
 
 
-def simplex_meet(points: Sequence[Vec], element: HalfOpenSubspace
+def _equality_rows(points: Sequence[Vec], element: HalfOpenSubspace,
+                   images: Optional[Sequence[Vec]]) -> list[tuple]:
+    """Rows of E P, where E holds the element's equalities and P the points
+    as columns; `images`, when given, are the columns E p already computed."""
+    if images is None:
+        images = [element.equalities.matvec(p) for p in points]
+    return list(zip(*images)) if images[0] else []
+
+
+def simplex_meet(points: Sequence[Vec], element: HalfOpenSubspace,
+                 images: Optional[Sequence[Vec]] = None
                  ) -> Optional[tuple[tuple, Vec]]:
     """The unique point of conv(points) on the element, as (barycentric
-    coordinates, ambient point); None if disjoint.
+    coordinates, ambient point); None if disjoint.  `images` are the
+    products E p of the element's equalities with the points, if known.
 
     Raises GeneralPositionError when the meeting locus is not one point.
     """
     m = len(points)
-    rows = [tuple(r) for r in
-            element.equalities.mul(from_columns(list(points))).entries]
+    rows = _equality_rows(points, element, images)
     rows.append((Fraction(1),) * m)
     rhs = vec([0] * (len(rows) - 1) + [1])
     A = Matrix(rows)
@@ -228,13 +236,13 @@ class CensusRow:
     locus_dim: int             # 0 = single point, 1 = segment
 
 
-def _simplex_meets(points: Sequence[Vec], element: HalfOpenSubspace
+def _simplex_meets(points: Sequence[Vec], element: HalfOpenSubspace,
+                   images: Optional[Sequence[Vec]] = None
                    ) -> Optional[tuple[tuple, Vec, int]]:
     """One point of conv(points) on the element plus the local dimension of
     the meeting locus; None when disjoint."""
     m = len(points)
-    rows = [tuple(r) for r in
-            element.equalities.mul(from_columns(list(points))).entries]
+    rows = _equality_rows(points, element, images)
     rows.append((Fraction(1),) * m)
     A = Matrix(rows)
     rhs = vec([0] * (len(rows) - 1) + [1])
@@ -375,20 +383,29 @@ def preimage_simplices(h: GeneralPositionMap, poset: IntersectionPoset,
         special_sets.append(frozenset(
             (tuple(u_vector(i, n)), tuple(u_vector(i + 1, n)),
              tuple(u_vector(j, n)), tuple(u_vector(j + 1, n)))))
+    # the distinct vertex images u, and E u for every element, computed once
+    point_id: dict[Vec, int] = {}
+    vertex_id = {v: point_id.setdefault(h.vertex_image(v), len(point_id))
+                 for v in sphere.vertices()}
+    points = list(point_id)
+    images = {m: [poset.nodes[m].subspace.equalities.matvec(u) for u in points]
+              for m in tops}
     cells: dict[tuple[int, int], PreimageCell] = {}
     for cell in sphere.top_cells():
-        pts = h.cell_images(cell)
-        degenerate = len({tuple(p) for p in pts}) < 4
-        img_set = frozenset(tuple(p) for p in pts)
+        ids = [vertex_id[v] for v in sphere.cell_vertices(cell)]
+        pts = [points[i] for i in ids]
+        degenerate = len(set(ids)) < 4
+        img_set = frozenset(pts)
         for m in tops:
             elem = poset.nodes[m].subspace
             if degenerate:
-                uniq = list({tuple(p) for p in pts})
-                if _simplex_meets([vec(p) for p in uniq], elem) is not None:
+                uniq = sorted(set(ids))
+                if _simplex_meets([points[i] for i in uniq], elem,
+                                  [images[m][i] for i in uniq]) is not None:
                     raise GeneralPositionError(
                         f"degenerate cell {cell} meets element {m}")
                 continue
-            hit = simplex_meet(pts, elem)
+            hit = simplex_meet(pts, elem, [images[m][i] for i in ids])
             if hit is None:
                 continue
             lam, pt = hit
@@ -724,7 +741,7 @@ def proportionality_chain(poset: IntersectionPoset, zz: ZZBasis,
     targets = []
     kf = vec(k_form(n, a, b))
     for g in (group.identity(), eab, eaj, e2abj):
-        targets.append(tuple(group.inv(g).matrix.transpose().matvec(kf)))
+        targets.append(act(g, kf))   # pullback along g^-1: (g^-1)^T = g
     # order the four half elements as L1*, eps^{a+b}L1*, eps^a j L1*,
     # eps^{2a+b} j L1* by transporting the seed
     l1, _ = make_J_pieces(n, a, b)

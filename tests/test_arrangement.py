@@ -146,6 +146,20 @@ def test_L2star_invariances():
     assert canonical_equal(transform(g, ebj, l2), l2)
 
 
+def test_transform_matches_matrix_pullback():
+    # transform reindexes forms by g; the reference pulls them back with
+    # the dense matrix (g^-1)^T on both seed pieces, for every element
+    n, a, b = 6, 1, 2
+    group = quaternion_on_Wn(n)
+    for piece in make_J_pieces(n, a, b):
+        for g in group.elements:
+            pull = group.inv(g).matrix.transpose().matvec
+            expected = make_subspace(
+                [pull(row) for row in piece.equalities.entries],
+                [pull(q) for q in piece.inequalities], n, piece.label)
+            assert transform(group, g, piece).key() == expected.key()
+
+
 # --- orbit closure ---------------------------------------------------------
 
 

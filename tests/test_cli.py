@@ -9,6 +9,12 @@ def test_compute_usage_error(capsys):
     assert main(["compute", "--a", "0", "--b", "1"]) == 1
 
 
+def test_compute_rejects_oversized_input(capsys):
+    assert main(["compute", "--a", "3", "--b", "4"]) == 1
+    err = capsys.readouterr().err
+    assert "a + b <= 6" in err and "n <= 12" in err
+
+
 def test_compute_missing_args():
     with pytest.raises(SystemExit):
         main(["compute", "--a", "1"])

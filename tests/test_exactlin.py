@@ -182,3 +182,55 @@ def test_solve_affine_barycentric_special_point():
     x = solve_affine(Matrix(rows), rhs)
     assert x is not None
     assert Matrix(rows).matvec(x) == rhs
+
+
+def _sympy_rref(m):
+    """RREF, rank and pivots from sympy: the reference for `rref`."""
+    R, piv = sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator,
+                                                          x.denominator)
+                                           for row in m.entries
+                                           for x in row]).rref()
+    rows = [[Fraction(int(R[i, j].p), int(R[i, j].q)) for j in range(m.cols)]
+            for i in range(m.rows)]
+    return rows, len(piv), list(piv)
+
+
+def _random_rational_matrix(rng, r, c):
+    rows = [[Fraction(rng.randrange(-5, 6), rng.randrange(1, 7))
+             if rng.random() < 0.7 else Fraction(0) for _ in range(c)]
+            for _ in range(r)]
+    if r > 1 and rng.random() < 0.5:
+        # a rank-deficient matrix: one row a combination of two others
+        i, j, k = (rng.randrange(r) for _ in range(3))
+        s, t = Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)), \
+            Fraction(rng.randrange(-3, 4))
+        rows[i] = [s * x + t * y for x, y in zip(rows[j], rows[k])]
+    if rng.random() < 0.2:
+        rows[rng.randrange(r)] = [Fraction(0)] * c
+    return Matrix(rows)
+
+
+def test_rref_matches_sympy_random_rational():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        r, c = rng.randrange(1, 7), rng.randrange(0, 8)
+        m = _random_rational_matrix(rng, r, c)
+        R, rk, piv = rref(m)
+        rows, rk_ref, piv_ref = _sympy_rref(m)
+        assert [list(row) for row in R.entries] == rows
+        assert (R.rows, R.cols) == (m.rows, m.cols)
+        assert (rk, piv) == (rk_ref, piv_ref)
+        assert all(type(x) is Fraction for row in R.entries for x in row)
+
+
+def test_rref_zero_rows_and_empty_shapes():
+    for c in (0, 1, 4):
+        R, rk, piv = rref(Matrix.zeros(0, c))
+        assert (R.rows, R.cols, rk, piv) == (0, c, 0, [])
+        assert _sympy_rref(Matrix.zeros(0, c)) == ([], 0, [])
+    R, rk, piv = rref(Matrix.zeros(3, 4))
+    assert R == Matrix.zeros(3, 4) and (rk, piv) == (0, [])
+    m = Matrix([[0, 0, 0], [0, 2, 4], [0, 0, 0], [0, 1, 2]])
+    R, rk, piv = rref(m)
+    assert [list(row) for row in R.entries] == _sympy_rref(m)[0]
+    assert (rk, piv) == (1, [1])

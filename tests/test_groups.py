@@ -1,6 +1,9 @@
+import random
+from fractions import Fraction
+
 import pytest
 
-from fanpart.exactlin import Matrix, vec
+from fanpart.exactlin import Matrix, determinant, vec
 from fanpart.groups import (ActionGroup, act, cyclic_shift_group,
                             det_character, quaternion_on_Wn)
 
@@ -10,7 +13,6 @@ def basis_vec(i, n):
 
 
 def u_vector(i, n):
-    from fractions import Fraction
     return vec([Fraction(1 if j == i - 1 else 0) - Fraction(1, n)
                 for j in range(n)])
 
@@ -121,3 +123,25 @@ def test_act_dimension_mismatch():
     g = quaternion_on_Wn(4)
     with pytest.raises(ValueError):
         act(g.identity(), vec([1, 2, 3]))
+
+
+def _all_test_groups():
+    for n in range(2, 11):
+        yield f"quaternion n={n}", quaternion_on_Wn(n)
+    yield "z8", cyclic_shift_group(8, 8, (2, 3, 4, 5, 6, 7, 8, 1))
+    yield "z4", cyclic_shift_group(4, 8, (2, 3, 4, 1, 6, 7, 8, 5))
+
+
+def test_permutation_action_matches_matrix():
+    # the permutation action against the dense product with the derived
+    # permutation matrix, and the sign against its determinant
+    rng = random.Random(4)
+    for name, group in _all_test_groups():
+        dim = group.ambient_dim
+        vectors = [vec([Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+                        for _ in range(dim)]) for _ in range(3)]
+        vectors += [basis_vec(i, dim) for i in range(1, dim + 1)]
+        for g in group.elements:
+            for v in vectors:
+                assert act(g, v) == g.matrix.matvec(v), (name, g)
+            assert det_character(g) == determinant(g.matrix), (name, g)
