@@ -342,6 +342,9 @@ class IntersectionPoset:
     arrangement: Arrangement
     _by_key: dict = field(default_factory=dict, repr=False)
     _act_memo: dict = field(default_factory=dict, repr=False)
+    # (node, degree) -> reduced homology below the node; filled by
+    # homology.node_homology
+    _homology_memo: dict = field(default_factory=dict, repr=False)
 
     def node_by_key(self, key) -> Optional[int]:
         return self._by_key.get(key)

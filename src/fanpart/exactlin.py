@@ -7,7 +7,8 @@ arithmetic is not an option.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional, Sequence
@@ -174,16 +175,17 @@ def from_columns(columns: Sequence[Vec]) -> Matrix:
     return Matrix([[c[i] for c in columns] for i in range(dim)])
 
 
-def _integer_row(row: Vec) -> list[int]:
-    """The row times the least common multiple of its denominators."""
+def _integer_row(row: Vec) -> tuple[int, list[int]]:
+    """(den, den * row), den the least common multiple of the row's
+    denominators."""
     den = 1
     for x in row:
         d = x.denominator
         if d != 1:
             den = den * d // gcd(den, d)
     if den == 1:
-        return [x.numerator for x in row]
-    return [x.numerator * (den // x.denominator) for x in row]
+        return 1, [x.numerator for x in row]
+    return den, [x.numerator * (den // x.denominator) for x in row]
 
 
 def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
@@ -194,7 +196,7 @@ def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
     and the only divisions by the pivots happen once, at the end.  The RREF
     is unique, so this is the same matrix a rational elimination gives.
     """
-    a = [_integer_row(row) for row in m.entries]
+    a = [_integer_row(row)[1] for row in m.entries]
     nr, nc = m.rows, m.cols
     pivots: list[int] = []
     r = 0
@@ -269,25 +271,38 @@ def kernel_basis(m: Matrix) -> list[Vec]:
 
 
 def determinant(m: Matrix) -> Fraction:
+    """Determinant by fraction-free (Bareiss) elimination.
+
+    Each row is scaled to integers; after step k every remaining entry is a
+    (k+1)-minor of the scaled matrix, so the division by the previous pivot
+    is exact.  The row scales are divided out once, at the end.
+    """
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
     n = m.rows
-    a = [list(row) for row in m.entries]
-    det = ONE
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
+    scale = 1
+    a = []
+    for row in m.entries:
+        den, ints = _integer_row(row)
+        scale *= den
+        a.append(ints)
+    det_sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
             return ZERO
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = ONE / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return det
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det_sign = -det_sign
+        prow = a[k]
+        p = prow[k]
+        for i in range(k + 1, n):
+            row = a[i]
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (p * row[j] - f * prow[j]) // prev
+        prev = p
+    return Fraction(det_sign * prev, scale)
 
 
 def solve_affine(equalities: Matrix, rhs: Vec) -> Optional[Vec]:
@@ -335,14 +350,31 @@ def sign(x: Fraction) -> int:
 
 @dataclass(frozen=True)
 class SmithForm:
+    """U @ A @ V = D.  V is built the first time it is read, by replaying
+    the recorded column operations on the identity: `(i, j, 0)` swaps
+    columns i and j, `(src, dst, f)` with f != 0 adds f times column src to
+    column dst."""
     U: Matrix
     D: Matrix
-    V: Matrix
     rank: int
+    col_ops: tuple = field(repr=False, compare=False)
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
         return tuple(int(self.D.entries[i][i]) for i in range(self.rank))
+
+    @cached_property
+    def V(self) -> Matrix:
+        nc = self.D.cols
+        v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+        for i, j, f in self.col_ops:
+            if f:
+                for row in v:
+                    row[j] += f * row[i]
+            else:
+                for row in v:
+                    row[i], row[j] = row[j], row[i]
+        return Matrix(v)
 
 
 def smith_normal_form(m: Matrix) -> SmithForm:
@@ -350,13 +382,14 @@ def smith_normal_form(m: Matrix) -> SmithForm:
 
     Pivot choice: smallest nonzero absolute value in the remaining block,
     which keeps coefficient growth down on the small matrices seen here.
+    The column operations are recorded, not applied to V; see SmithForm.
     """
     if not m.is_integral():
         raise ValueError("smith_normal_form requires integer entries")
     nr, nc = m.rows, m.cols
     a = [[int(x) for x in row] for row in m.entries]
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+    col_ops: list[tuple[int, int, int]] = []
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -365,8 +398,7 @@ def smith_normal_form(m: Matrix) -> SmithForm:
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        col_ops.append((i, j, 0))
 
     def add_row(src, dst, f):
         a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
@@ -375,8 +407,8 @@ def smith_normal_form(m: Matrix) -> SmithForm:
     def add_col(src, dst, f):
         for row in a:
             row[dst] += f * row[src]
-        for row in v:
-            row[dst] += f * row[src]
+        if f:
+            col_ops.append((src, dst, f))
 
     t = 0
     while True:
@@ -428,7 +460,8 @@ def smith_normal_form(m: Matrix) -> SmithForm:
             add_row(bad, t, 1)
             continue
         t += 1
-    return SmithForm(U=Matrix(u), D=Matrix(a), V=Matrix(v), rank=t)
+    return SmithForm(U=Matrix(u), D=Matrix(a), rank=t,
+                      col_ops=tuple(col_ops))
 
 
 def invariant_factors(m: Matrix) -> tuple[int, ...]:

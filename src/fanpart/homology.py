@@ -11,8 +11,14 @@ subspace closes up into that subspace's fundamental sphere, which is the
 rewrite rule connecting the two kinds of generators.
 
 All other poset nodes are required to contribute nothing; this is verified
-by computing the reduced homology of their lower order complexes (through an
-inclusion-equivalent crosscut complex) in the relevant degree.
+by computing the reduced homology of their lower order complexes in the
+relevant degree.  The order complex is replaced by the crosscut complex on
+the maximal elements (crosscut theorem), and that by the nerve of its
+facets: every nonempty intersection of facets is a face, hence contractible,
+so the nerve has the same integer homology, torsion included (nerve theorem;
+A. Bjorner, Topological methods, Handbook of Combinatorics, 1995, Sec. 10).
+The nerve has one vertex per facet, far fewer faces than the crosscut
+complex on deep nodes.  Each (node, degree) is computed once per poset.
 """
 
 from __future__ import annotations
@@ -230,6 +236,29 @@ def crosscut_complex(poset: IntersectionPoset, node: int) -> SimplicialComplex:
     return complex_from_facets(facets)
 
 
+def nerve(cx: SimplicialComplex) -> SimplicialComplex:
+    """Nerve of the cover of `cx` by its facets, on the facet indices.
+
+    A set of facets spans a face when they share a vertex, so the facets of
+    the nerve are the maximal sets {i : v in facet i} over the vertices v.
+    """
+    covers: dict = {}
+    for i, f in enumerate(cx.facets):
+        for v in f:
+            covers.setdefault(v, []).append(i)
+    return complex_from_facets(covers.values())
+
+
+def node_homology(poset: IntersectionPoset, node: int, d: int) -> HomologyGroup:
+    """Reduced homology in degree d of the lower order complex of `node`,
+    computed on the nerve of its crosscut complex, once per poset."""
+    key = (node, d)
+    memo = poset._homology_memo
+    if key not in memo:
+        memo[key] = reduced_homology(nerve(crosscut_complex(poset, node)), d)
+    return memo[key]
+
+
 # ---------------------------------------------------------------------------
 # wall/page tables and the basis of the top homology
 
@@ -352,8 +381,8 @@ def zz_basis(poset: IntersectionPoset, ambient_dim: Optional[int] = None) -> ZZB
     """Free basis of the top homology of the compactified union.
 
     Raises UnsupportedArrangement when the poset has contributions outside
-    the two supported kinds (verified by direct order-complex homology), or
-    when any such group carries torsion.
+    the two supported kinds (verified by the homology below every other
+    node, see node_homology), or when any such group carries torsion.
     """
     dims = [poset.nodes[m].dim for m in poset.maximal_node_ids]
     top_dim = max(dims)
@@ -375,7 +404,7 @@ def zz_basis(poset: IntersectionPoset, ambient_dim: Optional[int] = None) -> ZZB
         if nd.dim == top_dim - 1:
             continue
         deg = top_dim - 1 - nd.dim
-        h = reduced_homology(crosscut_complex(poset, nd.index), deg)
+        h = node_homology(poset, nd.index, deg)
         if not h.is_zero():
             raise UnsupportedArrangement(
                 f"node {nd.index} (dim {nd.dim}) has lower-complex homology "
@@ -408,7 +437,7 @@ def verify_lemma16(poset: IntersectionPoset, n: int) -> bool:
         if nd.dim > n - 6:
             continue
         deg = n - 5 - nd.dim
-        if not reduced_homology(crosscut_complex(poset, nd.index), deg).is_zero():
+        if not node_homology(poset, nd.index, deg).is_zero():
             return False
     return True
 
@@ -434,7 +463,6 @@ def verify_no_homology_above_top(poset: IntersectionPoset) -> bool:
     for nd in poset.nodes:
         deg = top_dim - nd.dim          # needed H~ degree at this node + 1
         if max_chain_length_above(poset, nd.index) - 1 >= deg and deg >= 0:
-            if not reduced_homology(
-                    crosscut_complex(poset, nd.index), deg).is_zero():
+            if not node_homology(poset, nd.index, deg).is_zero():
                 return False
     return True

@@ -135,10 +135,10 @@ def define_h(n: int) -> GeneralPositionMap:
 
 
 def check_equivariance(h: GeneralPositionMap, group: ActionGroup) -> bool:
+    image = {v: h.vertex_image(v) for v in h.sphere.vertices()}
     for g in group.elements:
-        for v in h.sphere.vertices():
-            if act(g, h.vertex_image(v)) != h.vertex_image(
-                    h.sphere.act_vertex(g, v)):
+        for v, p in image.items():
+            if act(g, p) != image[h.sphere.act_vertex(g, v)]:
                 return False
     return True
 
@@ -339,17 +339,22 @@ def intersect_with_Jpieces(h: GeneralPositionMap, l1: HalfOpenSubspace,
     candidate recorded."""
     out = {"l1_hits": [], "l2_hits": [], "rho3_candidate": None}
     carrier1 = HalfOpenSubspace(l1.equalities, (), n, "carrier(L1*)")
+    # the vertex images u_1..u_n and E u for each piece, computed once; the
+    # carrier has the equalities of L1*
+    us = [u_vector(k, n) for k in range(1, n + 1)]
+    e1 = [l1.equalities.matvec(u) for u in us]
+    e2 = [l2.equalities.matvec(u) for u in us]
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i == j:
                 continue
-            pts = [u_vector(i, n), u_vector(i + 1, n),
-                   u_vector(j, n), u_vector(j + 1, n)]
-            c_hit = simplex_meet(pts, carrier1)
+            ids = [i - 1, i % n, j - 1, j % n]
+            pts = [us[k] for k in ids]
+            c_hit = simplex_meet(pts, carrier1, [e1[k] for k in ids])
             if c_hit is not None and not l1.contains_point(c_hit[1]):
                 out["rho3_candidate"] = ((i, j), c_hit[1])
-            for key, piece in (("l1_hits", l1), ("l2_hits", l2)):
-                hit = simplex_meet(pts, piece)
+            for key, piece, imgs in (("l1_hits", l1, e1), ("l2_hits", l2, e2)):
+                hit = simplex_meet(pts, piece, [imgs[k] for k in ids])
                 if hit is not None:
                     rec = ((min(i, j), max(i, j)), hit[1])
                     if rec not in out[key]:

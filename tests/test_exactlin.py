@@ -234,3 +234,59 @@ def test_rref_zero_rows_and_empty_shapes():
     R, rk, piv = rref(m)
     assert [list(row) for row in R.entries] == _sympy_rref(m)[0]
     assert (rk, piv) == (1, [1])
+
+
+def _sympy_det(m):
+    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator,
+                                                        x.denominator)
+                                         for row in m.entries
+                                         for x in row]).det()
+
+
+def test_determinant_matches_sympy_random_rational():
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.randrange(1, 7)
+        m = _random_rational_matrix(rng, n, n)
+        d = determinant(m)
+        assert type(d) is Fraction
+        assert d == _sympy_det(m)
+
+
+def test_determinant_singular_and_small_shapes():
+    rng = random.Random(43)
+    for _ in range(50):
+        n = rng.randrange(2, 7)
+        rows = [list(r) for r in _random_rational_matrix(rng, n, n).entries]
+        i, j = rng.sample(range(n), 2)
+        f = Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
+        rows[i] = [f * x for x in rows[j]]
+        m = Matrix(rows)
+        assert determinant(m) == 0 == _sympy_det(m)
+    for x in (Fraction(-7, 3), Fraction(0), Fraction(5)):
+        m = Matrix([[x]])
+        assert determinant(m) == x == _sympy_det(m)
+    assert determinant(Matrix.zeros(0, 0)) == 1 == _sympy_det(Matrix.zeros(0, 0))
+
+
+def test_snf_lazy_v_on_wide_matrices():
+    # relation matrices of the coinvariants are r x |G|r: far wider than tall
+    rng = random.Random(47)
+    for _ in range(20):
+        m = Matrix([[rng.randrange(-9, 10) for _ in range(60)]
+                    for _ in range(4)])
+        sf = smith_normal_form(m)
+        v = sf.V
+        assert (v.rows, v.cols) == (60, 60)
+        assert sf.U.mul(m).mul(v) == sf.D
+        assert determinant(sf.U) in (1, -1)
+        assert determinant(v) in (1, -1)
+        assert sf.V == v
+
+
+def test_snf_v_read_twice_is_equal():
+    m = Matrix([[2, 4, 4, 0, 6], [-6, 6, 12, 3, 0], [10, -4, -16, 1, 2]])
+    sf = smith_normal_form(m)
+    first, second = sf.V, sf.V
+    assert first == second
+    assert sf.U.mul(m).mul(first) == sf.D

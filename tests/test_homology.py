@@ -6,7 +6,8 @@ from fanpart.arrangement import make_subspace
 from fanpart.exactlin import Matrix, vec
 from fanpart.homology import (SimplicialComplex, UnsupportedArrangement,
                               boundary_matrix, complex_from_facets,
-                              crosscut_complex, order_complex,
+                              crosscut_complex, max_chain_length_above, nerve,
+                              node_homology, order_complex,
                               reduced_homology, verify_lemma16,
                               verify_no_homology_above_top, zz_basis)
 
@@ -51,6 +52,16 @@ def test_reduced_homology_rp2_torsion():
     assert h1.rank == 0
     assert h1.torsion == [2]
     assert reduced_homology(cx, 2).rank == 0
+
+
+def test_nerve_keeps_rp2_torsion():
+    facets = [(1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6), (1, 4, 5),
+              (2, 3, 4), (2, 3, 5), (2, 4, 6), (3, 5, 6), (4, 5, 6)]
+    nv = nerve(complex_from_facets(facets))
+    assert len(nv.vertices) == 10
+    h1 = reduced_homology(nv, 1)
+    assert (h1.rank, h1.torsion) == (0, [2])
+    assert reduced_homology(nv, 2).rank == 0
 
 
 def test_boundary_squares_to_zero():
@@ -222,3 +233,51 @@ def test_action_permutes_generator_nodes(fixture_data):
             img = poset.act_node(g, gen.node)
             assert any(h.node == img and h.kind == gen.kind
                        for h in zz.generators)
+
+
+def _checked_degrees(poset, n=None):
+    """The (node, degree) pairs at which zz_basis, verify_lemma16 (when n is
+    given) and verify_no_homology_above_top read the homology below a
+    node, whether or not they stop early."""
+    tops = set(poset.maximal_node_ids)
+    top = max(poset.nodes[m].dim for m in tops)
+    out = set()
+    for nd in poset.nodes:
+        if nd.index in tops:
+            continue
+        if nd.subspace.is_linear and nd.dim != top - 1:
+            out.add((nd.index, top - 1 - nd.dim))
+        if n is not None and nd.dim <= n - 6:
+            out.add((nd.index, n - 5 - nd.dim))
+        deg = top - nd.dim
+        if deg >= 0 and max_chain_length_above(poset, nd.index) - 1 >= deg:
+            out.add((nd.index, deg))
+    return sorted(out)
+
+
+def _assert_nerve_matches_crosscut(poset, n=None):
+    nonzero = []
+    for node, deg in _checked_degrees(poset, n):
+        cx = crosscut_complex(poset, node)
+        ref = reduced_homology(cx, deg)
+        h = reduced_homology(nerve(cx), deg)
+        assert (h.rank, sorted(h.torsion)) == (ref.rank, sorted(ref.torsion)), \
+            (node, deg)
+        memo = node_homology(poset, node, deg)
+        assert (memo.rank, memo.torsion) == (h.rank, h.torsion)
+        if not ref.is_zero():
+            nonzero.append((node, deg))
+    return nonzero
+
+
+@pytest.mark.parametrize("name", ["z8", "z4"])
+def test_nerve_matches_crosscut_fixtures(fixture_data, name):
+    _assert_nerve_matches_crosscut(fixture_data(name)["poset"])
+
+
+@pytest.mark.parametrize("n,a,b", [(6, 1, 2), (8, 2, 2), (8, 1, 3), (8, 3, 1)])
+def test_nerve_matches_crosscut_main_cases(main_data, n, a, b):
+    nonzero = _assert_nerve_matches_crosscut(main_data(n, a, b)["poset"], n)
+    # (3, 1) has deep nodes with homology: the comparison is not vacuous,
+    # and the failure of Lemma 16 there is the crosscut complex's own
+    assert bool(nonzero) == ((a, b) == (3, 1))

@@ -374,3 +374,15 @@ def test_certificate_json_deterministic():
     c2 = obstruction_class(6, 1, 2)
     assert json.dumps(c1.to_json_dict(), sort_keys=True) == \
         json.dumps(c2.to_json_dict(), sort_keys=True)
+
+
+@pytest.mark.slow
+def test_certificate_n10_23_laws():
+    # laws of the decomposition only; the coinvariants and the verdict are
+    # pinned by the acceptance tests, not here
+    cert = obstruction_class(10, 2, 3)
+    for name in ("decomposition supported", "homology rank is 5(a+b)",
+                 "deep nodes contribute nothing",
+                 "no homology above the top degree"):
+        assert cert.checks[name], name
+    assert cert.homology_rank == 25
