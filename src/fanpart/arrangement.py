@@ -68,16 +68,19 @@ def cached_kernel(equalities: Matrix) -> list[Vec]:
     return kb
 
 
+def _restrict(forms: Iterable[Vec], basis: Sequence[Vec]) -> list[Vec]:
+    """The forms in the coordinates of a basis: f -> (f.b for b in basis)."""
+    return [tuple(sum(x * y for x, y in zip(f, b)) for b in basis)
+            for f in forms]
+
+
 def cone_feasible(equalities: Matrix, loose: Sequence[Vec],
                   strict: Sequence[Vec]) -> bool:
     """Feasibility of {x: E x = 0, loose.x >= 0, strict.x > 0}."""
     kb = cached_kernel(equalities)
     if not kb:
         return len(strict) == 0  # only x = 0 remains
-    def restrict(f: Vec) -> Vec:
-        return tuple(sum(f[i] * b[i] for i in range(len(f))) for b in kb)
-    return _fm_feasible([restrict(f) for f in loose],
-                        [restrict(f) for f in strict], len(kb))
+    return _fm_feasible(_restrict(loose, kb), _restrict(strict, kb), len(kb))
 
 
 def cone_implies(equalities: Matrix, loose: Sequence[Vec], q: Vec) -> bool:
@@ -150,8 +153,7 @@ def make_subspace(eq_forms: Iterable[Vec], ineq_forms: Iterable[Vec],
             break
         # work in carrier coordinates; find inequalities forced to vanish
         kb = cached_kernel(R)
-        restricted = [tuple(sum(q[i] * b[i] for i in range(ambient_dim))
-                            for b in kb) for q in reduced]
+        restricted = _restrict(reduced, kb)
         forced = None
         for j, q in enumerate(reduced):
             if not _fm_feasible(restricted, [restricted[j]], len(kb)):
@@ -168,15 +170,13 @@ def make_subspace(eq_forms: Iterable[Vec], ineq_forms: Iterable[Vec],
     irredundant = list(ineqs)
     if len(irredundant) > 1:
         kb = cached_kernel(R)
+        restricted = dict(zip(irredundant, _restrict(irredundant, kb)))
         changed = True
         while changed:
             changed = False
             for q in list(irredundant):
-                others = [o for o in irredundant if o != q]
-                rest = [tuple(sum(f[i] * b[i] for i in range(ambient_dim))
-                              for b in kb) for f in others]
-                neg_q = tuple(sum(-q[i] * b[i] for i in range(ambient_dim))
-                              for b in kb)
+                rest = [restricted[o] for o in irredundant if o != q]
+                neg_q = tuple(-x for x in restricted[q])
                 if not _fm_feasible(rest, [neg_q], len(kb)):
                     irredundant.remove(q)
                     changed = True

@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exactlin import (Matrix, Vec, change_of_basis_det, dot, kernel_basis,
-                       sign, smith_normal_form, vec)
+from .exactlin import (Matrix, Vec, change_of_basis_det, dot, sign,
+                       smith_normal_form, vec)
 from .groups import ActionGroup, GroupElement, act, det_character
-from .arrangement import HalfOpenSubspace
 from .homology import UnsupportedArrangement, WallNode, ZZBasis
 
 
@@ -27,23 +26,6 @@ def transport_sign(g: GroupElement, basis_from: Sequence[Vec],
     """Sign of det of (g applied to basis_from) expressed in basis_to."""
     moved = [act(g, v) for v in basis_from]
     return sign(change_of_basis_det(moved, basis_to))
-
-
-def orientation_sign(group: ActionGroup, g: GroupElement,
-                     carrier: HalfOpenSubspace) -> int:
-    """Sign of det of g restricted to a g-stable carrier, computed as
-    det_ambient(g) * det on an explicit basis of the orthogonal complement."""
-    basis = carrier.carrier_basis()
-    eqs = carrier.equalities
-    for v in basis:
-        if any(x != 0 for x in eqs.matvec(act(g, v))):
-            raise ValueError("element does not stabilize the carrier")
-    comp = kernel_basis(Matrix(basis)) if basis else \
-        kernel_basis(Matrix.zeros(0, group.ambient_dim))
-    if not comp:
-        return det_character(g)
-    comp_sign = transport_sign(g, comp, comp)
-    return det_character(g) * comp_sign
 
 
 @dataclass
@@ -156,28 +138,6 @@ def induced_action(group: ActionGroup, zz: ZZBasis) -> OrientedGeneratorAction:
         matrices[g.word] = Matrix([[cols[j][i] for j in range(r)]
                                    for i in range(r)])
     return OrientedGeneratorAction(group, zz, matrices)
-
-
-def join_sphere_sign(group: ActionGroup, zz: ZZBasis, g: GroupElement,
-                     node: int, elem_pair: tuple[int, int]) -> int:
-    """Sign picked up by the wall sphere on (elem_pair) at `node` under a
-    g that maps the pair to itself (possibly swapping the two sheets)."""
-    wall = zz.wall_by_node[node]
-    images = {}
-    for e in elem_pair:
-        v2, e2, side2, sgn = _page_image(group, zz, g, wall, e)
-        if v2 != node or e2 not in elem_pair or side2 != wall.rep_side[e2]:
-            raise ValueError("element does not stabilize this wall sphere")
-        images[e] = (e2, sgn)
-    e0, e1 = elem_pair
-    if images[e0][0] == e0:                      # sheets fixed
-        if images[e0][1] != images[e1][1]:
-            raise ValueError("inconsistent sheet orientation signs")
-        return images[e0][1]
-    # sheets swapped: the two-point factor contributes one extra sign
-    if images[e0][1] != images[e1][1]:
-        raise ValueError("inconsistent sheet orientation signs")
-    return -images[e0][1]
 
 
 @dataclass

@@ -257,15 +257,22 @@ def row_space_reduce(form: Vec, rref_m: Matrix, pivots: Sequence[int]) -> Vec:
 def kernel_basis(m: Matrix) -> list[Vec]:
     """Basis of the right kernel, one vector per free column, deterministic."""
     R, rk, pivots = rref(m)
+    return rref_kernel(R, pivots, m.cols)
+
+
+def rref_kernel(R: Matrix, pivots: Sequence[int], cols: int) -> list[Vec]:
+    """kernel_basis of the first `cols` columns of an RREF matrix with the
+    given pivots (a pivot in a later column adds no condition on them)."""
     pivset = set(pivots)
     basis = []
-    for c in range(m.cols):
+    for c in range(cols):
         if c in pivset:
             continue
-        v = [ZERO] * m.cols
+        v = [ZERO] * cols
         v[c] = ONE
         for r, pc in enumerate(pivots):
-            v[pc] = -R.entries[r][c]
+            if pc < cols:
+                v[pc] = -R.entries[r][c]
         basis.append(tuple(v))
     return basis
 

@@ -7,21 +7,24 @@ single-interior-point intersections, the two-point census, the sixteen
 preimage cells, the membership equivalences of the wall decomposition, the
 torsion property of the final class) is computed exactly and recorded; a
 failed identity downgrades the verdict to inconclusive and names the check.
+Where an image simplex meets an element, the dimension of the meeting locus
+is decided exactly, by elimination and Fourier-Motzkin (`meeting_locus`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactlin import (Matrix, Vec, determinant, dot, from_columns,
-                       kernel_basis, sign, solve_affine, vec, zero_vec)
+from .exactlin import (ONE, ZERO, Matrix, Vec, determinant, dot, from_columns,
+                       rref, rref_kernel, sign, solve_affine, vec,
+                       zero_vec)
 from .groups import ActionGroup, GroupElement, act, quaternion_on_Wn
-from .arrangement import (HalfOpenSubspace, IntersectionPoset,
-                          intersection_poset, k_form, make_J_pieces,
-                          make_L_alpha, orbit_closure, transform)
+from .arrangement import (HalfOpenSubspace, IntersectionPoset, _fm_feasible,
+                          _restrict, intersection_poset, k_form,
+                          make_J_pieces, make_L_alpha, orbit_closure,
+                          transform)
 from .homology import (UnsupportedArrangement, ZZBasis, verify_lemma16,
                        verify_no_homology_above_top, zz_basis)
 from .coinvariants import (dual_coinvariants, induced_action,
@@ -144,84 +147,83 @@ def check_equivariance(h: GeneralPositionMap, group: ActionGroup) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact simplex/subspace intersections
+# exact simplex/element meetings
 
 
-def _equality_rows(points: Sequence[Vec], element: HalfOpenSubspace,
-                   images: Optional[Sequence[Vec]]) -> list[tuple]:
-    """Rows of E P, where E holds the element's equalities and P the points
-    as columns; `images`, when given, are the columns E p already computed."""
-    if images is None:
-        images = [element.equalities.matvec(p) for p in points]
-    return list(zip(*images)) if images[0] else []
+def arc_points(i: int, j: int, n: int) -> list[Vec]:
+    """Vertices u_i, u_{i+1}, u_j, u_{j+1} of the image simplex of the two
+    u-arcs starting at i and j."""
+    return [u_vector(i, n), u_vector(i + 1, n),
+            u_vector(j, n), u_vector(j + 1, n)]
 
 
-def simplex_meet(points: Sequence[Vec], element: HalfOpenSubspace,
-                 images: Optional[Sequence[Vec]] = None
-                 ) -> Optional[tuple[tuple, Vec]]:
-    """The unique point of conv(points) on the element, as (barycentric
-    coordinates, ambient point); None if disjoint.  `images` are the
-    products E p of the element's equalities with the points, if known.
+def meeting_locus(points: Sequence[Vec], element: HalfOpenSubspace,
+                  images: Optional[Sequence[Vec]] = None
+                  ) -> Optional[tuple[int, Optional[Vec], Optional[Vec]]]:
+    """Where conv(points) meets the element: None if nowhere, else
+    (dim, lam, pt) with dim the exact dimension of the meeting locus and,
+    when dim == 0, the barycentric coordinates lam and the ambient point pt
+    of its one point.  `images` are the products E p of the element's
+    equalities with the points, if known.
 
-    Raises GeneralPositionError when the meeting locus is not one point.
+    One rref of [E P; 1..1 | 0..0, 1] gives a particular solution `base` and
+    the kernel K.  With lam = s base + K t, the constraints lam >= 0 and
+    q.P lam >= 0 (q the element's inequalities) cut out a cone in (s, t)
+    whose slice s = 1 is the locus.  Fourier-Motzkin decides whether the
+    slice is empty and which constraints hold with equality on all of it;
+    those implicit equalities fix its dimension.
     """
     m = len(points)
-    rows = _equality_rows(points, element, images)
-    rows.append((Fraction(1),) * m)
-    rhs = vec([0] * (len(rows) - 1) + [1])
-    A = Matrix(rows)
-    base = solve_affine(A, rhs)
-    if base is None:
+    if images is None:
+        images = [element.equalities.matvec(p) for p in points]
+    aug = [list(row) + [ZERO] for row in zip(*images)] + [[ONE] * (m + 1)]
+    R, _, pivots = rref(Matrix(aug))
+    if m in pivots:
         return None
-    kern = kernel_basis(A)
-    sols = []
+    base = [ZERO] * m
+    for r, c in enumerate(pivots):
+        base[c] = R.entries[r][m]
+    kern = rref_kernel(R, pivots, m)
+    walls = [tuple(dot(q, p) for p in points) for q in element.inequalities]
+    P = from_columns(list(points))
     if not kern:
-        cands = [base]
-    else:
-        cands = []
-        for zeros in itertools.combinations(range(m), len(kern)):
-            rows2 = list(rows)
-            rhs2 = list(rhs)
-            for z in zeros:
-                rows2.append(tuple(Fraction(1 if t == z else 0)
-                                   for t in range(m)))
-                rhs2.append(Fraction(0))
-            s = solve_affine(Matrix(rows2), vec(rhs2))
-            if s is not None and not kernel_basis(Matrix(rows2)):
-                cands.append(s)
-        if not cands:
-            cands = [base]
-    seen = set()
-    for lam in cands:
-        if all(x >= 0 for x in lam):
-            pt = from_columns(list(points)).matvec(lam)
-            if element.contains_point(pt):
-                key = tuple(lam)
-                if key not in seen:
-                    seen.add(key)
-                    sols.append((lam, pt))
-    if not sols:
-        if kern:
-            # the affine solution set may still cross the simplex away from
-            # vertices of the feasible region only if that region is a point;
-            # with all candidate vertices infeasible it is empty
+        lam = tuple(base)
+        if any(x < 0 for x in lam) or any(dot(w, lam) < 0 for w in walls):
             return None
+        return 0, lam, P.matvec(lam)
+    # lam_j >= 0 reads (base_j, K_j) >= 0 on (s, t)
+    cols = [tuple(base)] + kern
+    forms = list(zip(*cols)) + _restrict(walls, cols)
+    k = len(cols)
+    s_pos = (ONE,) + (ZERO,) * len(kern)
+    if not _fm_feasible(forms, [s_pos], k):
         return None
-    if len(sols) > 1:
+    # the implicit equalities at s = 1: (t-part) . t = -(s-part)
+    implicit = [list(f[1:]) + [-f[0]] for f in forms
+                if not _fm_feasible(forms, [s_pos, f], k)]
+    R, rk, _ = rref(Matrix.from_rows(implicit, cols=k))
+    if rk < len(kern):
+        return len(kern) - rk, None, None
+    t = [R.entries[r][-1] for r in range(rk)]
+    lam = tuple(x + sum(d[c] * y for d, y in zip(kern, t))
+                for c, x in enumerate(base))
+    return 0, lam, P.matvec(lam)
+
+
+def _isolated_meet(points: Sequence[Vec], element: HalfOpenSubspace,
+                   images: Sequence[Vec]) -> Optional[tuple[Vec, Vec]]:
+    """(lam, pt) of the one point where conv(points) meets the element, or
+    None if they miss.  Raises GeneralPositionError when the meeting locus
+    is more than a point."""
+    hit = meeting_locus(points, element, images)
+    if hit is None:
+        return None
+    dim, lam, pt = hit
+    if dim > 0:
         raise GeneralPositionError(
-            "simplex meets the element in more than one point")
-    if kern:
-        # rule out a positive-dimensional meeting locus through the point
-        lam0 = vec(sols[0][0])
-        for d in kern:
-            for sgn in (1, -1):
-                moved = [lam0[t] + Fraction(sgn, 1024) * d[t] for t in range(m)]
-                if all(x >= 0 for x in moved):
-                    pt = from_columns(list(points)).matvec(vec(moved))
-                    if element.contains_point(pt):
-                        raise GeneralPositionError(
-                            "simplex meets the element in a segment")
-    return sols[0]
+            f"simplex meets {element.label or 'an element'} in a "
+            f"{dim}-dimensional locus")
+    return lam, pt
 
 
 # ---------------------------------------------------------------------------
@@ -231,47 +233,7 @@ def simplex_meet(points: Sequence[Vec], element: HalfOpenSubspace,
 @dataclass
 class CensusRow:
     arcs: tuple[int, int]      # unordered (i, j), i <= j: the two u-arcs
-    barycentric: tuple         # one point of the meeting locus
-    point: Vec
-    locus_dim: int             # 0 = single point, 1 = segment
-
-
-def _simplex_meets(points: Sequence[Vec], element: HalfOpenSubspace,
-                   images: Optional[Sequence[Vec]] = None
-                   ) -> Optional[tuple[tuple, Vec, int]]:
-    """One point of conv(points) on the element plus the local dimension of
-    the meeting locus; None when disjoint."""
-    m = len(points)
-    rows = _equality_rows(points, element, images)
-    rows.append((Fraction(1),) * m)
-    A = Matrix(rows)
-    rhs = vec([0] * (len(rows) - 1) + [1])
-    base = solve_affine(A, rhs)
-    if base is None:
-        return None
-    kern = kernel_basis(A)
-    found = []
-    for size in range(len(kern) + 1):
-        for zeros in itertools.combinations(range(m), size):
-            rows2 = list(rows) + [
-                tuple(Fraction(1 if t == z else 0) for t in range(m))
-                for z in zeros]
-            rhs2 = vec(list(rhs) + [0] * size)
-            s = solve_affine(Matrix(rows2), rhs2)
-            if s is None or kernel_basis(Matrix(rows2)):
-                continue
-            if all(x >= 0 for x in s):
-                pt = from_columns(list(points)).matvec(s)
-                if element.contains_point(pt):
-                    found.append(tuple(s))
-        if found:
-            break
-    if not found:
-        return None
-    found = sorted(set(found))
-    lam = found[0]
-    pt = from_columns(list(points)).matvec(vec(lam))
-    return lam, pt, (0 if len(found) == 1 else 1)
+    locus_dim: int             # dimension of the meeting locus
 
 
 def enumerate_L_intersections(h: GeneralPositionMap, n: int, a: int, b: int
@@ -283,18 +245,15 @@ def enumerate_L_intersections(h: GeneralPositionMap, n: int, a: int, b: int
     rows = []
     for i in range(1, n + 1):
         for j in range(i, n + 1):
-            pts = [u_vector(i, n), u_vector(i + 1, n),
-                   u_vector(j, n), u_vector(j + 1, n)]
+            pts = arc_points(i, j, n)
             if i == j:
-                if _simplex_meets(pts[:2], L) is not None:
+                if meeting_locus(pts[:2], L) is not None:
                     raise GeneralPositionError(
                         f"degenerate cell ({i},{j}) meets the subspace")
                 continue
-            hit = _simplex_meets(pts, L)
-            if hit is None:
-                continue
-            lam, pt, locus = hit
-            rows.append(CensusRow((i, j), lam, pt, locus))
+            hit = meeting_locus(pts, L)
+            if hit is not None:
+                rows.append(CensusRow((i, j), hit[0]))
     return rows
 
 
@@ -350,11 +309,11 @@ def intersect_with_Jpieces(h: GeneralPositionMap, l1: HalfOpenSubspace,
                 continue
             ids = [i - 1, i % n, j - 1, j % n]
             pts = [us[k] for k in ids]
-            c_hit = simplex_meet(pts, carrier1, [e1[k] for k in ids])
+            c_hit = _isolated_meet(pts, carrier1, [e1[k] for k in ids])
             if c_hit is not None and not l1.contains_point(c_hit[1]):
                 out["rho3_candidate"] = ((i, j), c_hit[1])
             for key, piece, imgs in (("l1_hits", l1, e1), ("l2_hits", l2, e2)):
-                hit = simplex_meet(pts, piece, [imgs[k] for k in ids])
+                hit = _isolated_meet(pts, piece, [imgs[k] for k in ids])
                 if hit is not None:
                     rec = ((min(i, j), max(i, j)), hit[1])
                     if rec not in out[key]:
@@ -382,12 +341,8 @@ def preimage_simplices(h: GeneralPositionMap, poset: IntersectionPoset,
     group = poset.arrangement.group
     tops = poset.maximal_node_ids
     rho = rho_cells(n, a, b)
-    special_sets = []
-    for key in ("rho1", "rho2"):
-        i, j = rho[key]
-        special_sets.append(frozenset(
-            (tuple(u_vector(i, n)), tuple(u_vector(i + 1, n)),
-             tuple(u_vector(j, n)), tuple(u_vector(j + 1, n)))))
+    special_sets = [frozenset(arc_points(*rho[key], n))
+                    for key in ("rho1", "rho2")]
     # the distinct vertex images u, and E u for every element, computed once
     point_id: dict[Vec, int] = {}
     vertex_id = {v: point_id.setdefault(h.vertex_image(v), len(point_id))
@@ -405,12 +360,12 @@ def preimage_simplices(h: GeneralPositionMap, poset: IntersectionPoset,
             elem = poset.nodes[m].subspace
             if degenerate:
                 uniq = sorted(set(ids))
-                if _simplex_meets([points[i] for i in uniq], elem,
-                                  [images[m][i] for i in uniq]) is not None:
+                if meeting_locus([points[i] for i in uniq], elem,
+                                 [images[m][i] for i in uniq]) is not None:
                     raise GeneralPositionError(
                         f"degenerate cell {cell} meets element {m}")
                 continue
-            hit = simplex_meet(pts, elem, [images[m][i] for i in ids])
+            hit = _isolated_meet(pts, elem, [images[m][i] for i in ids])
             if hit is None:
                 continue
             lam, pt = hit
@@ -467,6 +422,23 @@ def ambient_orientation_det(columns: Sequence[Vec], n: int) -> Fraction:
     return determinant(from_columns(cols))
 
 
+def _moved_point(elem: HalfOpenSubspace, point: Vec,
+                 disc: tuple[Vec, Vec, Vec], shift: Vec) -> Optional[Vec]:
+    """Where the disc, moved from `point` by `shift`, crosses the element's
+    carrier: p + s + D t with E (p + s + D t) = 0.  None unless t exists and
+    is unique."""
+    start = tuple(p + s for p, s in zip(point, shift))
+    A = elem.equalities.mul(from_columns(list(disc)))
+    rhs = elem.equalities.matvec(start)
+    R, _, pivots = rref(Matrix([list(row) + [-x]
+                                for row, x in zip(A.entries, rhs)]))
+    if pivots != [0, 1, 2]:
+        return None
+    t = [R.entries[r][3] for r in range(3)]
+    return tuple(x + sum(d[i] * y for d, y in zip(disc, t))
+                 for i, x in enumerate(start))
+
+
 def decompose_broken_class(poset: IntersectionPoset, zz: ZZBasis,
                            wall_node: int, point: Vec,
                            disc: tuple[Vec, Vec, Vec], shift: Vec
@@ -479,18 +451,12 @@ def decompose_broken_class(poset: IntersectionPoset, zz: ZZBasis,
     """
     n = poset.arrangement.ambient_dim
     wall = zz.wall_by_node[wall_node]
-    dmat = from_columns(list(disc))
     terms = []
     for e in wall.elements:
         elem = poset.nodes[e].subspace
-        A = elem.equalities.mul(dmat)
-        rhs = tuple(-x for x in elem.equalities.matvec(
-            tuple(p + s for p, s in zip(point, shift))))
-        tvec = solve_affine(A, rhs)
-        if tvec is None or kernel_basis(A):
+        q = _moved_point(elem, point, disc, shift)
+        if q is None:
             raise ValueError("shift is degenerate for a sheet")
-        q = tuple(p + s + sum(disc[r][i] * tvec[r] for r in range(3))
-                  for i, (p, s) in enumerate(zip(point, shift)))
         phi_val = dot(wall.functionals[e], q)
         if phi_val == 0:
             raise ValueError("shifted disc hit the wall")
@@ -499,7 +465,7 @@ def decompose_broken_class(poset: IntersectionPoset, zz: ZZBasis,
             raise ValueError("shifted disc hit a boundary wall")
         if all(x > 0 for x in vals):
             s = sign(ambient_orientation_det(
-                list(disc) + poset.nodes[e].subspace.carrier_basis(), n))
+                list(disc) + elem.carrier_basis(), n))
             if s == 0:
                 raise ValueError("degenerate orientation determinant")
             terms.append(PointTerm(e, q, disc, s))
@@ -550,6 +516,16 @@ def pair_point_class(poset: IntersectionPoset, zz: ZZBasis,
                 out[idx] += cone_or
             if base == x:
                 out[idx] -= cone_or
+    return out
+
+
+def _paired_sum(poset: IntersectionPoset, zz: ZZBasis,
+                pieces: Sequence[PointTerm], scale: int) -> list[int]:
+    """scale times the sum of the pairing vectors of the point classes."""
+    out = [0] * zz.rank
+    for p in pieces:
+        for i, x in enumerate(pair_point_class(poset, zz, p)):
+            out[i] += scale * x
     return out
 
 
@@ -633,6 +609,11 @@ def simplex_direction_frame(points: Sequence[Vec]) -> tuple[Vec, Vec, Vec]:
             tuple(x - y for x, y in zip(points[3], p0)))
 
 
+def v_disc(n: int, a: int, b: int) -> tuple[Vec, Vec, Vec]:
+    """Disc frame at v: the direction frame of its image simplex rho1."""
+    return simplex_direction_frame(arc_points(*rho_cells(n, a, b)["rho1"], n))
+
+
 @dataclass
 class CocycleTerm:
     word: tuple[int, int]      # group decoration of the broken class
@@ -663,23 +644,10 @@ def assemble_cocycle(poset: IntersectionPoset, zz: ZZBasis,
     checks["eps^a j . v = w"] = act(eaj, v) == w
     # the vertex permutation relating the two image simplices is even, so
     # the transported disc frame of v matches the one of w positively
-    rho1 = [u_vector(a, n), u_vector(a + 1, n),
-            u_vector(2 * a + b, n), u_vector(2 * a + b + 1, n)]
-    moved = [act(eaj, p) for p in simplex_direction_frame(rho1)]
-    span_mat = from_columns(list(simplex_direction_frame(pts)))
-    coords = []
-    ok = True
-    for m in moved:
-        c = solve_affine(span_mat, m)
-        if c is None:
-            ok = False
-            break
-        coords.append(c)
-    if ok:
-        checks["disc frames compatible (even permutation)"] = \
-            sign(determinant(from_columns(coords))) == 1
-    else:
-        checks["disc frames compatible (even permutation)"] = False
+    span_mat = from_columns(list(disc))
+    coords = [solve_affine(span_mat, act(eaj, d)) for d in v_disc(n, a, b)]
+    checks["disc frames compatible (even permutation)"] = (
+        None not in coords and sign(determinant(from_columns(coords))) == 1)
     wall_v = wall_node_of_point(poset, zz, act(eb, v))
     wall_w = wall_node_of_point(poset, zz, w)
     checks["broken points lie on wall nodes"] = \
@@ -713,18 +681,12 @@ def check_membership_equivalences(poset: IntersectionPoset, zz: ZZBasis,
             used.update((e, partner))
     if len(pairs) != 2:
         return None
-    dmat = from_columns(list(disc))
     realized = {}
     for e in halves:
         elem = poset.nodes[e].subspace
-        A = elem.equalities.mul(dmat)
-        rhs = tuple(-x for x in elem.equalities.matvec(
-            tuple(p + s for p, s in zip(point, shift))))
-        tvec = solve_affine(A, rhs)
-        if tvec is None:
+        q = _moved_point(elem, point, disc, shift)
+        if q is None:
             return None
-        q = tuple(p + s + sum(disc[r][i] * tvec[r] for r in range(3))
-                  for i, (p, s) in enumerate(zip(point, shift)))
         vals = [dot(qf, q) for qf in elem.inequalities]
         if any(x == 0 for x in vals):
             return None
@@ -759,18 +721,11 @@ def proportionality_chain(poset: IntersectionPoset, zz: ZZBasis,
                 break
     if len(ordered) != 4:
         return None
-    dmat = from_columns(list(disc))
     evals = []
     for e, form in zip(ordered, targets):
-        elem = poset.nodes[e].subspace
-        A = elem.equalities.mul(dmat)
-        rhs = tuple(-x for x in elem.equalities.matvec(
-            tuple(p + s for p, s in zip(point, shift))))
-        tvec = solve_affine(A, rhs)
-        if tvec is None:
+        q = _moved_point(poset.nodes[e].subspace, point, disc, shift)
+        if q is None:
             return None
-        q = tuple(p + s + sum(disc[r][i] * tvec[r] for r in range(3))
-                  for i, (p, s) in enumerate(zip(point, shift)))
         evals.append(dot(vec(form), q))
     c = a + b
     chain = [(n + 1) * evals[0], -(n + 1) * evals[1],
@@ -813,7 +768,7 @@ def obstruction_class(n: int, a: int, b: int,
         fams = {r.arcs for r in rows}
         checks["census matches the six families"] = \
             fams == expected_families(n, a, b)
-    except GeneralPositionError as e:
+    except GeneralPositionError:
         checks["census matches the six families"] = False
 
     arr = orbit_closure(group, [l1, l2])
@@ -839,7 +794,6 @@ def obstruction_class(n: int, a: int, b: int,
         checks["sixteen preimage cells"] = len(special) == 16
         checks["preimage cells in one orbit"] = all(
             rec.orbit_words for rec in special)
-        vw = {tuple(v_point(n, a, b)), tuple(w_point(n, a, b))}
         special_pts = {tuple(hit[2]) for rec in special for hit in rec.hits}
         checks["v and w appear on the special cells"] = vw <= special_pts
         orbit_pts = {tuple(act(g, vec(p))) for g in group.elements
@@ -898,22 +852,18 @@ def obstruction_class(n: int, a: int, b: int,
         cert.verdict = "inconclusive: broken classes not located on walls"
         return cert
     F_total = [0] * zz.rank
-    per_term_vectors = []
     shift_used = 0
     for t_i, term in enumerate(terms):
         pieces, shift_used = decompose_with_retries(
             poset, zz, term.wall_node, term.point, term.disc,
             start=shift_used)
-        vecs = [pair_point_class(poset, zz, p) for p in pieces]
-        per_term_vectors.append(vecs)
         flip = 1
         if term_flips is not None and t_i < len(term_flips):
             flip = term_flips[t_i]
-        for pv in vecs:
-            for i, x in enumerate(pv):
-                F_total[i] += flip * x
-    if global_flip:
-        F_total = [-x for x in F_total]
+        if global_flip:
+            flip = -flip
+        F_total = [x + y for x, y in
+                   zip(F_total, _paired_sum(poset, zz, pieces, flip))]
     cert.class_basis_coords = F_total
 
     cert.steps.append("Step 8: class of the cocycle in the coinvariants")
@@ -926,17 +876,11 @@ def obstruction_class(n: int, a: int, b: int,
 
     # the reduced representative: twice the broken class of v on its wall
     v = v_point(n, a, b)
-    rho1 = [u_vector(a, n), u_vector(a + 1, n),
-            u_vector(2 * a + b, n), u_vector(2 * a + b + 1, n)]
-    disc_v = simplex_direction_frame(rho1)
+    disc_v = v_disc(n, a, b)
     wall_v = wall_node_of_point(poset, zz, v)
     if wall_v is not None:
         pieces, k_used = decompose_with_retries(poset, zz, wall_v, v, disc_v)
-        F_red = [0] * zz.rank
-        for p in pieces:
-            pv = pair_point_class(poset, zz, p)
-            for i, x in enumerate(pv):
-                F_red[i] += 2 * x
+        F_red = _paired_sum(poset, zz, pieces, 2)
         checks["reduced and direct classes agree"] = \
             dg.project(F_red) == dg.project(F_total) or dg.is_zero(
                 [x - y for x, y in zip(F_red, F_total)])
@@ -956,11 +900,7 @@ def obstruction_class(n: int, a: int, b: int,
         try:
             pieces_m = decompose_broken_class(poset, zz, wall_v, v, disc_v, neg)
             cert.mu_signs = [p.sign for p in pieces_m]
-            F_mu = [0] * zz.rank
-            for p in pieces_m:
-                pv = pair_point_class(poset, zz, p)
-                for i, x in enumerate(pv):
-                    F_mu[i] += 2 * x
+            F_mu = _paired_sum(poset, zz, pieces_m, 2)
             checks["both decompositions give the same class"] = \
                 dg.project(F_mu) == dg.project(F_red)
         except ValueError:

@@ -6,14 +6,14 @@ from fanpart.arrangement import (HalfOpenSubspace, intersection_poset,
                                  make_J_pieces, make_subspace, orbit_closure,
                                  transform)
 from fanpart.coinvariants import (dual_coinvariants, induced_action,
-                                  join_sphere_sign, modified_coinvariants,
-                                  orientation_sign, transport_sign)
+                                  modified_coinvariants, transport_sign)
 from fanpart.exactlin import (Matrix, determinant, dot, from_columns,
                               kernel_basis, sign, solve_affine,
                               solve_in_basis, vec)
 from fanpart.groups import act, cyclic_shift_group, det_character, \
     quaternion_on_Wn
 from fanpart.homology import zz_basis
+from orientation_signs import join_sphere_sign, orientation_sign
 
 
 # --- orientation signs, anchored to the worked examples ---------------------

@@ -15,8 +15,8 @@ from fanpart.obstruction import (CocycleTerm, GeneralPositionError,
                                  generic_shift, intersect_with_Jpieces,
                                  obstruction_class, pair_point_class,
                                  preimage_simplices, proportionality_chain,
-                                 rho_cells, simplex_direction_frame,
-                                 simplex_meet, u_vector, v_point,
+                                 meeting_locus, rho_cells,
+                                 simplex_direction_frame, u_vector, v_point,
                                  vstar_barycentric, w_point,
                                  wall_node_of_point, PointTerm)
 
@@ -120,7 +120,7 @@ def test_third_candidate_misses_carrier():
     i, j = rho_cells(n, a, b)["rho3"]
     pts = [u_vector(i, n), u_vector(i + 1, n), u_vector(j, n),
            u_vector(j + 1, n)]
-    assert simplex_meet(pts, carrier) is None
+    assert meeting_locus(pts, carrier) is None
 
 
 def test_sixteen_special_cells(main_data):
