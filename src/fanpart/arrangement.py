@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .exactlin import (Matrix, Vec, ZERO, ONE, is_zero_vec, kernel_basis,
                        primitive_signed, rref, rref_pivots,
@@ -345,9 +345,6 @@ class IntersectionPoset:
     # (node, degree) -> reduced homology below the node; filled by
     # homology.node_homology
     _homology_memo: dict = field(default_factory=dict, repr=False)
-
-    def node_by_key(self, key) -> Optional[int]:
-        return self._by_key.get(key)
 
     def elements_above(self, i: int) -> list[int]:
         """Maximal-element nodes whose set strictly contains node i."""

@@ -16,7 +16,8 @@ from .exactlin import Matrix, determinant, smith_normal_form
 from .groups import quaternion_on_Wn
 from .arrangement import intersection_poset, make_J_pieces, orbit_closure
 from .homology import verify_lemma16, zz_basis
-from .coinvariants import induced_action, modified_coinvariants
+from .coinvariants import (describe_factors, induced_action,
+                           modified_coinvariants)
 from .fixtures import run_fixture
 from .obstruction import obstruction_class
 
@@ -31,11 +32,6 @@ def _emit_json(payload: dict, path: str, started: float):
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def _factor_text(factors, free_rank) -> str:
-    parts = ["Z"] * free_rank + [f"Z{f}" for f in factors]
-    return " (+) ".join(parts) if parts else "0"
 
 
 def run_compute(args) -> int:
@@ -57,17 +53,14 @@ def run_compute(args) -> int:
     if args.verbose:
         print(f"poset: {cert.poset_nodes} nodes, "
               f"{cert.poset_max_elements} maximal, levels {cert.poset_levels}")
-        l1, l2 = make_J_pieces(n, args.a, args.b)
-        poset = intersection_poset(
-            orbit_closure(quaternion_on_Wn(n), [l1, l2]))
-        for line in poset.debug_lines():
+        for line in cert.poset_lines:
             print(" ", line)
         for name, ok in cert.checks.items():
             print(f"  [{'ok' if ok else 'FAIL'}] {name}")
     print(f"homology: degree 2 rank {cert.homology_rank} "
           f"(reference 5(a+b) = {cert.homology_rank_expected})")
     print("coinvariants:",
-          _factor_text(cert.coinvariant_factors, cert.coinvariant_rank))
+          describe_factors(cert.coinvariant_factors, cert.coinvariant_rank))
     print(f"obstruction class: coords {cert.class_basis_coords} "
           f"order {cert.class_order} nonzero {cert.class_nonzero}")
     print("verdict:", cert.verdict)
@@ -85,7 +78,7 @@ def run_example(args) -> int:
         return 1
     print(f"fixture {rep.name}: H_{rep.degree} rank {rep.rank}, "
           f"torsion {rep.torsion or 'none'}; coinvariants "
-          f"{_factor_text(rep.factors, rep.free_rank)}")
+          f"{describe_factors(rep.factors, rep.free_rank)}")
     if rep.matches:
         print("MATCHES the recorded reference values")
     else:

@@ -13,7 +13,7 @@ is where the boundary-wall correction terms come from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .exactlin import (Matrix, Vec, change_of_basis_det, dot, sign,
                        smith_normal_form, vec)
@@ -175,8 +175,13 @@ class CoinvariantGroup:
         return order
 
     def describe(self) -> str:
-        parts = ["Z"] * self.rank + [f"Z{d}" for d in self.invariant_factors]
-        return " (+) ".join(parts) if parts else "0"
+        return describe_factors(self.invariant_factors, self.rank)
+
+
+def describe_factors(factors: Sequence[int], free_rank: int) -> str:
+    """The group Z^free_rank + Z_f1 + ... as text, e.g. "Z (+) Z2"."""
+    parts = ["Z"] * free_rank + [f"Z{f}" for f in factors]
+    return " (+) ".join(parts) if parts else "0"
 
 
 def coinvariants_from_relations(relations: list[Vec], module_rank: int
@@ -192,20 +197,24 @@ def coinvariants_from_relations(relations: list[Vec], module_rank: int
                             module_rank)
 
 
-def modified_coinvariants(action: OrientedGeneratorAction,
-                          group: ActionGroup,
-                          generators_only: bool = False) -> CoinvariantGroup:
-    """Quotient by the span of g*x - x for the determinant-twisted action."""
-    r = action.basis.rank
+def _coinvariants_of(matrices: Iterable[Matrix], r: int) -> CoinvariantGroup:
+    """Quotient of Z^r by the nonzero columns of M - I over the matrices."""
     rels = []
-    elements = group.generators if generators_only else group.elements
-    for g in elements:
-        m = action.modified_matrix(g)
+    for m in matrices:
         for j in range(r):
             col = [m.entries[i][j] - (1 if i == j else 0) for i in range(r)]
             if any(col):
                 rels.append(vec(col))
     return coinvariants_from_relations(rels, r)
+
+
+def modified_coinvariants(action: OrientedGeneratorAction,
+                          group: ActionGroup,
+                          generators_only: bool = False) -> CoinvariantGroup:
+    """Quotient by the span of g*x - x for the determinant-twisted action."""
+    elements = group.generators if generators_only else group.elements
+    return _coinvariants_of((action.modified_matrix(g) for g in elements),
+                            action.basis.rank)
 
 
 def dual_coinvariants(action: OrientedGeneratorAction,
@@ -215,12 +224,5 @@ def dual_coinvariants(action: OrientedGeneratorAction,
     The obstruction class naturally lives here; its coordinates are the
     pairing values against the basis.
     """
-    r = action.basis.rank
-    rels = []
-    for g in group.elements:
-        m = action.modified_matrix(group.inv(g)).transpose()
-        for j in range(r):
-            col = [m.entries[i][j] - (1 if i == j else 0) for i in range(r)]
-            if any(col):
-                rels.append(vec(col))
-    return coinvariants_from_relations(rels, r)
+    return _coinvariants_of((action.modified_matrix(group.inv(g)).transpose()
+                             for g in group.elements), action.basis.rank)

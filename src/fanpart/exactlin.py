@@ -116,16 +116,6 @@ class Matrix:
         object.__setattr__(m, "cols", cols)
         return m
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def row(self, i: int) -> Vec:
-        return self.entries[i]
-
-    def col(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.entries)
-
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.entries == other.entries \
             and self.cols == other.cols
@@ -469,10 +459,6 @@ def smith_normal_form(m: Matrix) -> SmithForm:
         t += 1
     return SmithForm(U=Matrix(u), D=Matrix(a), rank=t,
                       col_ops=tuple(col_ops))
-
-
-def invariant_factors(m: Matrix) -> tuple[int, ...]:
-    return smith_normal_form(m).invariant_factors
 
 
 def sparse_rank_and_factors(cols: dict) -> tuple[int, list[int]]:

@@ -50,7 +50,7 @@ class SimplicialComplex:
 
     def faces(self, k: int) -> list[tuple]:
         if k < 0:
-            return [()] if k == -1 and self.vertices else ([()] if k == -1 else [])
+            return [()] if k == -1 else []
         out = set()
         for f in self.facets:
             if len(f) >= k + 1:
@@ -263,12 +263,6 @@ def node_homology(poset: IntersectionPoset, node: int, d: int) -> HomologyGroup:
 # wall/page tables and the basis of the top homology
 
 
-@dataclass(frozen=True)
-class Page:
-    element: int   # poset node id of a maximal element
-    side: int      # sign of the wall functional on this half
-
-
 @dataclass
 class WallNode:
     node: int
@@ -279,14 +273,6 @@ class WallNode:
     rays: dict[tuple[int, int], Vec]         # (element, side) -> ray point
     rewrite_sign: dict[int, int]             # full element -> s in
                                              # C(anti) = C(rep) - s * [sphere]
-
-    def pages(self) -> list[Page]:
-        out = []
-        for e in self.elements:
-            out.append(Page(e, self.rep_side[e]))
-            if (e, -self.rep_side[e]) in self.rays:
-                out.append(Page(e, -self.rep_side[e]))
-        return out
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ torsion property of the final class) is computed exactly and recorded; a
 failed identity downgrades the verdict to inconclusive and names the check.
 Where an image simplex meets an element, the dimension of the meeting locus
 is decided exactly, by elimination and Fourier-Motzkin (`meeting_locus`).
+Steps 2-3 read one census (`arc_census`) that decides each distinct image
+simplex against each element once.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from .exactlin import (ONE, ZERO, Matrix, Vec, determinant, dot, from_columns,
                        rref, rref_kernel, sign, solve_affine, vec,
                        zero_vec)
 from .groups import ActionGroup, GroupElement, act, quaternion_on_Wn
-from .arrangement import (HalfOpenSubspace, IntersectionPoset, _fm_feasible,
-                          _restrict, intersection_poset, k_form,
+from .arrangement import (HalfOpenSubspace, IntersectionPoset, _check_params,
+                          _fm_feasible, _restrict, intersection_poset, k_form,
                           make_J_pieces, make_L_alpha, orbit_closure,
                           transform)
 from .homology import (UnsupportedArrangement, ZZBasis, verify_lemma16,
@@ -123,6 +125,12 @@ class GeneralPositionMap:
             return u_vector(i, self.n)        # a_i -> u_{(i-1 mod n)+1}
         return u_vector(i - 1, self.n)        # b_i -> u_{(i-1) mod n}
 
+    def cell_arcs(self, cell: tuple[int, int]) -> tuple[int, int]:
+        """Starts (p, q) of the two u-arcs the cell maps onto, in its vertex
+        order: cell_images(cell) == arc_points(p, q, n)."""
+        i, j = cell
+        return (i - 1) % self.n + 1, (j - 2) % self.n + 1
+
     def cell_images(self, cell: tuple[int, int]) -> list[Vec]:
         return [self.vertex_image(v) for v in self.sphere.cell_vertices(cell)]
 
@@ -210,22 +218,6 @@ def meeting_locus(points: Sequence[Vec], element: HalfOpenSubspace,
     return 0, lam, P.matvec(lam)
 
 
-def _isolated_meet(points: Sequence[Vec], element: HalfOpenSubspace,
-                   images: Sequence[Vec]) -> Optional[tuple[Vec, Vec]]:
-    """(lam, pt) of the one point where conv(points) meets the element, or
-    None if they miss.  Raises GeneralPositionError when the meeting locus
-    is more than a point."""
-    hit = meeting_locus(points, element, images)
-    if hit is None:
-        return None
-    dim, lam, pt = hit
-    if dim > 0:
-        raise GeneralPositionError(
-            f"simplex meets {element.label or 'an element'} in a "
-            f"{dim}-dimensional locus")
-    return lam, pt
-
-
 # ---------------------------------------------------------------------------
 # the censuses
 
@@ -236,24 +228,36 @@ class CensusRow:
     locus_dim: int             # dimension of the meeting locus
 
 
+def arc_census(n: int, elements: Sequence[HalfOpenSubspace]
+               ) -> dict[tuple[int, int], list]:
+    """meeting_locus of each distinct image simplex with each element:
+    (i, j) -> one result per element, for the u-arcs 1 <= i <= j <= n, with
+    the points in the order of arc_points(i, j, n), duplicates included."""
+    us = [u_vector(k, n) for k in range(1, n + 1)]
+    images = [[e.equalities.matvec(u) for u in us] for e in elements]
+    census = {}
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            ids = [i - 1, i % n, j - 1, j % n]
+            census[i, j] = [meeting_locus([us[k] for k in ids], e,
+                                          [img[k] for k in ids])
+                            for e, img in zip(elements, images)]
+    return census
+
+
 def enumerate_L_intersections(h: GeneralPositionMap, n: int, a: int, b: int
                               ) -> list[CensusRow]:
     """All unordered pairs of u-arcs whose join simplex meets the block
     subspace.  The meeting loci here are generically segments; isolated
     points only arise after adding the extra hyperplane pieces."""
-    L = make_L_alpha(n, a, b)
     rows = []
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            pts = arc_points(i, j, n)
-            if i == j:
-                if meeting_locus(pts[:2], L) is not None:
-                    raise GeneralPositionError(
-                        f"degenerate cell ({i},{j}) meets the subspace")
-                continue
-            hit = meeting_locus(pts, L)
-            if hit is not None:
-                rows.append(CensusRow((i, j), hit[0]))
+    for (i, j), (hit,) in arc_census(n, [make_L_alpha(n, a, b)]).items():
+        if hit is None:
+            continue
+        if i == j:
+            raise GeneralPositionError(
+                f"degenerate cell ({i},{j}) meets the subspace")
+        rows.append(CensusRow((i, j), hit[0]))
     return rows
 
 
@@ -297,27 +301,22 @@ def intersect_with_Jpieces(h: GeneralPositionMap, l1: HalfOpenSubspace,
     """Hits of the image simplices on both seed pieces, with the excluded
     candidate recorded."""
     out = {"l1_hits": [], "l2_hits": [], "rho3_candidate": None}
-    carrier1 = HalfOpenSubspace(l1.equalities, (), n, "carrier(L1*)")
-    # the vertex images u_1..u_n and E u for each piece, computed once; the
-    # carrier has the equalities of L1*
-    us = [u_vector(k, n) for k in range(1, n + 1)]
-    e1 = [l1.equalities.matvec(u) for u in us]
-    e2 = [l2.equalities.matvec(u) for u in us]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            ids = [i - 1, i % n, j - 1, j % n]
-            pts = [us[k] for k in ids]
-            c_hit = _isolated_meet(pts, carrier1, [e1[k] for k in ids])
-            if c_hit is not None and not l1.contains_point(c_hit[1]):
-                out["rho3_candidate"] = ((i, j), c_hit[1])
-            for key, piece, imgs in (("l1_hits", l1, e1), ("l2_hits", l2, e2)):
-                hit = _isolated_meet(pts, piece, [imgs[k] for k in ids])
-                if hit is not None:
-                    rec = ((min(i, j), max(i, j)), hit[1])
-                    if rec not in out[key]:
-                        out[key].append(rec)
+    elements = (HalfOpenSubspace(l1.equalities, (), n, "carrier(L1*)"),
+                l1, l2)
+    for arcs, hits in arc_census(n, elements).items():
+        if arcs[0] == arcs[1]:
+            continue
+        for elem, hit in zip(elements, hits):
+            if hit is not None and hit[0] > 0:
+                raise GeneralPositionError(
+                    f"simplex meets {elem.label or 'an element'} in a "
+                    f"{hit[0]}-dimensional locus")
+        c_hit, hit1, hit2 = hits
+        if c_hit is not None and not l1.contains_point(c_hit[2]):
+            out["rho3_candidate"] = (arcs, c_hit[2])
+        for key, hit in (("l1_hits", hit1), ("l2_hits", hit2)):
+            if hit is not None:
+                out[key].append((arcs, hit[2]))
     return out
 
 
@@ -343,38 +342,33 @@ def preimage_simplices(h: GeneralPositionMap, poset: IntersectionPoset,
     rho = rho_cells(n, a, b)
     special_sets = [frozenset(arc_points(*rho[key], n))
                     for key in ("rho1", "rho2")]
-    # the distinct vertex images u, and E u for every element, computed once
-    point_id: dict[Vec, int] = {}
-    vertex_id = {v: point_id.setdefault(h.vertex_image(v), len(point_id))
-                 for v in sphere.vertices()}
-    points = list(point_id)
-    images = {m: [poset.nodes[m].subspace.equalities.matvec(u) for u in points]
-              for m in tops}
+    elements = [poset.nodes[m].subspace for m in tops]
+    census = arc_census(n, elements)
     cells: dict[tuple[int, int], PreimageCell] = {}
     for cell in sphere.top_cells():
-        ids = [vertex_id[v] for v in sphere.cell_vertices(cell)]
-        pts = [points[i] for i in ids]
-        degenerate = len(set(ids)) < 4
-        img_set = frozenset(pts)
-        for m in tops:
-            elem = poset.nodes[m].subspace
-            if degenerate:
-                uniq = sorted(set(ids))
-                if meeting_locus([points[i] for i in uniq], elem,
-                                 [images[m][i] for i in uniq]) is not None:
-                    raise GeneralPositionError(
-                        f"degenerate cell {cell} meets element {m}")
-                continue
-            hit = _isolated_meet(pts, elem, [images[m][i] for i in ids])
+        p, q = h.cell_arcs(cell)
+        pts = arc_points(p, q, n)
+        degenerate = len(set(pts)) < 4
+        for m, elem, hit in zip(tops, elements, census[min(p, q), max(p, q)]):
             if hit is None:
                 continue
-            lam, pt = hit
+            if degenerate:
+                raise GeneralPositionError(
+                    f"degenerate cell {cell} meets element {m}")
+            dim, lam, pt = hit
+            if dim > 0:
+                raise GeneralPositionError(
+                    f"simplex meets {elem.label or 'an element'} in a "
+                    f"{dim}-dimensional locus")
+            if p > q:
+                # the census lists the arcs ascending; back to cell order
+                lam = lam[2:] + lam[:2]
             if any(x == 0 for x in lam):
                 raise GeneralPositionError(
                     f"boundary intersection in cell {cell}")
             rec = cells.setdefault(
-                cell, PreimageCell(cell, [], [], img_set in special_sets))
-            rec.hits.append((m, tuple(lam), pt))
+                cell, PreimageCell(cell, [], [], frozenset(pts) in special_sets))
+            rec.hits.append((m, lam, pt))
     sigma = (a + b, 1)
     for rec in cells.values():
         rec.orbit_words = [g.word for g in group.elements
@@ -541,6 +535,7 @@ class ObstructionCertificate:
     poset_nodes: int = 0
     poset_max_elements: int = 0
     poset_levels: dict = field(default_factory=dict)
+    poset_lines: list = field(default_factory=list)   # listing, not in JSON
     homology_rank: int = 0
     homology_rank_expected: int = 0
     homology_torsion: list = field(default_factory=list)
@@ -745,8 +740,7 @@ def obstruction_class(n: int, a: int, b: int,
                       global_flip: bool = False) -> ObstructionCertificate:
     """Run the full pipeline and certify the class of the obstruction
     cocycle in the coinvariants of the dual module."""
-    if a < 1 or b < 1 or n != 2 * a + 2 * b:
-        raise ValueError("need a >= 1, b >= 1 and n = 2a + 2b")
+    _check_params(n, a, b)
     cert = ObstructionCertificate(n=n, a=a, b=b)
     checks = cert.checks
     if n < 6:
@@ -776,6 +770,7 @@ def obstruction_class(n: int, a: int, b: int,
     cert.poset_nodes = len(poset.nodes)
     cert.poset_max_elements = len(arr.maximal_elements)
     cert.poset_levels = poset.level_counts()
+    cert.poset_lines = poset.debug_lines()
     checks["element count is 5(a+b)"] = \
         len(arr.maximal_elements) == 5 * (a + b)
 

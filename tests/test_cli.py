@@ -67,6 +67,25 @@ def test_compute_12_report_and_json(capsys, tmp_path):
                          "version"}
 
 
+def test_compute_verbose_builds_the_poset_once(monkeypatch, capsys):
+    # the -v listing is read off the certificate, not from a second poset
+    import fanpart.cli
+    import fanpart.obstruction
+    from fanpart.arrangement import intersection_poset
+    calls = []
+
+    def counting(arr):
+        calls.append(arr)
+        return intersection_poset(arr)
+    for mod in (fanpart.obstruction, fanpart.cli):
+        monkeypatch.setattr(mod, "intersection_poset", counting,
+                            raising=False)
+    assert main(["compute", "--a", "1", "--b", "2", "-v"]) == 2
+    out = capsys.readouterr().out
+    assert len(calls) == 1
+    assert sum(ln.strip().startswith("node ") for ln in out.splitlines()) == 19
+
+
 def test_json_determinism(tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     main(["compute", "--a", "1", "--b", "2", "--json", str(p1)])

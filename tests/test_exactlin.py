@@ -5,9 +5,9 @@ import pytest
 import sympy
 
 from fanpart.exactlin import (Matrix, SmithForm, change_of_basis_det,
-                              determinant, from_columns, invariant_factors,
-                              kernel_basis, primitive, rref, smith_normal_form,
-                              solve_affine, vec)
+                              determinant, from_columns, kernel_basis,
+                              primitive, rref, smith_normal_form, solve_affine,
+                              vec)
 
 
 def frac_matrix(rows):

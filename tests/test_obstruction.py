@@ -1,14 +1,16 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from fanpart.arrangement import make_J_pieces
+from fanpart.arrangement import make_J_pieces, make_subspace
 from fanpart.coinvariants import dual_coinvariants
-from fanpart.exactlin import Matrix, dot, from_columns, sign, vec
+from fanpart.exactlin import (Matrix, dot, from_columns, kernel_basis, sign,
+                              vec)
 from fanpart.groups import act, quaternion_on_Wn
 from fanpart.obstruction import (CocycleTerm, GeneralPositionError,
                                  ObstructionCertificate, ambient_orientation_det,
-                                 assemble_cocycle, build_sphere,
+                                 arc_points, assemble_cocycle, build_sphere,
                                  check_equivariance, decompose_broken_class,
                                  decompose_with_retries, define_h,
                                  enumerate_L_intersections, expected_families,
@@ -154,6 +156,73 @@ def test_vstar_and_wstar(main_data):
     pts_on_e = {tuple(hit[2]) for rec in pre if rec.cell in fe
                 for hit in rec.hits}
     assert pts_on_e == {tuple(hv), tuple(hw)}
+
+
+def test_census_decides_each_image_simplex_once(main_data, monkeypatch):
+    # n(n+1)/2 distinct image simplices, each decided once per element
+    import fanpart.obstruction as ob
+    n, a, b = 6, 1, 2
+    data = main_data(n, a, b)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return meeting_locus(*args, **kwargs)
+    monkeypatch.setattr(ob, "meeting_locus", counting)
+    h = define_h(n)
+    preimage_simplices(h, data["poset"], n, a, b)
+    assert len(calls) == n * (n + 1) // 2 * len(data["poset"].maximal_node_ids)
+    assert len(calls) == 315
+    calls.clear()
+    intersect_with_Jpieces(h, data["l1"], data["l2"], n, a, b)
+    assert len(calls) == 3 * n * (n + 1) // 2 == 63
+
+
+@pytest.mark.parametrize("n,a,b", [(6, 1, 2), (8, 2, 2), (8, 1, 3)])
+def test_preimage_hits_are_barycentric_in_cell_order(main_data, n, a, b):
+    # every hit: interior barycentric coordinates of the cell's own vertex
+    # order that map to the recorded point (a wrong swap of the two arcs on
+    # descending cells breaks the last law)
+    h = define_h(n)
+    pre = preimage_simplices(h, main_data(n, a, b)["poset"], n, a, b)
+    assert pre
+    for rec in pre:
+        cols = from_columns(h.cell_images(rec.cell))
+        for _, lam, pt in rec.hits:
+            assert all(x > 0 for x in lam)
+            assert sum(lam) == 1
+            assert cols.matvec(vec(lam)) == pt
+
+
+def test_preimage_hits_on_descending_arcs_in_cell_order():
+    # the hits of the real cases have lam = (a, b, a, b)/n or (b, a, b, a)/n,
+    # which the swap of the two arcs leaves fixed; one plane through the
+    # point (1, 2, 3, 4)/10 of the arcs (1, 3) tells the two orders apart
+    n = 6
+    h = define_h(n)
+    lam = tuple(Fraction(k, 10) for k in (1, 2, 3, 4))
+    x = from_columns(arc_points(1, 3, n)).matvec(lam)
+    y = vec([1, -3, 5, 2, -7, 2])
+    plane = make_subspace(kernel_basis(Matrix([list(x), list(y)])), [], n)
+    poset = SimpleNamespace(
+        arrangement=SimpleNamespace(group=quaternion_on_Wn(n)),
+        maximal_node_ids=[0], nodes=[SimpleNamespace(subspace=plane)])
+    pre = {rec.cell: rec for rec in preimage_simplices(h, poset, n, 1, 2)}
+    assert h.cell_arcs((1, 4)) == (1, 3) and h.cell_arcs((3, 2)) == (3, 1)
+    assert [hit[1] for hit in pre[1, 4].hits] == [lam]
+    assert [hit[1] for hit in pre[3, 2].hits] == [lam[2:] + lam[:2]]
+    for rec in pre.values():
+        cols = from_columns(h.cell_images(rec.cell))
+        assert all(cols.matvec(vec(hit[1])) == hit[2] for hit in rec.hits)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_cell_arcs_match_vertex_map(n):
+    h = define_h(n)
+    for cell in h.sphere.top_cells():
+        p, q = h.cell_arcs(cell)
+        assert 1 <= p <= n and 1 <= q <= n
+        assert arc_points(p, q, n) == h.cell_images(cell)
 
 
 # --- decomposition of broken classes ----------------------------------------
