@@ -10,6 +10,7 @@ inequalities that are forced to vanish on the cone promoted to equalities.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -329,14 +330,19 @@ class PosetNode:
 class IntersectionPoset:
     """All intersections of arrangement elements, ordered by inclusion.
 
+    `support[i]` is the set of maximal elements containing node i, as a
+    bitmask: bit k stands for node `maximal_node_ids[k]`.  Every node is the
+    intersection of its support, so node i lies in node j exactly when
+    support[j] is a subset of support[i].
+
     `above[i]` lists nodes whose set strictly contains node i (these are the
     elements of the lower cone in the reverse-inclusion order used for order
-    complexes).  Hasse edges are (lower, upper) pairs by inclusion: the
-    upper node has the larger dimension.
+    complexes).  Hasse edges are (lower, upper) pairs by inclusion.
     """
 
     nodes: list[PosetNode]
     maximal_node_ids: list[int]
+    support: list[int]                 # bitmask over maximal_node_ids
     above: list[list[int]]             # strict supersets, by node index
     hasse_edges: list[tuple[int, int]]
     arrangement: Arrangement
@@ -346,10 +352,15 @@ class IntersectionPoset:
     # homology.node_homology
     _homology_memo: dict = field(default_factory=dict, repr=False)
 
+    def support_ids(self, i: int) -> list[int]:
+        """Maximal-element nodes whose set contains node i (i itself
+        included when it is maximal), in increasing order."""
+        mask = self.support[i]
+        return [m for k, m in enumerate(self.maximal_node_ids) if mask >> k & 1]
+
     def elements_above(self, i: int) -> list[int]:
         """Maximal-element nodes whose set strictly contains node i."""
-        tops = set(self.maximal_node_ids)
-        return [j for j in self.above[i] if j in tops]
+        return [m for m in self.support_ids(i) if m != i]
 
     def act_node(self, g: GroupElement, i: int) -> int:
         key = (g.word, i)
@@ -378,65 +389,89 @@ class IntersectionPoset:
         return lines
 
 
+def _raw_meet_key(a: HalfOpenSubspace, b: HalfOpenSubspace):
+    """A cheap pre-canonical key of a & b: the RREF of the stacked
+    equalities and the reduced inequalities, before the cone
+    canonicalization that `intersect` runs."""
+    stacked = a.equalities.stack(b.equalities)
+    R, rk, piv = rref(stacked)
+    R = Matrix.from_rows(list(R.entries)[:rk], cols=stacked.cols)
+    raw_ineq = sorted({
+        q for q in (primitive_signed(row_space_reduce(f, R, piv))
+                    for f in a.inequalities + b.inequalities)
+        if not is_zero_vec(q)})
+    return (R.entries, tuple(raw_ineq))
+
+
 def intersection_poset(arr: Arrangement) -> IntersectionPoset:
     """Close the maximal elements under pairwise intersection and order the
-    distinct sets by inclusion."""
+    distinct sets by inclusion.
+
+    Each node carries the mask of maximal elements known to contain it, and
+    the node is the intersection of the elements in that mask.  Meeting
+    node i with element m therefore gives the intersection of
+    mask(i) | m, which is looked up by that mask before any elimination;
+    pairs with m already in mask(i) give i itself.  Once i has met every
+    element its mask is its exact support, and the order follows from the
+    supports alone (see IntersectionPoset).
+    """
     nodes: list[HalfOpenSubspace] = []
+    support: list[int] = []
     by_key: dict = {}
 
-    def add(s: HalfOpenSubspace) -> int:
-        k = s.key()
-        if k in by_key:
-            return by_key[k]
-        by_key[k] = len(nodes)
+    def add(s: HalfOpenSubspace, mask: int) -> int:
+        by_key[s.key()] = len(nodes)
         nodes.append(s)
-        return by_key[k]
+        support.append(mask)
+        return len(nodes) - 1
 
-    maximal_ids = [add(s) for s in arr.maximal_elements]
-    raw_seen: set = set()
-    queue = list(range(len(nodes)))
+    for k, s in enumerate(arr.maximal_elements):
+        if s.key() in by_key:
+            raise ValueError(f"maximal elements {by_key[s.key()]} and {k} "
+                             "are the same set")
+        add(s, 1 << k)
+    # maximal element k is node k, so bit m of a mask stands for node m
+    maximal_ids = list(range(len(nodes)))
+    by_mask: dict[int, int] = {}
+    by_raw: dict = {}
+    queue = deque(maximal_ids)
     while queue:
-        i = queue.pop(0)
+        i = queue.popleft()
         for m in maximal_ids:
-            # cheap pre-canonical key avoids re-running the full cone
-            # canonicalization on repeated intersections
-            stacked = nodes[i].equalities.stack(nodes[m].equalities)
-            R, rk, piv = rref(stacked)
-            R = Matrix.from_rows(list(R.entries)[:rk], cols=stacked.cols)
-            raw_ineq = sorted({
-                q for q in (primitive_signed(row_space_reduce(f, R, piv))
-                            for f in nodes[i].inequalities
-                            + nodes[m].inequalities)
-                if not is_zero_vec(q)})
-            raw = (R.entries, tuple(raw_ineq))
-            if raw in raw_seen:
+            if support[i] >> m & 1:
                 continue
-            raw_seen.add(raw)
-            s = intersect(nodes[i], nodes[m])
-            if s.key() not in by_key:
-                s = s.relabel(f"meet{len(nodes)}")
-                add(s)
-                queue.append(by_key[s.key()])
-    # containment relation: above[i] = strict supersets of node i
+            mask = support[i] | 1 << m
+            j = by_mask.get(mask)
+            if j is None:
+                raw = _raw_meet_key(nodes[i], nodes[m])
+                j = by_raw.get(raw)
+                if j is None:
+                    s = intersect(nodes[i], nodes[m])
+                    j = by_key.get(s.key())
+                    if j is None:
+                        j = add(s.relabel(f"meet{len(nodes)}"), mask)
+                        queue.append(j)
+                    by_raw[raw] = j
+                by_mask[mask] = j
+            support[j] |= mask
+    # i <= j exactly when support[j] <= support[i]; distinct nodes have
+    # distinct supports, so this is strict containment
     n = len(nodes)
-    above: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j or nodes[j].dim < nodes[i].dim:
-                continue
-            if nodes[j].dim == nodes[i].dim and not nodes[i].same_set(nodes[j]):
-                continue
-            if not nodes[i].same_set(nodes[j]) and contains_set(nodes[j], nodes[i]):
-                above[i].append(j)
-    # covers: j in above[i] with no k in above[i] such that j in above[k]
+    above = [[j for j in range(n) if j != i and not support[j] & ~support[i]]
+             for i in range(n)]
+    # the covers of i are the members of above[i] with inclusion-maximal
+    # support; in order of decreasing support size, every member whose
+    # support lies in a larger one is dominated by a cover already found
     hasse = []
     for i in range(n):
-        for j in above[i]:
-            if not any((k != j and j in above[k]) for k in above[i]):
-                hasse.append((i, j))
+        covers: list[int] = []
+        for j in sorted(above[i], key=lambda j: -support[j].bit_count()):
+            if all(support[j] & ~support[c] for c in covers):
+                covers.append(j)
+        hasse.extend((i, j) for j in covers)
     poset_nodes = [PosetNode(i, s, s.dim, s.label or f"node{i}")
                    for i, s in enumerate(nodes)]
-    poset = IntersectionPoset(poset_nodes, maximal_ids, above, sorted(hasse),
-                              arr)
+    poset = IntersectionPoset(poset_nodes, maximal_ids, support, above,
+                              sorted(hasse), arr)
     poset._by_key = by_key
     return poset

@@ -332,13 +332,16 @@ def change_of_basis_det(frm: Sequence[Vec], to: Sequence[Vec]) -> Fraction:
     """
     if len(frm) != len(to):
         raise ValueError("basis size mismatch")
-    cols = []
-    for v in frm:
-        coords = solve_in_basis(to, v)
-        if coords is None:
-            raise ValueError("vector not in span of target basis")
-        cols.append(coords)
-    return determinant(from_columns(cols))
+    # one elimination of [to | frm] solves for every vector of frm at once;
+    # free coordinates are zero, as in solve_in_basis
+    k = len(to)
+    R, rk, pivots = rref(from_columns(list(to) + list(frm)))
+    if rk and pivots[-1] >= k:
+        raise ValueError("vector not in span of target basis")
+    coords = [(ZERO,) * k] * k
+    for r, c in enumerate(pivots):
+        coords[c] = R.entries[r][k:]
+    return determinant(Matrix._wrap(tuple(coords), k))
 
 
 def sign(x: Fraction) -> int:

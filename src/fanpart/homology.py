@@ -224,16 +224,11 @@ def crosscut_complex(poset: IntersectionPoset, node: int) -> SimplicialComplex:
     Homotopy equivalent to the order complex because the poset is closed
     under intersections, so every bounded subset of the crosscut has a meet.
     """
-    ups = sorted(poset.above[node])
+    ups = poset.above[node]
     if not ups:
         return SimplicialComplex((), ())
-    tops = set(poset.maximal_node_ids)
-    facets = []
-    for w in ups:
-        s = tuple(sorted({m for m in poset.above[w] if m in tops}
-                         | ({w} if w in tops else set())))
-        facets.append(s)
-    return complex_from_facets(facets)
+    # the maximal elements containing w are its support
+    return complex_from_facets(poset.support_ids(w) for w in ups)
 
 
 def nerve(cx: SimplicialComplex) -> SimplicialComplex:

@@ -11,6 +11,8 @@ from fanpart.arrangement import (Arrangement, HalfOpenSubspace, canonical_equal,
 from fanpart.exactlin import Matrix, rank, vec
 from fanpart.groups import cyclic_shift_group, quaternion_on_Wn
 
+import poset_oracle
+
 
 def z8_fixture():
     group = cyclic_shift_group(8, 8, (2, 3, 4, 5, 6, 7, 8, 1))
@@ -284,6 +286,58 @@ def test_intersection_dims_monotone():
             assert poset.nodes[up].dim >= nd.dim
     for lo, up in poset.hasse_edges:
         assert poset.nodes[lo].dim < poset.nodes[up].dim
+
+
+def _assert_order_matches_oracle(poset):
+    above = poset_oracle.containment_above(poset)
+    same_dim = poset_oracle.equal_dimension_pairs(poset, above)
+    # legal for half-open sets, but none occur in these cases; name any
+    # that appears
+    assert not same_dim, f"containment at equal dimension: {same_dim}"
+    assert poset.above == above
+    assert poset.hasse_edges == poset_oracle.covers(above)
+    assert poset.support == poset_oracle.supports(poset)
+
+
+@pytest.mark.parametrize("name", ["z8", "z4"])
+def test_poset_order_matches_containment_fixtures(fixture_data, name):
+    _assert_order_matches_oracle(fixture_data(name)["poset"])
+
+
+@pytest.mark.parametrize("n,a,b", [(6, 1, 2), (8, 2, 2), (8, 1, 3), (8, 3, 1)])
+def test_poset_order_matches_containment_main_cases(main_data, n, a, b):
+    _assert_order_matches_oracle(main_data(n, a, b)["poset"])
+
+
+@pytest.mark.slow
+def test_poset_order_matches_containment_n10_23():
+    group = quaternion_on_Wn(10)
+    poset = intersection_poset(orbit_closure(group, make_J_pieces(10, 2, 3)))
+    assert len(poset.nodes) == 256
+    _assert_order_matches_oracle(poset)
+
+
+def test_poset_makes_no_containment_tests(main_data, monkeypatch):
+    import fanpart.arrangement as arrangement
+    calls = []
+
+    def counted(big, small):
+        calls.append(1)
+        return contains_set(big, small)
+
+    monkeypatch.setattr(arrangement, "contains_set", counted)
+    arr = main_data(8, 1, 3)["poset"].arrangement
+    poset = intersection_poset(arr)
+    assert len(poset.nodes) == 59
+    assert calls == []
+
+
+def test_poset_rejects_repeated_maximal_element():
+    group, L = z4_fixture()
+    arr = orbit_closure(group, [L])
+    twice = Arrangement(arr.maximal_elements + [L.relabel("again")], group, 8)
+    with pytest.raises(ValueError, match="same set"):
+        intersection_poset(twice)
 
 
 def test_contains_set_half_subspace():

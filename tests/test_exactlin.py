@@ -164,6 +164,49 @@ def test_change_of_basis_det_sign():
     assert change_of_basis_det(b1, b2) == -1
 
 
+def _det_per_column(frm, to):
+    """change_of_basis_det by one solve per vector of frm."""
+    cols = []
+    for v in frm:
+        coords = solve_affine(from_columns(to), v)
+        if coords is None:
+            raise ValueError("vector not in span of target basis")
+        cols.append(coords)
+    return determinant(from_columns(cols))
+
+
+def test_change_of_basis_det_matches_per_column_solves():
+    rng = random.Random(11)
+    outside = 0
+    for trial in range(120):
+        dim = rng.randint(1, 6)
+        k = rng.randint(1, dim)
+        to = [vec([Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+                   for _ in range(dim)]) for _ in range(k)]
+        coeffs = [[rng.randint(-2, 2) for _ in to] for _ in range(k)]
+        frm = [vec([sum(c * v[i] for c, v in zip(row, to))
+                    for i in range(dim)]) for row in coeffs]
+        if trial % 10 == 0 and k < dim:
+            # leave the span: some standard vector is outside it
+            frm[-1] = next(
+                e for e in (vec([int(i == c) for i in range(dim)])
+                            for c in range(dim))
+                if solve_affine(from_columns(to), e) is None)
+            outside += 1
+            with pytest.raises(ValueError, match="not in span"):
+                _det_per_column(frm, to)
+            with pytest.raises(ValueError, match="not in span"):
+                change_of_basis_det(frm, to)
+            continue
+        assert change_of_basis_det(frm, to) == _det_per_column(frm, to)
+    assert outside >= 5
+
+
+def test_change_of_basis_det_checks_lengths():
+    with pytest.raises(ValueError, match="size mismatch"):
+        change_of_basis_det([vec([1, 0])], [vec([1, 0]), vec([0, 1])])
+
+
 def test_solve_affine_barycentric_special_point():
     # the distinguished intersection point of the first special simplex
     # with the cut-down subspace, in barycentric coordinates

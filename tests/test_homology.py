@@ -270,6 +270,38 @@ def _assert_nerve_matches_crosscut(poset, n=None):
     return nonzero
 
 
+def _crosscut_from_above(poset, node):
+    """The crosscut complex rebuilt from `above`: for each w strictly above
+    the node, the maximal elements above w, and w itself when maximal."""
+    tops = set(poset.maximal_node_ids)
+    return complex_from_facets(
+        [m for m in poset.above[w] if m in tops] + ([w] if w in tops else [])
+        for w in poset.above[node])
+
+
+def _assert_crosscut_reads_support(poset, n=None):
+    tops = set(poset.maximal_node_ids)
+    for nd in poset.nodes:
+        assert crosscut_complex(poset, nd.index).facets == \
+            _crosscut_from_above(poset, nd.index).facets
+        assert poset.elements_above(nd.index) == [
+            m for m in poset.above[nd.index] if m in tops]
+    for node, deg in _checked_degrees(poset, n):
+        h = reduced_homology(nerve(_crosscut_from_above(poset, node)), deg)
+        memo = node_homology(poset, node, deg)
+        assert (memo.rank, memo.torsion) == (h.rank, h.torsion), (node, deg)
+
+
+@pytest.mark.parametrize("name", ["z8", "z4"])
+def test_crosscut_reads_support_fixtures(fixture_data, name):
+    _assert_crosscut_reads_support(fixture_data(name)["poset"])
+
+
+@pytest.mark.parametrize("n,a,b", [(6, 1, 2), (8, 2, 2), (8, 1, 3), (8, 3, 1)])
+def test_crosscut_reads_support_main_cases(main_data, n, a, b):
+    _assert_crosscut_reads_support(main_data(n, a, b)["poset"], n)
+
+
 @pytest.mark.parametrize("name", ["z8", "z4"])
 def test_nerve_matches_crosscut_fixtures(fixture_data, name):
     _assert_nerve_matches_crosscut(fixture_data(name)["poset"])
