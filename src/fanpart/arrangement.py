@@ -117,14 +117,11 @@ class HalfOpenSubspace:
     def carrier_basis(self) -> list[Vec]:
         return kernel_basis(self.equalities)
 
-    def contains_point(self, p: Vec, strict: bool = False) -> bool:
+    def contains_point(self, p: Vec) -> bool:
         if any(x != 0 for x in self.equalities.matvec(p)):
             return False
-        for q in self.inequalities:
-            val = sum(a * b for a, b in zip(q, p))
-            if val < 0 or (strict and val == 0):
-                return False
-        return True
+        return all(sum(a * b for a, b in zip(q, p)) >= 0
+                   for q in self.inequalities)
 
     def relabel(self, label: str) -> "HalfOpenSubspace":
         return HalfOpenSubspace(self.equalities, self.inequalities,

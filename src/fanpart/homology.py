@@ -19,19 +19,20 @@ so the nerve has the same integer homology, torsion included (nerve theorem;
 A. Bjorner, Topological methods, Handbook of Combinatorics, 1995, Sec. 10).
 The nerve has one vertex per facet, far fewer faces than the crosscut
 complex on deep nodes.  Each (node, degree) is computed once per poset.
+Homology itself is one route for every complex: each boundary map is
+reduced by sparse unimodular elimination on unit pivots, and whatever is
+left without a unit entry gets a dense Smith normal form finish.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import gcd
 from typing import Optional
 
-from .exactlin import (Matrix, Vec, change_of_basis_det, kernel_basis,
-                       primitive, primitive_signed, rref, rref_pivots,
-                       row_space_reduce, sign, smith_normal_form,
-                       solve_affine, sparse_rank_and_factors, vec)
+from .exactlin import (Matrix, Vec, change_of_basis_det, primitive,
+                       primitive_signed, rref, rref_pivots, row_space_reduce,
+                       sign, solve_affine, sparse_rank_and_factors, vec)
 from .arrangement import HalfOpenSubspace, IntersectionPoset
 
 
@@ -77,7 +78,6 @@ def complex_from_facets(facets) -> SimplicialComplex:
 class HomologyGroup:
     rank: int
     torsion: list[int]
-    generator_reps: list[tuple]
 
     def is_zero(self) -> bool:
         return self.rank == 0 and not self.torsion
@@ -87,35 +87,9 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def boundary_matrix(cx: SimplicialComplex, d: int) -> Matrix:
-    """Boundary from d-chains to (d-1)-chains; d = 0 gives the augmentation."""
-    rows_faces = cx.faces(d - 1)
-    cols_faces = cx.faces(d)
-    idx = {f: i for i, f in enumerate(rows_faces)}
-    entries = [[0] * len(cols_faces) for _ in rows_faces]
-    for j, f in enumerate(cols_faces):
-        for omit in range(len(f)):
-            sub = f[:omit] + f[omit + 1:]
-            entries[idx[sub]][j] = (-1) ** omit
-    if not rows_faces:
-        return Matrix.zeros(0, len(cols_faces))
-    if not cols_faces:
-        return Matrix.zeros(len(rows_faces), 0)
-    return Matrix(entries)
-
-
-def _integer_cycles(bd: Matrix) -> list[tuple]:
-    out = []
-    for v in kernel_basis(bd):
-        den = 1
-        for x in v:
-            den = den * x.denominator // gcd(den, x.denominator)
-        out.append(tuple(int(x * den) for x in v))
-    return out
-
-
 def _sparse_boundary(cx: SimplicialComplex, d: int) -> dict:
-    """Columns of the boundary map from d-chains, as sparse integer dicts."""
+    """Columns of the boundary map from d-chains, as sparse integer dicts;
+    d = 0 gives the augmentation."""
     cols = {}
     for f in cx.faces(d):
         col = {}
@@ -125,60 +99,29 @@ def _sparse_boundary(cx: SimplicialComplex, d: int) -> dict:
     return cols
 
 
-_DENSE_LIMIT = 120
+def boundary_matrix(cx: SimplicialComplex, d: int) -> Matrix:
+    """Boundary from d-chains to (d-1)-chains as a dense matrix, rows and
+    columns in the order of `faces`."""
+    rows_faces = cx.faces(d - 1)
+    cols = list(_sparse_boundary(cx, d).values())
+    if not rows_faces or not cols:
+        return Matrix.zeros(len(rows_faces), len(cols))
+    return Matrix([[col.get(r, 0) for col in cols] for r in rows_faces])
 
 
 def reduced_homology(cx: SimplicialComplex, d: int) -> HomologyGroup:
     """Reduced simplicial homology with integer coefficients in degree d.
 
-    Large boundary matrices go through sparse unimodular elimination;
-    generator representatives are only computed on the dense path.
+    Rank and torsion come from the ranks and invariant factors of the
+    boundaries out of degrees d and d + 1: one sparse unimodular
+    elimination each, with a dense Smith finish on what has no unit pivot.
+    The chain complex is augmented (the empty face in degree -1), so no
+    degree needs a case of its own.
     """
-    if d < -1:
-        return HomologyGroup(0, [], [])
-    if d == -1:
-        if cx.is_empty():
-            return HomologyGroup(1, [], [()])
-        return HomologyGroup(0, [], [])
     n_d = len(cx.faces(d))
-    if n_d == 0:
-        return HomologyGroup(0, [], [])
-    big = n_d + len(cx.faces(d + 1)) + len(cx.faces(d - 1)) > _DENSE_LIMIT
-    if big:
-        rank_d, _ = sparse_rank_and_factors(_sparse_boundary(cx, d))
-        rank_up, torsion = sparse_rank_and_factors(_sparse_boundary(cx, d + 1))
-        return HomologyGroup(n_d - rank_d - rank_up, torsion, [])
-    bd_d = boundary_matrix(cx, d)          # C_d -> C_{d-1} (augmented)
-    bd_up = boundary_matrix(cx, d + 1)     # C_{d+1} -> C_d
-    sf_up = smith_normal_form(bd_up) if bd_up.cols else None
-    rank_up = sf_up.rank if sf_up else 0
-    rank_d = rref(bd_d)[1]
-    rank_h = n_d - rank_d - rank_up
-    torsion = [f for f in (sf_up.invariant_factors if sf_up else ()) if f > 1]
-    reps: list[tuple] = []
-    if rank_h > 0:
-        cycles = _integer_cycles(bd_d)
-        if sf_up:
-            # coordinates in which the image is spanned by d_i * e_i
-            u = sf_up.U
-            free_rows = list(range(rank_up, n_d))
-            proj = []
-            for z in cycles:
-                uz = u.matvec(vec(z))
-                proj.append(tuple(uz[i] for i in free_rows))
-            chosen: list[int] = []
-            acc: list[tuple] = []
-            for i, p in enumerate(proj):
-                trial = acc + [p]
-                if rref(Matrix.from_rows(trial, cols=len(free_rows)))[1] == len(trial):
-                    chosen.append(i)
-                    acc = trial
-                    if len(chosen) == rank_h:
-                        break
-            reps = [cycles[i] for i in chosen]
-        else:
-            reps = cycles[:rank_h]
-    return HomologyGroup(rank_h, torsion, reps)
+    rank_d, _ = sparse_rank_and_factors(_sparse_boundary(cx, d))
+    rank_up, torsion = sparse_rank_and_factors(_sparse_boundary(cx, d + 1))
+    return HomologyGroup(n_d - rank_d - rank_up, torsion)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +217,6 @@ class WallNode:
 class ZZGenerator:
     kind: str                    # "top" or "wall"
     node: int                    # carrier poset node
-    local_class: tuple           # H~ generator of the lower order complex
     orientation_basis: tuple     # ordered basis of the carrier
     element: Optional[int] = None  # for wall generators: the varying sheet
 
@@ -358,7 +300,7 @@ def _build_wall(poset: IntersectionPoset, node: int) -> WallNode:
     return WallNode(node, spine, elements, functionals, rep_side, rays, rewrite)
 
 
-def zz_basis(poset: IntersectionPoset, ambient_dim: Optional[int] = None) -> ZZBasis:
+def zz_basis(poset: IntersectionPoset) -> ZZBasis:
     """Free basis of the top homology of the compactified union.
 
     Raises UnsupportedArrangement when the poset has contributions outside
@@ -396,15 +338,12 @@ def zz_basis(poset: IntersectionPoset, ambient_dim: Optional[int] = None) -> ZZB
         cb = tuple(poset.nodes[m].subspace.carrier_basis())
         basis.top_basis[m] = list(cb)
         basis.index[("top", m)] = len(generators)
-        generators.append(ZZGenerator("top", m, ((),), cb))
+        generators.append(ZZGenerator("top", m, cb))
     for w in walls:
         basis.wall_by_node[w.node] = w
-        base = w.elements[0]
         for e in w.elements[1:]:
-            local = tuple(1 if x == e else (-1 if x == base else 0)
-                          for x in w.elements)
             basis.index[("wall", w.node, e)] = len(generators)
-            generators.append(ZZGenerator("wall", w.node, local,
+            generators.append(ZZGenerator("wall", w.node,
                                           tuple(w.spine_basis), e))
     return basis
 
