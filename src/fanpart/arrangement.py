@@ -3,9 +3,14 @@
 A HalfOpenSubspace is a linear subspace cut out by equalities, optionally
 restricted by closed half-space inequalities.  All sets here are cones
 through the origin, so emptiness never occurs; an intersection can at worst
-collapse to {0}.  Canonical form does three things: equalities in RREF,
-inequalities reduced modulo the row space and made primitive, and
-inequalities that are forced to vanish on the cone promoted to equalities.
+collapse to {0}.
+
+The canonical form has two stages: `_reduce` is elimination only, and
+`_settle_cone` promotes the implicit equalities and drops the redundant
+inequalities.  A group element permutes coordinates, which keeps every
+facet and creates no implicit equality, so `transform` runs stage one
+only; the intersection poset runs stage two only on a meet whose stage-one
+form is new.
 """
 
 from __future__ import annotations
@@ -15,9 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exactlin import (Matrix, Vec, ZERO, ONE, is_zero_vec, kernel_basis,
-                       primitive_signed, rref, rref_pivots,
-                       row_space_reduce, vec)
+from .exactlin import (Matrix, Vec, ZERO, ONE, is_zero_vec, primitive_signed,
+                       rref, rref_kernel, rref_pivots, row_space_reduce, vec)
 from .groups import ActionGroup, GroupElement
 
 
@@ -58,15 +62,20 @@ def _fm_feasible(loose: list[Vec], strict: list[Vec], dim: int) -> bool:
     return True
 
 
-_kernel_memo: dict = {}
+def implicit_equalities(forms: Sequence[Vec], strict: Sequence[Vec],
+                        dim: int) -> list[int]:
+    """Indices of the forms f that vanish on all of {y: forms.y >= 0,
+    strict.y > 0}, the system assumed feasible: those for which adding
+    f.y > 0 makes it infeasible."""
+    return [j for j, f in enumerate(forms)
+            if not _fm_feasible(forms, [*strict, f], dim)]
 
 
 def cached_kernel(equalities: Matrix) -> list[Vec]:
-    kb = _kernel_memo.get(equalities)
-    if kb is None:
-        kb = kernel_basis(equalities)
-        _kernel_memo[equalities] = kb
-    return kb
+    """kernel_basis of a canonical equality matrix (RREF, full row rank),
+    read off its pivots with no elimination.  Nothing is cached; the name
+    is kept for the profiling wrappers that look it up."""
+    return rref_kernel(equalities, rref_pivots(equalities), equalities.cols)
 
 
 def _restrict(forms: Iterable[Vec], basis: Sequence[Vec]) -> list[Vec]:
@@ -77,7 +86,8 @@ def _restrict(forms: Iterable[Vec], basis: Sequence[Vec]) -> list[Vec]:
 
 def cone_feasible(equalities: Matrix, loose: Sequence[Vec],
                   strict: Sequence[Vec]) -> bool:
-    """Feasibility of {x: E x = 0, loose.x >= 0, strict.x > 0}."""
+    """Feasibility of {x: E x = 0, loose.x >= 0, strict.x > 0}, E a
+    canonical equality matrix."""
     kb = cached_kernel(equalities)
     if not kb:
         return len(strict) == 0  # only x = 0 remains
@@ -115,7 +125,7 @@ class HalfOpenSubspace:
         return self.key() == other.key()
 
     def carrier_basis(self) -> list[Vec]:
-        return kernel_basis(self.equalities)
+        return cached_kernel(self.equalities)
 
     def contains_point(self, p: Vec) -> bool:
         if any(x != 0 for x in self.equalities.matvec(p)):
@@ -132,54 +142,53 @@ class HalfOpenSubspace:
                 f"codim {self.equalities.rows}, ineqs {len(self.inequalities)})")
 
 
+def _reduce(eq_forms: Sequence[Vec], ineq_forms: Iterable[Vec],
+            ambient_dim: int, label: str = "") -> HalfOpenSubspace:
+    """Stage one of the canonical form: the equalities in RREF, truncated
+    to their rank, and the inequalities reduced modulo their row space,
+    made primitive, deduplicated and sorted.  The cone is not examined."""
+    R, rk, pivots = rref(Matrix.from_rows(eq_forms, cols=ambient_dim))
+    R = Matrix._wrap(R.entries[:rk], ambient_dim)
+    reduced = {primitive_signed(row_space_reduce(f, R, pivots))
+               for f in ineq_forms}
+    ineqs = sorted(q for q in reduced if not is_zero_vec(q))
+    return HalfOpenSubspace(R, tuple(ineqs), ambient_dim, label)
+
+
+def _settle_cone(s: HalfOpenSubspace) -> HalfOpenSubspace:
+    """Stage two of the canonical form, on the output of stage one: promote
+    every implicit equality at once, then drop the redundant inequalities in
+    one pass.  Promoting leaves the cone unchanged, and after it the cone is
+    full-dimensional in its carrier with exactly one reduced primitive form
+    per facet; so the forms implied by all the others are exactly the
+    non-facets, and each form is tested against all the others."""
+    if not s.inequalities:
+        return s
+    kb = cached_kernel(s.equalities)
+    forms = _restrict(s.inequalities, kb)
+    forced = set(implicit_equalities(forms, [], len(kb)))
+    if forced:
+        qs = s.inequalities
+        s = _reduce(list(s.equalities.entries) + [qs[j] for j in forced],
+                    [q for j, q in enumerate(qs) if j not in forced],
+                    s.ambient_dim, s.label)
+        kb = cached_kernel(s.equalities)
+        forms = _restrict(s.inequalities, kb)
+    if len(forms) > 1:
+        s = HalfOpenSubspace(s.equalities, tuple(
+            q for j, (q, f) in enumerate(zip(s.inequalities, forms))
+            if _fm_feasible(forms[:j] + forms[j + 1:],
+                            [tuple(-x for x in f)], len(kb))),
+            s.ambient_dim, s.label)
+    return s
+
+
 def make_subspace(eq_forms: Iterable[Vec], ineq_forms: Iterable[Vec],
                   ambient_dim: int, label: str = "") -> HalfOpenSubspace:
     """Canonicalize a description into a HalfOpenSubspace."""
-    eq_rows = [vec(f) for f in eq_forms]
-    ineqs = [vec(f) for f in ineq_forms]
-    R, rk, pivots = rref(Matrix.from_rows(eq_rows, cols=ambient_dim))
-    R = Matrix.from_rows(list(R.entries)[:rk], cols=ambient_dim)
-    while True:
-        reduced = []
-        for q in ineqs:
-            qr = primitive_signed(row_space_reduce(q, R, pivots))
-            if not is_zero_vec(qr):
-                reduced.append(qr)
-        reduced = sorted(set(reduced))
-        if not reduced:
-            ineqs = reduced
-            break
-        # work in carrier coordinates; find inequalities forced to vanish
-        kb = cached_kernel(R)
-        restricted = _restrict(reduced, kb)
-        forced = None
-        for j, q in enumerate(reduced):
-            if not _fm_feasible(restricted, [restricted[j]], len(kb)):
-                forced = q          # q must vanish on the cone
-                break
-        if forced is None:
-            ineqs = reduced
-            break
-        eq_rows = list(R.entries) + [forced]
-        R, rk, pivots = rref(Matrix.from_rows(eq_rows, cols=ambient_dim))
-        R = Matrix.from_rows(list(R.entries)[:rk], cols=ambient_dim)
-        ineqs = [o for o in reduced if o != forced]
-    # drop inequalities implied by the others
-    irredundant = list(ineqs)
-    if len(irredundant) > 1:
-        kb = cached_kernel(R)
-        restricted = dict(zip(irredundant, _restrict(irredundant, kb)))
-        changed = True
-        while changed:
-            changed = False
-            for q in list(irredundant):
-                rest = [restricted[o] for o in irredundant if o != q]
-                neg_q = tuple(-x for x in restricted[q])
-                if not _fm_feasible(rest, [neg_q], len(kb)):
-                    irredundant.remove(q)
-                    changed = True
-                    break
-    return HalfOpenSubspace(R, tuple(sorted(irredundant)), ambient_dim, label)
+    return _settle_cone(_reduce([vec(f) for f in eq_forms],
+                                [vec(f) for f in ineq_forms],
+                                ambient_dim, label))
 
 
 def transform(group: ActionGroup, g: GroupElement,
@@ -187,12 +196,14 @@ def transform(group: ActionGroup, g: GroupElement,
     """The image g . s; forms are pulled back along g^-1.
 
     g acts by a permutation matrix P, and the pullback (P^-1)^T equals P, so
-    a form is moved by the same reindexing as a vector.
+    a form is moved by the same reindexing as a vector.  A permutation keeps
+    the cone's facets and creates no implicit equality, so the image of a
+    canonical s needs only stage one.
     """
     pick = g.source
     new_eq = [tuple(map(row.__getitem__, pick)) for row in s.equalities.entries]
     new_ineq = [tuple(map(q.__getitem__, pick)) for q in s.inequalities]
-    return make_subspace(new_eq, new_ineq, s.ambient_dim, s.label)
+    return _reduce(new_eq, new_ineq, s.ambient_dim, s.label)
 
 
 def intersect(a: HalfOpenSubspace, b: HalfOpenSubspace,
@@ -307,7 +318,7 @@ def orbit_closure(group: ActionGroup,
     elems = list(images.values())
     keep = []
     for i, s in enumerate(elems):
-        covered = any(j != i and not s.same_set(t) and contains_set(t, s)
+        covered = any(j != i and contains_set(t, s)
                       for j, t in enumerate(elems))
         if not covered:
             keep.append(s)
@@ -386,20 +397,6 @@ class IntersectionPoset:
         return lines
 
 
-def _raw_meet_key(a: HalfOpenSubspace, b: HalfOpenSubspace):
-    """A cheap pre-canonical key of a & b: the RREF of the stacked
-    equalities and the reduced inequalities, before the cone
-    canonicalization that `intersect` runs."""
-    stacked = a.equalities.stack(b.equalities)
-    R, rk, piv = rref(stacked)
-    R = Matrix.from_rows(list(R.entries)[:rk], cols=stacked.cols)
-    raw_ineq = sorted({
-        q for q in (primitive_signed(row_space_reduce(f, R, piv))
-                    for f in a.inequalities + b.inequalities)
-        if not is_zero_vec(q)})
-    return (R.entries, tuple(raw_ineq))
-
-
 def intersection_poset(arr: Arrangement) -> IntersectionPoset:
     """Close the maximal elements under pairwise intersection and order the
     distinct sets by inclusion.
@@ -408,7 +405,9 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
     the node is the intersection of the elements in that mask.  Meeting
     node i with element m therefore gives the intersection of
     mask(i) | m, which is looked up by that mask before any elimination;
-    pairs with m already in mask(i) give i itself.  Once i has met every
+    pairs with m already in mask(i) give i itself.  A mask not seen yet is
+    looked up by the stage-one form of the meet, and only a new stage-one
+    form gets the cone work of stage two.  Once i has met every
     element its mask is its exact support, and the order follows from the
     supports alone (see IntersectionPoset).
     """
@@ -440,10 +439,14 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
             mask = support[i] | 1 << m
             j = by_mask.get(mask)
             if j is None:
-                raw = _raw_meet_key(nodes[i], nodes[m])
+                a, b = nodes[i], nodes[m]
+                reduced = _reduce(a.equalities.entries + b.equalities.entries,
+                                  a.inequalities + b.inequalities,
+                                  arr.ambient_dim)
+                raw = reduced.key()
                 j = by_raw.get(raw)
                 if j is None:
-                    s = intersect(nodes[i], nodes[m])
+                    s = _settle_cone(reduced)
                     j = by_key.get(s.key())
                     if j is None:
                         j = add(s.relabel(f"meet{len(nodes)}"), mask)

@@ -142,15 +142,6 @@ class Matrix:
             raise ValueError("shape mismatch in matrix-vector product")
         return tuple(dot(r, v) for r in self.entries)
 
-    def stack(self, other: "Matrix") -> "Matrix":
-        if other.rows == 0:
-            return self
-        if self.rows == 0:
-            return other
-        if self.cols != other.cols:
-            raise ValueError("shape mismatch in stack")
-        return Matrix(list(self.entries) + list(other.entries))
-
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for row in self.entries for x in row)
 
@@ -226,10 +217,6 @@ def rref_pivots(rref_m: Matrix) -> list[int]:
             break
         pivots.append(c)
     return pivots
-
-
-def rank(m: Matrix) -> int:
-    return rref(m)[1]
 
 
 def row_space_reduce(form: Vec, rref_m: Matrix, pivots: Sequence[int]) -> Vec:
@@ -332,8 +319,7 @@ def change_of_basis_det(frm: Sequence[Vec], to: Sequence[Vec]) -> Fraction:
     """
     if len(frm) != len(to):
         raise ValueError("basis size mismatch")
-    # one elimination of [to | frm] solves for every vector of frm at once;
-    # free coordinates are zero, as in solve_in_basis
+    # one elimination of [to | frm] solves for every vector of frm at once
     k = len(to)
     R, rk, pivots = rref(from_columns(list(to) + list(frm)))
     if rk and pivots[-1] >= k:

@@ -262,7 +262,7 @@ def _wall_form(carrier_eq: Matrix, element: HalfOpenSubspace) -> Vec:
 
 def _ray(element: HalfOpenSubspace, form: Vec, value: int) -> Vec:
     """A deterministic point of the element's carrier with form(x) = value."""
-    eqs = element.equalities.stack(Matrix([form]))
+    eqs = Matrix(element.equalities.entries + (form,))
     rhs = vec([0] * element.equalities.rows + [value])
     x = solve_affine(eqs, rhs)
     if x is None:

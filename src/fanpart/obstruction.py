@@ -24,9 +24,9 @@ from .exactlin import (ONE, ZERO, Matrix, Vec, determinant, dot, from_columns,
                        zero_vec)
 from .groups import ActionGroup, GroupElement, act, quaternion_on_Wn
 from .arrangement import (HalfOpenSubspace, IntersectionPoset, _check_params,
-                          _fm_feasible, _restrict, intersection_poset, k_form,
-                          make_J_pieces, make_L_alpha, orbit_closure,
-                          transform)
+                          _fm_feasible, _restrict, implicit_equalities,
+                          intersection_poset, k_form, make_J_pieces,
+                          make_L_alpha, orbit_closure, transform)
 from .homology import (UnsupportedArrangement, ZZBasis, verify_lemma16,
                        verify_no_homology_above_top, zz_basis)
 from .coinvariants import (dual_coinvariants, induced_action,
@@ -207,8 +207,8 @@ def meeting_locus(points: Sequence[Vec], element: HalfOpenSubspace,
     if not _fm_feasible(forms, [s_pos], k):
         return None
     # the implicit equalities at s = 1: (t-part) . t = -(s-part)
-    implicit = [list(f[1:]) + [-f[0]] for f in forms
-                if not _fm_feasible(forms, [s_pos, f], k)]
+    implicit = [list(forms[j][1:]) + [-forms[j][0]]
+                for j in implicit_equalities(forms, [s_pos], k)]
     R, rk, _ = rref(Matrix.from_rows(implicit, cols=k))
     if rk < len(kern):
         return len(kern) - rk, None, None
@@ -232,9 +232,12 @@ def arc_census(n: int, elements: Sequence[HalfOpenSubspace]
                ) -> dict[tuple[int, int], list]:
     """meeting_locus of each distinct image simplex with each element:
     (i, j) -> one result per element, for the u-arcs 1 <= i <= j <= n, with
-    the points in the order of arc_points(i, j, n), duplicates included."""
+    the points in the order of arc_points(i, j, n), duplicates included.
+    The products E u are formed once per distinct equality matrix E."""
     us = [u_vector(k, n) for k in range(1, n + 1)]
-    images = [[e.equalities.matvec(u) for u in us] for e in elements]
+    products = {E: [E.matvec(u) for u in us]
+                for E in {e.equalities for e in elements}}
+    images = [products[e.equalities] for e in elements]
     census = {}
     for i in range(1, n + 1):
         for j in range(i, n + 1):

@@ -1,0 +1,73 @@
+"""The canonical form of a half-open subspace, one change at a time.
+
+This is the iterative canonicalisation the package used before its form was
+split into one reduction and one pass over the cone: reduce the
+inequalities modulo the equalities, promote the first inequality that is
+forced to vanish on the cone, re-reduce and start over; then drop one
+redundant inequality at a time, starting over after each drop.  It counts
+the promotions and drops, so a test can show that its random inputs
+exercise both.
+
+Only used in tests, as an oracle for `make_subspace`.  It shares the exact
+arithmetic (`rref`, `kernel_basis`, Fourier-Motzkin) but none of the
+control flow.
+"""
+
+from __future__ import annotations
+
+from fanpart.arrangement import _fm_feasible, _restrict
+from fanpart.exactlin import (Matrix, is_zero_vec, kernel_basis,
+                              primitive_signed, row_space_reduce, rref, vec)
+
+
+def canonical_key(eq_forms, ineq_forms, ambient_dim, stats=None):
+    """The key (equality RREF entries, sorted inequalities) of the canonical
+    form; `stats`, if given, gets "promoted" and "dropped" counts added."""
+    stats = stats if stats is not None else {}
+    stats.setdefault("promoted", 0)
+    stats.setdefault("dropped", 0)
+    eq_rows = [vec(f) for f in eq_forms]
+    ineqs = [vec(f) for f in ineq_forms]
+    R, rk, pivots = rref(Matrix.from_rows(eq_rows, cols=ambient_dim))
+    R = Matrix.from_rows(list(R.entries)[:rk], cols=ambient_dim)
+    while True:
+        reduced = []
+        for q in ineqs:
+            qr = primitive_signed(row_space_reduce(q, R, pivots))
+            if not is_zero_vec(qr):
+                reduced.append(qr)
+        reduced = sorted(set(reduced))
+        if not reduced:
+            ineqs = reduced
+            break
+        kb = kernel_basis(R)
+        restricted = _restrict(reduced, kb)
+        forced = None
+        for j, q in enumerate(reduced):
+            if not _fm_feasible(restricted, [restricted[j]], len(kb)):
+                forced = q
+                break
+        if forced is None:
+            ineqs = reduced
+            break
+        stats["promoted"] += 1
+        eq_rows = list(R.entries) + [forced]
+        R, rk, pivots = rref(Matrix.from_rows(eq_rows, cols=ambient_dim))
+        R = Matrix.from_rows(list(R.entries)[:rk], cols=ambient_dim)
+        ineqs = [o for o in reduced if o != forced]
+    irredundant = list(ineqs)
+    if len(irredundant) > 1:
+        kb = kernel_basis(R)
+        restricted = dict(zip(irredundant, _restrict(irredundant, kb)))
+        changed = True
+        while changed:
+            changed = False
+            for q in list(irredundant):
+                rest = [restricted[o] for o in irredundant if o != q]
+                neg_q = tuple(-x for x in restricted[q])
+                if not _fm_feasible(rest, [neg_q], len(kb)):
+                    irredundant.remove(q)
+                    stats["dropped"] += 1
+                    changed = True
+                    break
+    return (R.entries, tuple(sorted(irredundant)))

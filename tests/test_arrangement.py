@@ -1,16 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from fanpart.arrangement import (Arrangement, HalfOpenSubspace, canonical_equal,
-                                 cone_feasible, cone_implies, contains_set,
-                                 h1_form, h2_form, intersect,
+from fanpart.arrangement import (Arrangement, HalfOpenSubspace, cached_kernel,
+                                 canonical_equal, cone_feasible, cone_implies,
+                                 contains_set, h1_form, h2_form, intersect,
                                  intersection_poset, k_form, make_J_pieces,
                                  make_L_alpha, make_subspace, ones_form,
                                  orbit_closure, transform)
-from fanpart.exactlin import Matrix, rank, vec
+from fanpart.exactlin import Matrix, kernel_basis, vec
 from fanpart.groups import cyclic_shift_group, quaternion_on_Wn
 
+import canonical_oracle
 import poset_oracle
 
 
@@ -346,3 +348,115 @@ def test_contains_set_half_subspace():
     small = make_subspace([vec([1, 0, 0, 0])], [vec([0, 1, 0, 0])], amb)
     assert contains_set(big, small)
     assert not contains_set(small, big)
+
+
+# --- the two stages of the canonical form ----------------------------------
+
+
+def _random_description(rng):
+    """Random forms in dimension 2-6; some inequalities are nonnegative
+    combinations of others (redundant) or their negations (which force
+    the combined forms to vanish)."""
+    dim = rng.randint(2, 6)
+
+    def form():
+        return [rng.randint(-2, 2) for _ in range(dim)]
+
+    eqs = [form() for _ in range(rng.randint(0, 2))]
+    ineqs = [form() for _ in range(rng.randint(1, 4))]
+    for _ in range(rng.randint(0, 2)):
+        picks = rng.sample(ineqs, rng.randint(1, len(ineqs)))
+        coeffs = [rng.randint(1, 2) for _ in picks]
+        comb = [sum(c * f[k] for c, f in zip(coeffs, picks))
+                for k in range(dim)]
+        ineqs.append(comb if rng.random() < 0.5 else [-x for x in comb])
+    return eqs, ineqs, dim
+
+
+def test_make_subspace_matches_iterative_oracle():
+    rng = random.Random(0)
+    stats = {}
+    for _ in range(2000):
+        eqs, ineqs, dim = _random_description(rng)
+        expected = canonical_oracle.canonical_key(eqs, ineqs, dim, stats)
+        assert make_subspace(eqs, ineqs, dim).key() == expected, \
+            (eqs, ineqs, dim)
+    # the draws exercise both halves of the cone work
+    assert stats["promoted"] > 100
+    assert stats["dropped"] > 100
+
+
+def _case_poset(fixture_data, main_data, case):
+    if isinstance(case, str):
+        data = fixture_data(case)
+    else:
+        a, b = case
+        data = main_data(2 * (a + b), a, b)
+    return data["group"], data["poset"]
+
+
+POSET_CASES = ["z8", "z4", (1, 2), (2, 2), (1, 3)]
+
+
+def _assert_transform_is_canonical(group, subspaces):
+    # the image under every element, against the full canonical form of
+    # the description pulled back by the dense matrix
+    n = group.ambient_dim
+    for g in group.elements:
+        pull = group.inv(g).matrix.transpose().matvec
+        for s in subspaces:
+            expected = make_subspace(
+                [pull(row) for row in s.equalities.entries],
+                [pull(q) for q in s.inequalities], n)
+            assert transform(group, g, s).key() == expected.key()
+
+
+@pytest.mark.parametrize("case", POSET_CASES)
+def test_transform_matches_make_subspace_on_poset(fixture_data, main_data,
+                                                  case):
+    group, poset = _case_poset(fixture_data, main_data, case)
+    _assert_transform_is_canonical(group,
+                                   [nd.subspace for nd in poset.nodes])
+
+
+@pytest.mark.slow
+def test_transform_matches_make_subspace_two_inequalities_n10_23(main_data):
+    # no node up to n = 8 keeps more than one inequality; at (2, 3) twenty
+    # meets keep two
+    data = main_data(10, 2, 3)
+    several = [nd.subspace for nd in data["poset"].nodes
+               if len(nd.subspace.inequalities) > 1]
+    assert len(several) == 20
+    _assert_transform_is_canonical(data["group"], several)
+
+
+@pytest.mark.parametrize("case", ["z4", (1, 3)])
+def test_transform_makes_no_cone_test(fixture_data, main_data, case,
+                                      monkeypatch):
+    import fanpart.arrangement as arrangement
+    group, poset = _case_poset(fixture_data, main_data, case)
+
+    def refuse(*args):
+        raise AssertionError("transform ran a Fourier-Motzkin test")
+
+    monkeypatch.setattr(arrangement, "_fm_feasible", refuse)
+    for g in group.elements:
+        for nd in poset.nodes:
+            transform(group, g, nd.subspace)
+
+
+@pytest.mark.parametrize("case", POSET_CASES)
+def test_kernel_read_off_pivots(fixture_data, main_data, case):
+    _, poset = _case_poset(fixture_data, main_data, case)
+    for nd in poset.nodes:
+        E = nd.subspace.equalities
+        assert cached_kernel(E) == kernel_basis(E)
+        assert nd.subspace.carrier_basis() == kernel_basis(E)
+
+
+def test_kernel_of_no_equalities():
+    E = Matrix.zeros(0, 5)
+    assert cached_kernel(E) == kernel_basis(E)
+    assert len(cached_kernel(E)) == 5
+    whole = make_subspace([], [], 5)
+    assert whole.carrier_basis() == kernel_basis(E)
