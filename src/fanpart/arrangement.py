@@ -5,12 +5,13 @@ restricted by closed half-space inequalities.  All sets here are cones
 through the origin, so emptiness never occurs; an intersection can at worst
 collapse to {0}.
 
-The canonical form has two stages: `_reduce` is elimination only, and
-`_settle_cone` promotes the implicit equalities and drops the redundant
+The canonical form has two stages: `_reduce` is integer elimination only,
+and `_settle_cone` promotes the implicit equalities and drops the redundant
 inequalities.  A group element permutes coordinates, which keeps every
 facet and creates no implicit equality, so `transform` runs stage one
-only; the intersection poset runs stage two only on a meet whose stage-one
-form is new.
+only; the intersection poset keys each meet by its integer stage-one form
+and builds a subspace, with its Fraction RREF, only for a form it has not
+seen.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exactlin import (Matrix, Vec, ZERO, ONE, is_zero_vec, primitive_signed,
-                       rref, rref_kernel, rref_pivots, row_space_reduce, vec)
+from .exactlin import (Matrix, Vec, ZERO, ONE, echelon, echelon_rationals,
+                       integer_rows, is_zero_vec, leading_column,
+                       primitive_row, primitive_signed, reduce_row,
+                       rref_kernel, rref_pivots)
 from .groups import ActionGroup, GroupElement
 
 
@@ -66,9 +69,21 @@ def implicit_equalities(forms: Sequence[Vec], strict: Sequence[Vec],
                         dim: int) -> list[int]:
     """Indices of the forms f that vanish on all of {y: forms.y >= 0,
     strict.y > 0}, the system assumed feasible: those for which adding
-    f.y > 0 makes it infeasible."""
-    return [j for j, f in enumerate(forms)
-            if not _fm_feasible(forms, [*strict, f], dim)]
+    f.y > 0 makes it infeasible.  A multiple of a form found so far (the
+    negative of a wall met from both sides) vanishes there too and gets no
+    test of its own."""
+    found: list[int] = []
+    for j, f in enumerate(forms):
+        if any(_multiple(f, forms[i]) for i in found) \
+                or not _fm_feasible(forms, [*strict, f], dim):
+            found.append(j)
+    return found
+
+
+def _multiple(f: Vec, g: Vec) -> bool:
+    """Is f a multiple of the nonzero form g?"""
+    k = leading_column(g)
+    return k >= 0 and all(x * g[k] == y * f[k] for x, y in zip(f, g))
 
 
 def cached_kernel(equalities: Matrix) -> list[Vec]:
@@ -106,23 +121,40 @@ def cone_implies(equalities: Matrix, loose: Sequence[Vec], q: Vec) -> bool:
 @dataclass(frozen=True)
 class HalfOpenSubspace:
     equalities: Matrix                 # canonical RREF, full row rank
-    inequalities: tuple[Vec, ...]      # primitive, reduced, irredundant, sorted
+    # primitive integer forms, reduced, irredundant, sorted
+    inequalities: tuple[tuple[int, ...], ...]
     ambient_dim: int
     label: str = ""
+    # the rows of `equalities` as primitive integer rows with positive
+    # pivots; derived from `equalities` when not given
+    rows: tuple[tuple[int, ...], ...] = field(default=None, compare=False,
+                                              repr=False)
+
+    def __post_init__(self):
+        if self.rows is None:
+            object.__setattr__(self, "rows", tuple(map(
+                primitive_row, integer_rows(self.equalities.entries))))
 
     @property
     def dim(self) -> int:
-        return self.ambient_dim - self.equalities.rows
+        return self.ambient_dim - len(self.rows)
 
     @property
     def is_linear(self) -> bool:
         return not self.inequalities
 
     def key(self):
+        """The canonical form over Fraction; its order is the order of the
+        maximal elements."""
         return (self.equalities.entries, self.inequalities)
 
+    def int_key(self):
+        """The canonical form as integer rows: equal exactly when `key()`
+        is, and the key the intersection poset looks nodes up by."""
+        return (self.rows, self.inequalities)
+
     def same_set(self, other: "HalfOpenSubspace") -> bool:
-        return self.key() == other.key()
+        return self.int_key() == other.int_key()
 
     def carrier_basis(self) -> list[Vec]:
         return cached_kernel(self.equalities)
@@ -135,24 +167,31 @@ class HalfOpenSubspace:
 
     def relabel(self, label: str) -> "HalfOpenSubspace":
         return HalfOpenSubspace(self.equalities, self.inequalities,
-                                self.ambient_dim, label)
+                                self.ambient_dim, label, self.rows)
 
     def __repr__(self):
         return (f"HalfOpenSubspace({self.label or 'dim %d' % self.dim}, "
-                f"codim {self.equalities.rows}, ineqs {len(self.inequalities)})")
+                f"codim {len(self.rows)}, ineqs {len(self.inequalities)})")
 
 
-def _reduce(eq_forms: Sequence[Vec], ineq_forms: Iterable[Vec],
-            ambient_dim: int, label: str = "") -> HalfOpenSubspace:
-    """Stage one of the canonical form: the equalities in RREF, truncated
-    to their rank, and the inequalities reduced modulo their row space,
-    made primitive, deduplicated and sorted.  The cone is not examined."""
-    R, rk, pivots = rref(Matrix.from_rows(eq_forms, cols=ambient_dim))
-    R = Matrix._wrap(R.entries[:rk], ambient_dim)
-    reduced = {primitive_signed(row_space_reduce(f, R, pivots))
-               for f in ineq_forms}
-    ineqs = sorted(q for q in reduced if not is_zero_vec(q))
-    return HalfOpenSubspace(R, tuple(ineqs), ambient_dim, label)
+def _reduce(eq_rows: Iterable[Sequence[int]],
+            ineq_rows: Iterable[Sequence[int]], base: tuple = ()) -> tuple:
+    """Stage one of the canonical form, on integer rows: the equalities in
+    echelon form (`exactlin.echelon`, with the rows of `base` already in
+    echelon form) and the inequalities reduced modulo them, made primitive,
+    deduplicated and sorted.  The cone is not examined.  Returns the
+    integer key (rows, inequalities) of `HalfOpenSubspace.int_key`."""
+    rows, pivots = echelon(eq_rows, base)
+    reduced = {primitive_row(reduce_row(q, rows, pivots)) for q in ineq_rows}
+    return rows, tuple(sorted(q for q in reduced if any(q)))
+
+
+def _subspace(form: tuple, ambient_dim: int,
+              label: str = "") -> HalfOpenSubspace:
+    """The subspace of a stage-one form, with its Fraction RREF."""
+    rows, ineqs = form
+    return HalfOpenSubspace(Matrix._wrap(echelon_rationals(rows), ambient_dim),
+                            ineqs, ambient_dim, label, rows)
 
 
 def _settle_cone(s: HalfOpenSubspace) -> HalfOpenSubspace:
@@ -169,9 +208,9 @@ def _settle_cone(s: HalfOpenSubspace) -> HalfOpenSubspace:
     forced = set(implicit_equalities(forms, [], len(kb)))
     if forced:
         qs = s.inequalities
-        s = _reduce(list(s.equalities.entries) + [qs[j] for j in forced],
-                    [q for j, q in enumerate(qs) if j not in forced],
-                    s.ambient_dim, s.label)
+        s = _subspace(_reduce([qs[j] for j in forced],
+                              [q for j, q in enumerate(qs) if j not in forced],
+                              s.rows), s.ambient_dim, s.label)
         kb = cached_kernel(s.equalities)
         forms = _restrict(s.inequalities, kb)
     if len(forms) > 1:
@@ -179,21 +218,20 @@ def _settle_cone(s: HalfOpenSubspace) -> HalfOpenSubspace:
             q for j, (q, f) in enumerate(zip(s.inequalities, forms))
             if _fm_feasible(forms[:j] + forms[j + 1:],
                             [tuple(-x for x in f)], len(kb))),
-            s.ambient_dim, s.label)
+            s.ambient_dim, s.label, s.rows)
     return s
 
 
 def make_subspace(eq_forms: Iterable[Vec], ineq_forms: Iterable[Vec],
                   ambient_dim: int, label: str = "") -> HalfOpenSubspace:
     """Canonicalize a description into a HalfOpenSubspace."""
-    return _settle_cone(_reduce([vec(f) for f in eq_forms],
-                                [vec(f) for f in ineq_forms],
-                                ambient_dim, label))
+    return _settle_cone(_subspace(_reduce(integer_rows(eq_forms),
+                                          integer_rows(ineq_forms)),
+                                  ambient_dim, label))
 
 
-def transform(group: ActionGroup, g: GroupElement,
-              s: HalfOpenSubspace) -> HalfOpenSubspace:
-    """The image g . s; forms are pulled back along g^-1.
+def _moved_form(g: GroupElement, s: HalfOpenSubspace) -> tuple:
+    """The integer key of g . s; forms are pulled back along g^-1.
 
     g acts by a permutation matrix P, and the pullback (P^-1)^T equals P, so
     a form is moved by the same reindexing as a vector.  A permutation keeps
@@ -201,25 +239,30 @@ def transform(group: ActionGroup, g: GroupElement,
     canonical s needs only stage one.
     """
     pick = g.source
-    new_eq = [tuple(map(row.__getitem__, pick)) for row in s.equalities.entries]
-    new_ineq = [tuple(map(q.__getitem__, pick)) for q in s.inequalities]
-    return _reduce(new_eq, new_ineq, s.ambient_dim, s.label)
+    return _reduce([tuple(map(row.__getitem__, pick)) for row in s.rows],
+                   [tuple(map(q.__getitem__, pick)) for q in s.inequalities])
+
+
+def transform(group: ActionGroup, g: GroupElement,
+              s: HalfOpenSubspace) -> HalfOpenSubspace:
+    """The image g . s (see `_moved_form`)."""
+    return _subspace(_moved_form(g, s), s.ambient_dim, s.label)
 
 
 def intersect(a: HalfOpenSubspace, b: HalfOpenSubspace,
               label: str = "") -> HalfOpenSubspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return make_subspace(list(a.equalities.entries) + list(b.equalities.entries),
-                         list(a.inequalities) + list(b.inequalities),
-                         a.ambient_dim, label)
+    return _settle_cone(_subspace(_reduce(b.rows, a.inequalities +
+                                          b.inequalities, a.rows),
+                                  a.ambient_dim, label))
 
 
 def contains_set(big: HalfOpenSubspace, small: HalfOpenSubspace) -> bool:
     """Set containment small <= big."""
-    piv_small = rref_pivots(small.equalities)
-    for row in big.equalities.entries:
-        if not is_zero_vec(row_space_reduce(row, small.equalities, piv_small)):
+    piv_small = [leading_column(r) for r in small.rows]
+    for row in big.rows:
+        if any(reduce_row(row, small.rows, piv_small)):
             return False
     for q in big.inequalities:
         if not cone_implies(small.equalities, small.inequalities, q):
@@ -230,7 +273,7 @@ def contains_set(big: HalfOpenSubspace, small: HalfOpenSubspace) -> bool:
 def canonical_equal(s1: HalfOpenSubspace, s2: HalfOpenSubspace) -> bool:
     if s1.ambient_dim != s2.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return s1.key() == s2.key()
+    return s1.same_set(s2)
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +328,9 @@ def make_J_pieces(n: int, a: int, b: int) -> tuple[HalfOpenSubspace, HalfOpenSub
     linear subspace, both of dimension n-4."""
     _check_params(n, a, b)
     L = make_L_alpha(n, a, b)
-    l1 = make_subspace(list(L.equalities.entries) + [h1_form(n, a, b)],
+    l1 = make_subspace(list(L.rows) + [h1_form(n, a, b)],
                        [k_form(n, a, b)], n, "L1*")
-    l2 = make_subspace(list(L.equalities.entries) + [h2_form(n, a, b)],
+    l2 = make_subspace(list(L.rows) + [h2_form(n, a, b)],
                        [], n, "L2*")
     return l1, l2
 
@@ -312,9 +355,10 @@ def orbit_closure(group: ActionGroup,
         if s.ambient_dim != group.ambient_dim:
             raise ValueError("seed does not live in the group's ambient space")
         for g in group.elements:
-            img = transform(group, g, s)
-            if img.key() not in images:
-                images[img.key()] = img.relabel(f"{s.label}.{g!r}")
+            form = _moved_form(g, s)
+            if form not in images:
+                images[form] = _subspace(form, s.ambient_dim,
+                                         f"{s.label}.{g!r}")
     elems = list(images.values())
     keep = []
     for i, s in enumerate(elems):
@@ -354,6 +398,7 @@ class IntersectionPoset:
     above: list[list[int]]             # strict supersets, by node index
     hasse_edges: list[tuple[int, int]]
     arrangement: Arrangement
+    # integer stage-one key (`HalfOpenSubspace.int_key`) -> node index
     _by_key: dict = field(default_factory=dict, repr=False)
     _act_memo: dict = field(default_factory=dict, repr=False)
     # (node, degree) -> reduced homology below the node; filled by
@@ -373,8 +418,7 @@ class IntersectionPoset:
     def act_node(self, g: GroupElement, i: int) -> int:
         key = (g.word, i)
         if key not in self._act_memo:
-            img = transform(self.arrangement.group, g, self.nodes[i].subspace)
-            j = self._by_key.get(img.key())
+            j = self._by_key.get(_moved_form(g, self.nodes[i].subspace))
             if j is None:
                 raise ValueError("poset is not invariant under the group")
             self._act_memo[key] = j
@@ -406,52 +450,53 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
     node i with element m therefore gives the intersection of
     mask(i) | m, which is looked up by that mask before any elimination;
     pairs with m already in mask(i) give i itself.  A mask not seen yet is
-    looked up by the stage-one form of the meet, and only a new stage-one
-    form gets the cone work of stage two.  Once i has met every
-    element its mask is its exact support, and the order follows from the
-    supports alone (see IntersectionPoset).
+    looked up by the integer stage-one form of the meet, from m's rows
+    inserted into i's (integer elimination only), and only a new stage-one
+    form gets a Fraction RREF and the cone work of stage two.  Once i has
+    met every element its mask is its exact support, and the order follows
+    from the supports alone (see IntersectionPoset).
     """
     nodes: list[HalfOpenSubspace] = []
     support: list[int] = []
+    # stage-one integer key -> node; holds the key of every node and of
+    # every meet looked up so far
     by_key: dict = {}
 
     def add(s: HalfOpenSubspace, mask: int) -> int:
-        by_key[s.key()] = len(nodes)
+        by_key[s.int_key()] = len(nodes)
         nodes.append(s)
         support.append(mask)
         return len(nodes) - 1
 
     for k, s in enumerate(arr.maximal_elements):
-        if s.key() in by_key:
-            raise ValueError(f"maximal elements {by_key[s.key()]} and {k} "
+        if s.int_key() in by_key:
+            raise ValueError(f"maximal elements {by_key[s.int_key()]} and {k} "
                              "are the same set")
         add(s, 1 << k)
     # maximal element k is node k, so bit m of a mask stands for node m
     maximal_ids = list(range(len(nodes)))
     by_mask: dict[int, int] = {}
-    by_raw: dict = {}
     queue = deque(maximal_ids)
     while queue:
         i = queue.popleft()
+        a = nodes[i]
         for m in maximal_ids:
             if support[i] >> m & 1:
                 continue
             mask = support[i] | 1 << m
             j = by_mask.get(mask)
             if j is None:
-                a, b = nodes[i], nodes[m]
-                reduced = _reduce(a.equalities.entries + b.equalities.entries,
-                                  a.inequalities + b.inequalities,
-                                  arr.ambient_dim)
-                raw = reduced.key()
-                j = by_raw.get(raw)
+                b = nodes[m]
+                raw = _reduce(b.rows, a.inequalities + b.inequalities, a.rows)
+                j = by_key.get(raw)
                 if j is None:
-                    s = _settle_cone(reduced)
-                    j = by_key.get(s.key())
+                    s = _settle_cone(_subspace(raw, arr.ambient_dim,
+                                               f"meet{len(nodes)}"))
+                    j = by_key.get(s.int_key())
                     if j is None:
-                        j = add(s.relabel(f"meet{len(nodes)}"), mask)
+                        j = add(s, mask)
                         queue.append(j)
-                    by_raw[raw] = j
+                    by_key[raw] = j
                 by_mask[mask] = j
             support[j] |= mask
     # i <= j exactly when support[j] <= support[i]; distinct nodes have

@@ -1,12 +1,15 @@
 """Exact rational linear algebra: the substrate for all geometry in this package.
 
-Everything is done over Fraction; no floating point anywhere.  Signs of
+Everything is exact: Fraction, or integer rows that stand for rational rows
+up to a positive factor; no floating point anywhere.  Signs of
 determinants and half-space memberships must be bit-exact, so approximate
 arithmetic is not an option.
 """
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -42,16 +45,7 @@ def primitive_signed(form: Vec) -> Vec:
 
     The sign is preserved, so this is safe for inequality forms.
     """
-    den = 1
-    for x in form:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in form]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return zero_vec(len(form))
-    return tuple(Fraction(x, g) for x in ints)
+    return tuple(map(Fraction, primitive_row(_integer_row(form)[1])))
 
 
 def primitive(form: Vec) -> Vec:
@@ -60,11 +54,9 @@ def primitive(form: Vec) -> Vec:
     Only for objects defined up to sign (canonical wall functionals); never
     use on inequality forms.
     """
-    p = primitive_signed(form)
-    lead = next((x for x in p if x != 0), None)
-    if lead is not None and lead < 0:
-        p = tuple(-x for x in p)
-    return p
+    ints = _integer_row(form)[1]
+    c = leading_column(ints)
+    return tuple(map(Fraction, primitive_row(ints, ints[c] if c >= 0 else 1)))
 
 
 class Matrix:
@@ -132,10 +124,17 @@ class Matrix:
                        for j in range(self.cols)])
 
     def mul(self, other: "Matrix") -> "Matrix":
+        """Fraction-free product: every row of self and every column of
+        other is scaled to integers, the integers are multiplied, and each
+        entry is divided by its two scales once."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        ot = other.transpose()
-        return Matrix([[dot(r, c) for c in ot.entries] for r in self.entries])
+        cols = [_integer_row(c) for c in
+                (zip(*other.entries) if other.rows else [()] * other.cols)]
+        return Matrix._wrap(tuple(
+            tuple(Fraction(sum(map(operator.mul, a, b)), da * db)
+                  for db, b in cols)
+            for da, a in map(_integer_row, self.entries)), other.cols)
 
     def matvec(self, v: Vec) -> Vec:
         if self.cols != len(v):
@@ -169,42 +168,98 @@ def _integer_row(row: Vec) -> tuple[int, list[int]]:
     return den, [x.numerator * (den // x.denominator) for x in row]
 
 
+def leading_column(row: Sequence[int]) -> int:
+    """Column of the first nonzero entry, -1 for a zero row."""
+    for c, x in enumerate(row):
+        if x:
+            return c
+    return -1
+
+
+def reduce_row(row: Sequence[int], rows: Sequence[Sequence[int]],
+               pivots: Sequence[int]) -> Sequence[int]:
+    """Residue of an integer row modulo integer echelon rows (see
+    `echelon`): a positive multiple of row plus a combination of rows that
+    is zero in every pivot column.  Each step cross-multiplies by the
+    pivot, which is positive, so the residue of an inequality form is an
+    inequality form for the same set.  The content is not divided out."""
+    for r, c in zip(rows, pivots):
+        f = row[c]
+        if f:
+            p = r[c]
+            g = gcd(p, f)
+            p, f = p // g, f // g
+            row = [p * x - f * y for x, y in zip(row, r)]
+    return row
+
+
+def primitive_row(row: Sequence[int], lead: int = 1) -> tuple[int, ...]:
+    """An integer row divided by its content, times the sign of `lead`."""
+    g = gcd(*row)
+    if lead < 0:
+        g = -g
+    return tuple(x // g for x in row) if g not in (0, 1) else tuple(row)
+
+
+def echelon(rows: Iterable[Sequence[int]],
+            base: Sequence[tuple[int, ...]] = ()
+            ) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """Fraction-free Gauss-Jordan elimination on integer rows: (E, pivot
+    columns), E the reduced row echelon form with every row scaled to a
+    primitive integer row with positive pivot, in pivot order.
+
+    The rows are inserted one at a time: each is reduced modulo the rows so
+    far (`reduce_row`), made primitive, and its pivot column is cleared from
+    the rows so far by cross-multiplication.  `base`, if given, must be such
+    an E already; its rows are the rows so far at the start.  The RREF is
+    unique, so E is the RREF with each row scaled by a positive integer,
+    whatever the order of the rows.
+    """
+    out = list(base)
+    pivots = [leading_column(r) for r in out]
+    for row in rows:
+        row = reduce_row(row, out, pivots)
+        c = leading_column(row)
+        if c < 0:
+            continue
+        row = primitive_row(row, row[c])
+        p = row[c]
+        for k, r in enumerate(out):
+            f = r[c]
+            if f:
+                g = gcd(p, f)
+                out[k] = primitive_row([p // g * x - f // g * y
+                                        for x, y in zip(r, row)])
+        k = bisect(pivots, c)
+        pivots.insert(k, c)
+        out.insert(k, row)
+    return tuple(out), pivots
+
+
+def echelon_rationals(rows: Sequence[Sequence[int]]) -> tuple[Vec, ...]:
+    """The RREF over Fraction of integer echelon rows: each row divided by
+    its pivot entry."""
+    out = []
+    for row in rows:
+        p = row[leading_column(row)]
+        out.append(tuple(Fraction(x, p) if x else ZERO for x in row))
+    return tuple(out)
+
+
+def integer_rows(forms: Iterable[Iterable]) -> list[list[int]]:
+    """Each form scaled to integers by a positive factor."""
+    return [_integer_row(vec(f))[1] for f in forms]
+
+
 def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
     """Reduced row echelon form: (R, rank, pivot column indices).
 
-    Fraction-free Gauss-Jordan elimination: each row is scaled to integers,
-    rows are combined by cross-multiplication and divided by their content,
-    and the only divisions by the pivots happen once, at the end.  The RREF
-    is unique, so this is the same matrix a rational elimination gives.
+    The Fraction view of `echelon` on the rows scaled to integers, padded
+    with zero rows to the shape of m.
     """
-    a = [_integer_row(row)[1] for row in m.entries]
-    nr, nc = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        prow = a[r]
-        p = prow[c]
-        for i in range(nr):
-            row = a[i]
-            f = row[c]
-            if f and i != r:
-                g = gcd(p, f)
-                pg, fg = p // g, f // g
-                row = [pg * x - fg * y for x, y in zip(row, prow)]
-                g = gcd(*row)
-                a[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-    rows = [tuple(Fraction(x, row[c]) if x else ZERO for x in row)
-            for row, c in zip(a, pivots)]
-    rows += [(ZERO,) * nc] * (nr - r)
-    return Matrix._wrap(tuple(rows), nc), r, pivots
+    rows, pivots = echelon(_integer_row(row)[1] for row in m.entries)
+    R = echelon_rationals(rows) + ((ZERO,) * m.cols,) * (m.rows - len(rows))
+    return Matrix._wrap(R, m.cols), len(rows), pivots
 
 
 def rref_pivots(rref_m: Matrix) -> list[int]:
@@ -212,8 +267,8 @@ def rref_pivots(rref_m: Matrix) -> list[int]:
     nonzero column of each nonzero row."""
     pivots = []
     for row in rref_m.entries:
-        c = next((j for j, x in enumerate(row) if x != 0), None)
-        if c is None:
+        c = leading_column(row)
+        if c < 0:
             break
         pivots.append(c)
     return pivots

@@ -10,10 +10,14 @@ exercise both.
 
 Only used in tests, as an oracle for `make_subspace`.  It shares the exact
 arithmetic (`rref`, `kernel_basis`, Fourier-Motzkin) but none of the
-control flow.
+control flow.  `stage_one_key` is the rational stage-one form, over
+Fraction, for the integer stage-one form of the package.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd
 
 from fanpart.arrangement import _fm_feasible, _restrict
 from fanpart.exactlin import (Matrix, is_zero_vec, kernel_basis,
@@ -71,3 +75,53 @@ def canonical_key(eq_forms, ineq_forms, ambient_dim, stats=None):
                     changed = True
                     break
     return (R.entries, tuple(sorted(irredundant)))
+
+
+def _gauss_jordan(rows, ncols):
+    """The nonzero rows of the RREF of Fraction rows, by textbook
+    elimination: divide the pivot row by its pivot, subtract it from every
+    other row."""
+    rows = [list(r) for r in rows]
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        p = rows[r][c]
+        rows[r] = [x / p for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c] != 0:
+                f = row[c]
+                rows[i] = [x - f * y for x, y in zip(row, rows[r])]
+        r += 1
+    return tuple(tuple(row) for row in rows[:r])
+
+
+def _primitive(form):
+    """A Fraction form scaled by a positive factor to coprime integers."""
+    den = 1
+    for x in form:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in form]
+    g = gcd(*ints)
+    return tuple(Fraction(x // g) for x in ints) if g else tuple(form)
+
+
+def stage_one_key(eq_forms, ineq_forms, ambient_dim):
+    """The rational stage-one form of a description, computed over
+    Fraction with no code from the package: the equalities in RREF without
+    zero rows, and the inequalities reduced modulo them, scaled to
+    primitive integers by a positive factor, deduplicated and sorted."""
+    R = _gauss_jordan([vec(f) for f in eq_forms], ambient_dim)
+    pivots = [next(c for c, x in enumerate(row) if x != 0) for row in R]
+    reduced = set()
+    for q in ineq_forms:
+        q = list(vec(q))
+        for row, c in zip(R, pivots):
+            f = q[c]
+            if f != 0:
+                q = [x - f * y for x, y in zip(q, row)]
+        if any(x != 0 for x in q):
+            reduced.add(_primitive(q))
+    return R, tuple(sorted(reduced))

@@ -7,12 +7,18 @@ are read off the relation by their definition.  Quadratic in the number of
 nodes, each step a Fourier-Motzkin cone test.
 
 Only used in tests, as an oracle for the support masks that
-`intersection_poset` orders its nodes by.
+`intersection_poset` orders its nodes by.  `rational_closure` is the
+closure loop the package ran when it keyed meets by rational forms; it
+is the oracle for the node order, labels and supports of the poset.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 from fanpart.arrangement import contains_set
+
+import canonical_oracle
 
 
 def containment_above(poset) -> list[list[int]]:
@@ -42,3 +48,47 @@ def equal_dimension_pairs(poset, above) -> list[tuple[int, int]]:
     """Pairs (i, j), j strictly above i, of the same dimension."""
     return [(i, j) for i, a in enumerate(above) for j in a
             if poset.nodes[i].dim == poset.nodes[j].dim]
+
+
+def rational_closure(arr):
+    """(keys, labels, supports, covers) of the intersection poset of an
+    arrangement, built with rational keys only: a meet missed by the mask
+    lookup is keyed by `canonical_oracle.stage_one_key` of the two
+    descriptions, and a stage-one form not seen before gets the full
+    canonical form of `canonical_oracle.canonical_key`, the node key."""
+    dim = arr.ambient_dim
+    keys = [s.key() for s in arr.maximal_elements]
+    labels = [s.label for s in arr.maximal_elements]
+    support = [1 << k for k in range(len(keys))]
+    by_key = {key: k for k, key in enumerate(keys)}
+    maximal = list(range(len(keys)))
+    by_mask: dict = {}
+    by_raw: dict = {}
+    queue = deque(maximal)
+    while queue:
+        i = queue.popleft()
+        for m in maximal:
+            if support[i] >> m & 1:
+                continue
+            mask = support[i] | 1 << m
+            j = by_mask.get(mask)
+            if j is None:
+                (eq_i, ineq_i), (eq_m, ineq_m) = keys[i], keys[m]
+                raw = canonical_oracle.stage_one_key(eq_i + eq_m,
+                                                     ineq_i + ineq_m, dim)
+                j = by_raw.get(raw)
+                if j is None:
+                    full = canonical_oracle.canonical_key(*raw, dim)
+                    j = by_key.get(full)
+                    if j is None:
+                        j = by_key[full] = len(keys)
+                        keys.append(full)
+                        labels.append(f"meet{j}")
+                        support.append(mask)
+                        queue.append(j)
+                    by_raw[raw] = j
+                by_mask[mask] = j
+            support[j] |= mask
+    above = [[j for j, sj in enumerate(support) if j != i and not sj & ~si]
+             for i, si in enumerate(support)]
+    return keys, labels, support, covers(above)

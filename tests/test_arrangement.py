@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -460,3 +461,157 @@ def test_kernel_of_no_equalities():
     assert len(cached_kernel(E)) == 5
     whole = make_subspace([], [], 5)
     assert whole.carrier_basis() == kernel_basis(E)
+
+
+# --- the integer stage-one form --------------------------------------------
+
+
+def _same_description(rng, eqs, ineqs):
+    """Another description of the same set: equalities shuffled, scaled by
+    nonzero integers and mixed; inequalities scaled by positive integers,
+    shifted by equality rows, shuffled and one repeated."""
+    eqs = [list(f) for f in eqs]
+    for i in range(len(eqs)):
+        c = rng.choice([-3, -2, -1, 1, 2, 3])
+        j = rng.randrange(len(eqs))
+        t = rng.randint(-2, 2) if j != i else 0
+        eqs[i] = [c * x + t * y for x, y in zip(eqs[i], eqs[j])]
+    rng.shuffle(eqs)
+    out = []
+    for q in ineqs:
+        c = rng.randint(1, 3)
+        q = [c * x for x in q]
+        for e in eqs:
+            t = rng.randint(-2, 2)
+            q = [x + t * y for x, y in zip(q, e)]
+        out.append(q)
+    out.append(out[rng.randrange(len(out))])
+    rng.shuffle(out)
+    return eqs, out
+
+
+def test_integer_stage_one_key_matches_rational_form():
+    # the descriptions of test_make_subspace_matches_iterative_oracle, each
+    # also in a second, equivalent writing
+    from fanpart.arrangement import _reduce
+    from fanpart.exactlin import integer_rows, leading_column
+    rng, alt = random.Random(0), random.Random(1)
+    int_keys, rational_keys, both = set(), set(), set()
+    for _ in range(2000):
+        eqs, ineqs, dim = _random_description(rng)
+        seen = set()
+        for e, q in ((eqs, ineqs), _same_description(alt, eqs, ineqs)):
+            rows, int_ineqs = _reduce(integer_rows(e), integer_rows(q))
+            R, rational_ineqs = canonical_oracle.stage_one_key(e, q, dim)
+            pivots = [leading_column(row) for row in rows]
+            assert all(row[c] > 0 and math.gcd(*row) == 1
+                       for row, c in zip(rows, pivots))
+            assert tuple(tuple(Fraction(x, row[c]) for x in row)
+                         for row, c in zip(rows, pivots)) == R
+            assert int_ineqs == rational_ineqs
+            assert all(math.gcd(*q) == 1 for q in int_ineqs)
+            seen.add((rows, int_ineqs))
+            int_keys.add((dim, rows, int_ineqs))
+            rational_keys.add((dim, R, rational_ineqs))
+            both.add((dim, rows, int_ineqs, R, rational_ineqs))
+        assert len(seen) == 1
+    # equal integer keys exactly when the rational forms are equal: the
+    # map between them is one to one on every key drawn, and some
+    # different draws do share a form
+    assert len(int_keys) == len(rational_keys) == len(both) < 2000
+
+
+def test_implicit_equalities_tests_an_opposite_pair_once(monkeypatch):
+    import fanpart.arrangement as arrangement
+    from fanpart.arrangement import implicit_equalities
+    calls = []
+    fm = arrangement._fm_feasible
+
+    def counted(*args):
+        calls.append(args)
+        return fm(*args)
+
+    monkeypatch.setattr(arrangement, "_fm_feasible", counted)
+    # x >= 0 and -2x >= 0 force x = 0; y >= 0 and z >= 0 force nothing
+    forms = [vec([1, 0, 0]), vec([0, 1, 0]), vec([-2, 0, 0]),
+             vec([0, 0, 1])]
+    assert implicit_equalities(forms, [], 3) == [0, 2]
+    assert len(calls) == 3
+    # K+ and K- meeting on the carrier of the (1, 2) pieces: one cone test
+    # finds both forms implicit, and the promotion leaves no inequality
+    n, a, b = 6, 1, 2
+    L = make_L_alpha(n, a, b)
+    k = k_form(n, a, b)
+    calls.clear()
+    s = make_subspace(L.rows, [k, [-x for x in k]], n)
+    assert len(calls) == 1
+    assert s.is_linear and s.dim == L.dim - 1
+    assert s.key() == make_subspace(list(L.rows) + [k], [], n).key()
+
+
+def _count_poset_work(monkeypatch, arr):
+    """Run intersection_poset with no Fraction rref allowed, counting the
+    stage-one reductions, the settled forms, the promotions among them and
+    the Fraction RREFs built."""
+    import fanpart.arrangement as arrangement
+    import fanpart.exactlin as exactlin
+    count = dict.fromkeys(("reduce", "settle", "promoted", "fraction_rref"),
+                          0)
+
+    def counted(key, fn):
+        def run(*args):
+            count[key] += 1
+            return fn(*args)
+        return run
+
+    settle = arrangement._settle_cone
+
+    def counted_settle(s):
+        count["settle"] += 1
+        out = settle(s)
+        count["promoted"] += len(out.rows) > len(s.rows)
+        return out
+
+    def refuse(*args):
+        raise AssertionError("the poset ran a Fraction elimination")
+
+    monkeypatch.setattr(exactlin, "rref", refuse)
+    monkeypatch.setattr(arrangement, "_reduce",
+                        counted("reduce", arrangement._reduce))
+    monkeypatch.setattr(arrangement, "echelon_rationals",
+                        counted("fraction_rref",
+                                arrangement.echelon_rationals))
+    monkeypatch.setattr(arrangement, "_settle_cone", counted_settle)
+    poset = intersection_poset(arr)
+    monkeypatch.undo()
+    return poset, count
+
+
+def _assert_poset_matches_rational_closure(arr, poset):
+    keys, labels, support, hasse = poset_oracle.rational_closure(arr)
+    assert [nd.subspace.key() for nd in poset.nodes] == keys
+    assert [nd.label for nd in poset.nodes] == labels
+    assert poset.support == support
+    assert poset.hasse_edges == hasse
+
+
+@pytest.mark.parametrize("case", POSET_CASES)
+def test_poset_matches_rational_closure(fixture_data, main_data, case,
+                                        monkeypatch):
+    arr = _case_poset(fixture_data, main_data, case)[1].arrangement
+    poset, count = _count_poset_work(monkeypatch, arr)
+    _assert_poset_matches_rational_closure(arr, poset)
+    # a Fraction RREF only for a stage-one form not seen before, and for
+    # the form a promotion in stage two makes of it
+    assert count["fraction_rref"] == count["settle"] + count["promoted"]
+
+
+@pytest.mark.slow
+def test_poset_matches_rational_closure_n10_23(main_data, monkeypatch):
+    arr = main_data(10, 2, 3)["poset"].arrangement
+    poset, count = _count_poset_work(monkeypatch, arr)
+    _assert_poset_matches_rational_closure(arr, poset)
+    # 3781 of the 6400 (node, element) pairs miss the mask lookup; 281 of
+    # their stage-one forms are new, 60 of those promote an equality
+    assert count == {"reduce": 3781 + 60, "settle": 281, "promoted": 60,
+                     "fraction_rref": 281 + 60}

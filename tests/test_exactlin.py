@@ -333,3 +333,29 @@ def test_snf_v_read_twice_is_equal():
     first, second = sf.V, sf.V
     assert first == second
     assert sf.U.mul(m).mul(first) == sf.D
+
+
+def test_mul_matches_fraction_product():
+    rng = random.Random(20261019)
+
+    def draw(r, c):
+        return Matrix.from_rows(
+            [[Fraction(rng.randrange(-6, 7), rng.randrange(1, 9))
+              if rng.random() < 0.7 else Fraction(0) for _ in range(c)]
+             for _ in range(r)], cols=c)
+
+    shapes = [(0, 3, 2), (2, 3, 0), (3, 0, 2), (0, 0, 4), (2, 0, 0),
+              (0, 0, 0), (1, 1, 1)]
+    shapes += [tuple(rng.randrange(1, 7) for _ in range(3))
+               for _ in range(200)]
+    for r, k, c in shapes:
+        a, b = draw(r, k), draw(k, c)
+        expected = [[sum((a.entries[i][t] * b.entries[t][j]
+                          for t in range(k)), Fraction(0))
+                     for j in range(c)] for i in range(r)]
+        p = a.mul(b)
+        assert (p.rows, p.cols) == (r, c)
+        assert [list(row) for row in p.entries] == expected
+        assert all(type(x) is Fraction for row in p.entries for x in row)
+    with pytest.raises(ValueError):
+        draw(2, 3).mul(draw(2, 3))
