@@ -22,9 +22,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exactlin import (Matrix, Vec, ZERO, ONE, echelon, echelon_rationals,
-                       integer_rows, is_zero_vec, leading_column,
-                       primitive_row, primitive_signed, reduce_row,
-                       rref_kernel, rref_pivots)
+                       integer_form, integer_kernel, integer_rows,
+                       is_zero_vec, leading_column, primitive_row,
+                       rational_kernel, reduce_row)
 from .groups import ActionGroup, GroupElement
 
 
@@ -35,9 +35,12 @@ from .groups import ActionGroup, GroupElement
 def _fm_feasible(loose: list[Vec], strict: list[Vec], dim: int) -> bool:
     """Is there y with f.y >= 0 for all loose and f.y > 0 for all strict?
 
-    Fourier-Motzkin elimination over the rationals; rows are (form, strict).
+    Fourier-Motzkin elimination on integer rows (form, strict): each form
+    is scaled to coprime integers by a positive factor, which keeps its
+    half-space, and so is each combination.
     """
-    rows = [(tuple(f), False) for f in loose] + [(tuple(f), True) for f in strict]
+    rows = [(integer_form(f), False) for f in loose] + \
+        [(integer_form(f), True) for f in strict]
     rows = [r for r in rows if not (is_zero_vec(r[0]) and not r[1])]
     for (f, s) in rows:
         if is_zero_vec(f) and s:
@@ -56,9 +59,9 @@ def _fm_feasible(loose: list[Vec], strict: list[Vec], dim: int) -> bool:
                     if strictness:
                         return False
                     continue
-                new.append((primitive_signed(comb), strictness))
+                new.append((primitive_row(comb), strictness))
         # dedupe, keeping the stricter flag
-        seen: dict[Vec, bool] = {}
+        seen: dict[tuple, bool] = {}
         for f, s in new:
             seen[f] = seen.get(f, False) or s
         rows = [(f, s) for f, s in seen.items()]
@@ -88,9 +91,9 @@ def _multiple(f: Vec, g: Vec) -> bool:
 
 def cached_kernel(equalities: Matrix) -> list[Vec]:
     """kernel_basis of a canonical equality matrix (RREF, full row rank),
-    read off its pivots with no elimination.  Nothing is cached; the name
-    is kept for the profiling wrappers that look it up."""
-    return rref_kernel(equalities, rref_pivots(equalities), equalities.cols)
+    read off its rows with no elimination.  Nothing is cached; the name is
+    kept for the profiling wrappers that look it up."""
+    return rational_kernel(integer_rows(equalities.entries), equalities.cols)
 
 
 def _restrict(forms: Iterable[Vec], basis: Sequence[Vec]) -> list[Vec]:
@@ -99,19 +102,20 @@ def _restrict(forms: Iterable[Vec], basis: Sequence[Vec]) -> list[Vec]:
             for f in forms]
 
 
-def cone_feasible(equalities: Matrix, loose: Sequence[Vec],
-                  strict: Sequence[Vec]) -> bool:
-    """Feasibility of {x: E x = 0, loose.x >= 0, strict.x > 0}, E a
-    canonical equality matrix."""
-    kb = cached_kernel(equalities)
+def cone_feasible(rows: Sequence[Sequence[int]], dim: int,
+                  loose: Sequence[Vec], strict: Sequence[Vec]) -> bool:
+    """Feasibility of {x in Q^dim: E x = 0, loose.x >= 0, strict.x > 0},
+    E given by integer echelon rows (`HalfOpenSubspace.rows`)."""
+    kb = integer_kernel(rows, dim)
     if not kb:
         return len(strict) == 0  # only x = 0 remains
     return _fm_feasible(_restrict(loose, kb), _restrict(strict, kb), len(kb))
 
 
-def cone_implies(equalities: Matrix, loose: Sequence[Vec], q: Vec) -> bool:
+def cone_implies(rows: Sequence[Sequence[int]], dim: int,
+                 loose: Sequence[Vec], q: Vec) -> bool:
     """Does E x = 0, loose.x >= 0 imply q.x >= 0?"""
-    return not cone_feasible(equalities, list(loose), [tuple(-x for x in q)])
+    return not cone_feasible(rows, dim, list(loose), [tuple(-x for x in q)])
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +207,7 @@ def _settle_cone(s: HalfOpenSubspace) -> HalfOpenSubspace:
     non-facets, and each form is tested against all the others."""
     if not s.inequalities:
         return s
-    kb = cached_kernel(s.equalities)
+    kb = integer_kernel(s.rows, s.ambient_dim)
     forms = _restrict(s.inequalities, kb)
     forced = set(implicit_equalities(forms, [], len(kb)))
     if forced:
@@ -211,7 +215,7 @@ def _settle_cone(s: HalfOpenSubspace) -> HalfOpenSubspace:
         s = _subspace(_reduce([qs[j] for j in forced],
                               [q for j, q in enumerate(qs) if j not in forced],
                               s.rows), s.ambient_dim, s.label)
-        kb = cached_kernel(s.equalities)
+        kb = integer_kernel(s.rows, s.ambient_dim)
         forms = _restrict(s.inequalities, kb)
     if len(forms) > 1:
         s = HalfOpenSubspace(s.equalities, tuple(
@@ -265,7 +269,8 @@ def contains_set(big: HalfOpenSubspace, small: HalfOpenSubspace) -> bool:
         if any(reduce_row(row, small.rows, piv_small)):
             return False
     for q in big.inequalities:
-        if not cone_implies(small.equalities, small.inequalities, q):
+        if not cone_implies(small.rows, small.ambient_dim,
+                            small.inequalities, q):
             return False
     return True
 

@@ -13,10 +13,10 @@ is where the boundary-wall correction terms come from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .exactlin import (Matrix, Vec, change_of_basis_det, dot, sign,
-                       smith_normal_form, vec)
+from .exactlin import (Matrix, Vec, frame_det, integer_dot, integer_form,
+                       sign, smith_normal_form, vec)
 from .groups import ActionGroup, GroupElement, act, det_character
 from .homology import UnsupportedArrangement, WallNode, ZZBasis
 
@@ -25,7 +25,30 @@ def transport_sign(g: GroupElement, basis_from: Sequence[Vec],
                    basis_to: Sequence[Vec]) -> int:
     """Sign of det of (g applied to basis_from) expressed in basis_to."""
     moved = [act(g, v) for v in basis_from]
-    return sign(change_of_basis_det(moved, basis_to))
+    return sign(frame_det(moved, basis_to)[0])
+
+
+class _Frame(NamedTuple):
+    """The orientation frame of a wall or a full maximal element with each
+    vector scaled to integers by a positive factor, which changes no
+    orientation sign and no side of a wall.  For a full element `spine` is
+    its carrier basis and the two dicts are empty."""
+    spine: list
+    rays: dict                 # (element, side) -> ray
+    functionals: dict          # element -> wall form
+
+
+def _integer_frames(zz: ZZBasis) -> dict[int, _Frame]:
+    """Node -> integer frame, for every wall and full maximal element."""
+    def scaled(vs):
+        return list(map(integer_form, vs))
+    frames = {m: _Frame(scaled(zz.top_basis[m]), {}, {}) for m in zz.top_nodes}
+    for w in zz.walls:
+        frames[w.node] = _Frame(
+            scaled(w.spine_basis),
+            dict(zip(w.rays, scaled(w.rays.values()))),
+            dict(zip(w.functionals, scaled(w.functionals.values()))))
+    return frames
 
 
 @dataclass
@@ -48,40 +71,40 @@ class OrientedGeneratorAction:
 
 
 def _page_image(group: ActionGroup, zz: ZZBasis, g: GroupElement,
-                wall: WallNode, elem: int) -> tuple[int, int, int, int]:
+                wall: WallNode, elem: int, frames: dict[int, _Frame]
+                ) -> tuple[int, int, int, int]:
     """Image data of the representative cone of `elem` at `wall` under g:
-    (target wall node, target element, target side, orientation sign)."""
+    (target wall node, target element, target side, orientation sign).
+    `frames` are the integer frames of `_integer_frames(zz)`."""
     poset = zz.poset
     v2 = poset.act_node(g, wall.node)
-    wall2 = zz.wall_by_node.get(v2)
-    if wall2 is None:
+    if v2 not in zz.wall_by_node:
         raise UnsupportedArrangement(
             f"image node {v2} of walls under {g!r} carries no wall table")
     e2 = poset.act_node(g, elem)
-    ray = wall.rays[(elem, wall.rep_side[elem])]
-    gray = act(g, ray)
-    side2 = sign(dot(wall2.functionals[e2], gray))
+    frame, frame2 = frames[wall.node], frames[v2]
+    gray = act(g, frame.rays[(elem, wall.rep_side[elem])])
+    side2 = sign(integer_dot(frame2.functionals[e2], gray))
     if side2 == 0:
         raise UnsupportedArrangement("transported ray landed on the wall")
-    if (e2, side2) not in wall2.rays:
+    if (e2, side2) not in frame2.rays:
         raise UnsupportedArrangement(
             "transported cone left its half-subspace; image not expressible")
-    frame_from = [act(g, v) for v in wall.spine_basis] + [gray]
-    frame_to = list(wall2.spine_basis) + [wall2.rays[(e2, side2)]]
-    sgn = sign(change_of_basis_det(frame_from, frame_to))
-    return v2, e2, side2, sgn
+    num, _ = frame_det([act(g, v) for v in frame.spine] + [gray],
+                       frame2.spine + [frame2.rays[(e2, side2)]])
+    return v2, e2, side2, sign(num)
 
 
-def _wall_gen_image(group: ActionGroup, zz: ZZBasis, g: GroupElement,
-                    wall: WallNode, elem: int) -> dict:
-    """Image of the generator C(elem) - C(base) as basis coordinates."""
-    poset = zz.poset
+def _wall_gen_image(zz: ZZBasis, wall: WallNode, elem: int,
+                    pages: dict) -> dict:
+    """Image of the generator C(elem) - C(base) as basis coordinates;
+    `pages` maps each sheet of the wall to its `_page_image`."""
     base = wall.elements[0]
     cone_coeff: dict[int, int] = {}
     top_coeff: dict[int, int] = {}
     v2_seen = None
     for e, c in ((elem, 1), (base, -1)):
-        v2, e2, side2, sgn = _page_image(group, zz, g, wall, e)
+        v2, e2, side2, sgn = pages[e]
         v2_seen = v2
         wall2 = zz.wall_by_node[v2]
         coeff = c * sgn
@@ -108,29 +131,40 @@ def _wall_gen_image(group: ActionGroup, zz: ZZBasis, g: GroupElement,
     return out
 
 
-def _top_gen_image(group: ActionGroup, zz: ZZBasis, g: GroupElement,
-                   node: int) -> dict:
+def _top_gen_image(zz: ZZBasis, g: GroupElement, node: int,
+                   frames: dict[int, _Frame]) -> dict:
     poset = zz.poset
     n2 = poset.act_node(g, node)
     if ("top", n2) not in zz.index:
         raise UnsupportedArrangement(
             f"image of a full maximal element is not in the basis: node {n2}")
-    sgn = transport_sign(g, zz.top_basis[node], zz.top_basis[n2])
+    sgn = transport_sign(g, frames[node].spine, frames[n2].spine)
     return {zz.top_index(n2): sgn}
 
 
 def induced_action(group: ActionGroup, zz: ZZBasis) -> OrientedGeneratorAction:
-    """Plain-action matrices of every group element on the basis."""
+    """Plain-action matrices of every group element on the basis.
+
+    The frames are scaled to integers once per call.  Under each element
+    the page image of every sheet of a wall is computed once, when the
+    first generator on that wall needs it: the base sheet enters the image
+    of every generator on the wall, and every other sheet is a generator."""
     r = zz.rank
+    frames = _integer_frames(zz)
     matrices = {}
     for g in group.elements:
+        pages: dict = {}          # wall node -> sheet -> _page_image
         cols = []
         for gen in zz.generators:
             if gen.kind == "top":
-                img = _top_gen_image(group, zz, g, gen.node)
+                img = _top_gen_image(zz, g, gen.node, frames)
             else:
                 wall = zz.wall_by_node[gen.node]
-                img = _wall_gen_image(group, zz, g, wall, gen.element)
+                if gen.node not in pages:
+                    pages[gen.node] = {
+                        e: _page_image(group, zz, g, wall, e, frames)
+                        for e in wall.elements}
+                img = _wall_gen_image(zz, wall, gen.element, pages[gen.node])
             col = [0] * r
             for idx, c in img.items():
                 col[idx] = c
@@ -184,13 +218,14 @@ def describe_factors(factors: Sequence[int], free_rank: int) -> str:
     return " (+) ".join(parts) if parts else "0"
 
 
-def coinvariants_from_relations(relations: list[Vec], module_rank: int
-                                ) -> CoinvariantGroup:
+def coinvariants_from_relations(relations: Sequence[Sequence[int]],
+                                module_rank: int) -> CoinvariantGroup:
+    """Quotient of Z^module_rank by the span of the integer relations."""
     if not relations:
         return CoinvariantGroup([], module_rank, Matrix.identity(module_rank),
                                 [], module_rank)
-    rel = Matrix([[r[i] for r in relations] for i in range(module_rank)])
-    sf = smith_normal_form(rel)
+    sf = smith_normal_form([[r[i] for r in relations]
+                            for i in range(module_rank)])
     diag = [int(sf.D.entries[i][i]) for i in range(sf.rank)]
     factors = [d for d in diag if d > 1]
     return CoinvariantGroup(factors, module_rank - sf.rank, sf.U, diag,
@@ -198,14 +233,19 @@ def coinvariants_from_relations(relations: list[Vec], module_rank: int
 
 
 def _coinvariants_of(matrices: Iterable[Matrix], r: int) -> CoinvariantGroup:
-    """Quotient of Z^r by the nonzero columns of M - I over the matrices."""
-    rels = []
+    """Quotient of Z^r by the nonzero columns of M - I over the matrices.
+
+    The columns are integer tuples, each kept once, in the order of first
+    occurrence: a repeated relation leaves the quotient unchanged."""
+    rels: dict = {}
     for m in matrices:
-        for j in range(r):
-            col = [m.entries[i][j] - (1 if i == j else 0) for i in range(r)]
-            if any(col):
-                rels.append(vec(col))
-    return coinvariants_from_relations(rels, r)
+        if not m.is_integral():
+            raise ValueError("coinvariants need integer action matrices")
+        for j, col in enumerate(zip(*m.entries)):
+            rel = tuple(x.numerator - (i == j) for i, x in enumerate(col))
+            if any(rel):
+                rels[rel] = None
+    return coinvariants_from_relations(list(rels), r)
 
 
 def modified_coinvariants(action: OrientedGeneratorAction,

@@ -13,7 +13,7 @@ from bisect import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple  # tuple of Fraction
@@ -45,7 +45,18 @@ def primitive_signed(form: Vec) -> Vec:
 
     The sign is preserved, so this is safe for inequality forms.
     """
-    return tuple(map(Fraction, primitive_row(_integer_row(form)[1])))
+    return tuple(map(Fraction, integer_form(form)))
+
+
+def integer_form(form: Sequence) -> tuple[int, ...]:
+    """A form with int or Fraction entries scaled to coprime integers by a
+    positive factor: the same half-space, the same orientation."""
+    return primitive_row(_integer_row(form)[1])
+
+
+def integer_dot(u: Sequence[int], v: Sequence[int]) -> int:
+    """The dot product of two integer rows."""
+    return sum(map(operator.mul, u, v))
 
 
 def primitive(form: Vec) -> Vec:
@@ -132,7 +143,7 @@ class Matrix:
         cols = [_integer_row(c) for c in
                 (zip(*other.entries) if other.rows else [()] * other.cols)]
         return Matrix._wrap(tuple(
-            tuple(Fraction(sum(map(operator.mul, a, b)), da * db)
+            tuple(Fraction(integer_dot(a, b), da * db)
                   for db, b in cols)
             for da, a in map(_integer_row, self.entries)), other.cols)
 
@@ -262,74 +273,82 @@ def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
     return Matrix._wrap(R, m.cols), len(rows), pivots
 
 
-def rref_pivots(rref_m: Matrix) -> list[int]:
-    """Pivot columns of a matrix that is already in RREF: the leading
-    nonzero column of each nonzero row."""
-    pivots = []
-    for row in rref_m.entries:
-        c = leading_column(row)
-        if c < 0:
-            break
-        pivots.append(c)
-    return pivots
-
-
-def row_space_reduce(form: Vec, rref_m: Matrix, pivots: Sequence[int]) -> Vec:
-    """Residue of a linear form modulo the row space of an RREF matrix."""
-    res = list(form)
-    for r, c in enumerate(pivots):
-        f = res[c]
-        if f:
-            for j, y in enumerate(rref_m.entries[r]):
-                if y:
-                    res[j] -= f * y
-    return tuple(res)
-
-
 def kernel_basis(m: Matrix) -> list[Vec]:
     """Basis of the right kernel, one vector per free column, deterministic."""
-    R, rk, pivots = rref(m)
-    return rref_kernel(R, pivots, m.cols)
+    rows, _ = echelon(_integer_row(row)[1] for row in m.entries)
+    return rational_kernel(rows, m.cols)
 
 
-def rref_kernel(R: Matrix, pivots: Sequence[int], cols: int) -> list[Vec]:
-    """kernel_basis of the first `cols` columns of an RREF matrix with the
-    given pivots (a pivot in a later column adds no condition on them)."""
+def integer_kernel(rows: Sequence[Sequence[int]],
+                   cols: int) -> list[tuple[int, ...]]:
+    """Kernel basis of the first `cols` columns of integer rows in reduced
+    echelon form with positive pivots (see `echelon`), each vector in
+    coprime integers: one vector per free column, positive in that column
+    and zero in every other free column.  A form restricted to this basis
+    has a positive multiple of each coordinate of its restriction to the
+    rational one (`rational_kernel`), so every question about a cone has
+    the same answer in either."""
+    pivots = [leading_column(r) for r in rows]
     pivset = set(pivots)
     basis = []
     for c in range(cols):
         if c in pivset:
             continue
-        v = [ZERO] * cols
-        v[c] = ONE
-        for r, pc in enumerate(pivots):
-            if pc < cols:
-                v[pc] = -R.entries[r][c]
-        basis.append(tuple(v))
+        used = [(r, pc) for r, pc in zip(rows, pivots) if pc < cols and r[c]]
+        m = lcm(*(r[pc] for r, pc in used))
+        v = [0] * cols
+        v[c] = m
+        for r, pc in used:
+            v[pc] = -r[c] * (m // r[pc])
+        basis.append(primitive_row(v))
     return basis
 
 
-def determinant(m: Matrix) -> Fraction:
-    """Determinant by fraction-free (Bareiss) elimination.
+def rational_kernel(rows: Sequence[Sequence[int]],
+                    cols: int) -> list[Vec]:
+    """`integer_kernel` over Fraction: each vector divided by its entry in
+    its free column, which is its last nonzero entry (a row with a nonzero
+    entry in a free column has its pivot before it).  This is the kernel
+    basis read off the RREF, with a 1 in each free column."""
+    out = []
+    for v in integer_kernel(rows, cols):
+        d = next(x for x in reversed(v) if x)
+        out.append(tuple(Fraction(x, d) if x else ZERO for x in v))
+    return out
 
-    Each row is scaled to integers; after step k every remaining entry is a
-    (k+1)-minor of the scaled matrix, so the division by the previous pivot
-    is exact.  The row scales are divided out once, at the end.
-    """
+
+def scaled_points(points: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
+    """(D, D * points), D the least common denominator of every entry of
+    every point: the points scaled to integers by one positive factor."""
+    den = lcm(*(x.denominator for p in points for x in p))
+    return den, [[x.numerator * (den // x.denominator) for x in p]
+                 for p in points]
+
+
+def determinant(m: Matrix) -> Fraction:
+    """Determinant by fraction-free (Bareiss) elimination of the rows
+    scaled to integers; the row scales are divided out once, at the end."""
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
     scale = 1
     a = []
     for row in m.entries:
         den, ints = _integer_row(row)
         scale *= den
         a.append(ints)
+    return Fraction(_bareiss(a), scale)
+
+
+def _bareiss(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, given as a list of row
+    lists that it overwrites.  After step k every remaining entry is a
+    (k+1)-minor, so the division by the previous pivot is exact."""
+    n = len(a)
     det_sign, prev = 1, 1
     for k in range(n):
         piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
-            return ZERO
+            return 0
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             det_sign = -det_sign
@@ -341,7 +360,7 @@ def determinant(m: Matrix) -> Fraction:
             for j in range(k + 1, n):
                 row[j] = (p * row[j] - f * prow[j]) // prev
         prev = p
-    return Fraction(det_sign * prev, scale)
+    return det_sign * prev
 
 
 def solve_affine(equalities: Matrix, rhs: Vec) -> Optional[Vec]:
@@ -372,17 +391,44 @@ def change_of_basis_det(frm: Sequence[Vec], to: Sequence[Vec]) -> Fraction:
 
     Both lists must span the same subspace and have equal length.
     """
+    return Fraction(*frame_det(frm, to))
+
+
+def frame_det(frm: Sequence[Sequence], to: Sequence[Sequence]
+              ) -> tuple[int, int]:
+    """change_of_basis_det as integers (num, den), den > 0, so its sign is
+    the sign of num.  The vectors may have int or Fraction entries.
+
+    Each vector is scaled to integers by a positive factor, and one
+    fraction-free elimination (`echelon`) of [to | frm] solves for every
+    vector of frm at once: row r of the result is the coordinate row r of
+    frm times the positive pivot p_r of that row.  The coordinate
+    determinant is the Bareiss determinant of that block divided by the
+    product of the pivots; the vector scales are divided out at the end.
+    """
     if len(frm) != len(to):
         raise ValueError("basis size mismatch")
-    # one elimination of [to | frm] solves for every vector of frm at once
+    if not to:
+        raise ValueError("need at least one column")
     k = len(to)
-    R, rk, pivots = rref(from_columns(list(to) + list(frm)))
-    if rk and pivots[-1] >= k:
+    num = den = 1
+    cols = []
+    for v in to:
+        d, ints = _integer_row(v)
+        num *= d
+        cols.append(ints)
+    for v in frm:
+        d, ints = _integer_row(v)
+        den *= d
+        cols.append(ints)
+    rows, pivots = echelon(zip(*cols))
+    if pivots and pivots[-1] >= k:
         raise ValueError("vector not in span of target basis")
-    coords = [(ZERO,) * k] * k
-    for r, c in enumerate(pivots):
-        coords[c] = R.entries[r][k:]
-    return determinant(Matrix._wrap(tuple(coords), k))
+    if len(pivots) < k:
+        return 0, 1
+    for r, c in zip(rows, pivots):
+        den *= r[c]
+    return num * _bareiss([list(r[k:]) for r in rows]), den
 
 
 def sign(x: Fraction) -> int:
@@ -418,17 +464,22 @@ class SmithForm:
         return Matrix(v)
 
 
-def smith_normal_form(m: Matrix) -> SmithForm:
-    """Smith normal form U @ A @ V = D over the integers.
+def smith_normal_form(m) -> SmithForm:
+    """Smith normal form U @ A @ V = D over the integers, of a Matrix or of
+    a list of integer rows.
 
     Pivot choice: smallest nonzero absolute value in the remaining block,
     which keeps coefficient growth down on the small matrices seen here.
     The column operations are recorded, not applied to V; see SmithForm.
     """
-    if not m.is_integral():
+    if isinstance(m, Matrix):
+        rows, nc = m.entries, m.cols
+    else:
+        rows, nc = m, len(m[0]) if m else 0
+    if any(x.denominator != 1 for row in rows for x in row):
         raise ValueError("smith_normal_form requires integer entries")
-    nr, nc = m.rows, m.cols
-    a = [[int(x) for x in row] for row in m.entries]
+    nr = len(rows)
+    a = [[x if type(x) is int else x.numerator for x in row] for row in rows]
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     col_ops: list[tuple[int, int, int]] = []
 
@@ -567,5 +618,5 @@ def sparse_rank_and_factors(cols: dict) -> tuple[int, list[int]]:
     for j, c in enumerate(col_ids):
         for r, v in cols[c].items():
             dense[ridx[r]][j] = v
-    sf = smith_normal_form(Matrix(dense))
+    sf = smith_normal_form(dense)
     return rank + sf.rank, [f for f in sf.invariant_factors if f != 1]

@@ -30,9 +30,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .exactlin import (Matrix, Vec, change_of_basis_det, primitive,
-                       primitive_signed, rref, rref_pivots, row_space_reduce,
-                       sign, solve_affine, sparse_rank_and_factors, vec)
+from .exactlin import (Matrix, Vec, change_of_basis_det, echelon,
+                       leading_column, primitive, primitive_signed,
+                       reduce_row, sign, solve_affine,
+                       sparse_rank_and_factors, vec)
 from .arrangement import HalfOpenSubspace, IntersectionPoset
 
 
@@ -248,16 +249,17 @@ class ZZBasis:
         return self.index[("wall", node, element)]
 
 
-def _wall_form(carrier_eq: Matrix, element: HalfOpenSubspace) -> Vec:
-    """Primitive functional cutting the wall inside the element's carrier."""
-    E = element.equalities
-    piv = rref_pivots(E)
-    residues = [row_space_reduce(row, E, piv) for row in carrier_eq.entries]
-    R, rk, _ = rref(Matrix.from_rows(residues, cols=E.cols))
-    if rk != 1:
+def _wall_form(node: HalfOpenSubspace, element: HalfOpenSubspace) -> Vec:
+    """Primitive functional cutting the wall inside the element's carrier:
+    the node's integer rows reduced modulo the element's, in echelon form.
+    An echelon row is primitive with a positive leading entry, which is
+    the normalisation of `primitive`."""
+    piv = [leading_column(r) for r in element.rows]
+    rows, _ = echelon(reduce_row(r, element.rows, piv) for r in node.rows)
+    if len(rows) != 1:
         raise UnsupportedArrangement(
             f"node is not of codimension one in element {element.label!r}")
-    return primitive(R.entries[0])
+    return vec(rows[0])
 
 
 def _ray(element: HalfOpenSubspace, form: Vec, value: int) -> Vec:
@@ -277,7 +279,7 @@ def _build_wall(poset: IntersectionPoset, node: int) -> WallNode:
     functionals, rep_side, rays, rewrite = {}, {}, {}, {}
     for e in elements:
         elem = poset.nodes[e].subspace
-        phi = _wall_form(sub.equalities, elem)
+        phi = _wall_form(sub, elem)
         functionals[e] = phi
         if elem.is_linear:
             rep_side[e] = 1

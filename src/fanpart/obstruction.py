@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactlin import (ONE, ZERO, Matrix, Vec, determinant, dot, from_columns,
-                       rref, rref_kernel, sign, solve_affine, vec,
-                       zero_vec)
+from .exactlin import (Matrix, Vec, determinant, dot, echelon, from_columns,
+                       integer_dot, integer_kernel, rref, scaled_points,
+                       sign, solve_affine, vec, zero_vec)
 from .groups import ActionGroup, GroupElement, act, quaternion_on_Wn
 from .arrangement import (HalfOpenSubspace, IntersectionPoset, _check_params,
                           _fm_feasible, _restrict, implicit_equalities,
@@ -166,56 +166,58 @@ def arc_points(i: int, j: int, n: int) -> list[Vec]:
 
 
 def meeting_locus(points: Sequence[Vec], element: HalfOpenSubspace,
-                  images: Optional[Sequence[Vec]] = None
+                  images: Optional[Sequence[Sequence[int]]] = None
                   ) -> Optional[tuple[int, Optional[Vec], Optional[Vec]]]:
     """Where conv(points) meets the element: None if nowhere, else
     (dim, lam, pt) with dim the exact dimension of the meeting locus and,
     when dim == 0, the barycentric coordinates lam and the ambient point pt
-    of its one point.  `images` are the products E p of the element's
-    equalities with the points, if known.
+    of its one point.  `images`, if known, are the products E p of the
+    element's integer `rows` E with the points, all scaled to integers by
+    one positive factor.
 
-    One rref of [E P; 1..1 | 0..0, 1] gives a particular solution `base` and
-    the kernel K.  With lam = s base + K t, the constraints lam >= 0 and
-    q.P lam >= 0 (q the element's inequalities) cut out a cone in (s, t)
-    whose slice s = 1 is the locus.  Fourier-Motzkin decides whether the
-    slice is empty and which constraints hold with equality on all of it;
-    those implicit equalities fix its dimension.
+    Every element is a cone through 0, so the points may be scaled by their
+    common denominator D without changing lam or any sign.  The solutions
+    (lam, s) of E P lam = 0, sum(lam) = s form the integer kernel K of one
+    fraction-free elimination (`echelon`); lam / s is a point of the
+    locus when s > 0, lam >= 0 and q.P lam >= 0 for the element's
+    inequalities q.  On the kernel coordinates t these constraints cut out
+    a cone, and Fourier-Motzkin decides whether it is empty and which
+    constraints hold with equality on all of it; those implicit equalities
+    fix its dimension, which is one more than the locus's.
     """
     m = len(points)
+    den, P = scaled_points(points)
     if images is None:
-        images = [element.equalities.matvec(p) for p in points]
-    aug = [list(row) + [ZERO] for row in zip(*images)] + [[ONE] * (m + 1)]
-    R, _, pivots = rref(Matrix(aug))
+        images = [[integer_dot(r, p) for r in element.rows] for p in P]
+    rows, pivots = echelon([list(r) + [0] for r in zip(*images)]
+                           + [[1] * m + [-1]])
     if m in pivots:
-        return None
-    base = [ZERO] * m
-    for r, c in enumerate(pivots):
-        base[c] = R.entries[r][m]
-    kern = rref_kernel(R, pivots, m)
-    walls = [tuple(dot(q, p) for p in points) for q in element.inequalities]
-    P = from_columns(list(points))
-    if not kern:
-        lam = tuple(base)
-        if any(x < 0 for x in lam) or any(dot(w, lam) < 0 for w in walls):
+        return None                       # s = 0 on every solution
+    kern = integer_kernel(rows, m + 1)
+    walls = [[integer_dot(q, p) for p in P] for q in element.inequalities]
+    # lam_j >= 0 and q.P lam >= 0 on (lam, s) = K t; s > 0
+    *forms, s_pos = zip(*kern)
+    forms += _restrict(walls, [v[:m] for v in kern])
+    k = len(kern)
+    if k == 1:
+        # one solution up to scale: K_m > 0, so it is a point or nothing
+        if any(f[0] < 0 for f in forms):
             return None
-        return 0, lam, P.matvec(lam)
-    # lam_j >= 0 reads (base_j, K_j) >= 0 on (s, t)
-    cols = [tuple(base)] + kern
-    forms = list(zip(*cols)) + _restrict(walls, cols)
-    k = len(cols)
-    s_pos = (ONE,) + (ZERO,) * len(kern)
-    if not _fm_feasible(forms, [s_pos], k):
-        return None
-    # the implicit equalities at s = 1: (t-part) . t = -(s-part)
-    implicit = [list(forms[j][1:]) + [-forms[j][0]]
-                for j in implicit_equalities(forms, [s_pos], k)]
-    R, rk, _ = rref(Matrix.from_rows(implicit, cols=k))
-    if rk < len(kern):
-        return len(kern) - rk, None, None
-    t = [R.entries[r][-1] for r in range(rk)]
-    lam = tuple(x + sum(d[c] * y for d, y in zip(kern, t))
-                for c, x in enumerate(base))
-    return 0, lam, P.matvec(lam)
+        t = (1,)
+    else:
+        if not _fm_feasible(forms, [s_pos], k):
+            return None
+        eq_rows, _ = echelon(forms[j] for j in
+                             implicit_equalities(forms, [s_pos], k))
+        if len(eq_rows) < k - 1:
+            return k - 1 - len(eq_rows), None, None
+        (t,) = integer_kernel(eq_rows, k)
+    x = [sum(c * v[j] for c, v in zip(t, kern)) for j in range(m + 1)]
+    s = x[m]
+    lam = tuple(Fraction(x[j], s) for j in range(m))
+    pt = tuple(Fraction(sum(x[j] * P[j][c] for j in range(m)), s * den)
+               for c in range(len(P[0])))
+    return 0, lam, pt
 
 
 # ---------------------------------------------------------------------------
@@ -233,19 +235,26 @@ def arc_census(n: int, elements: Sequence[HalfOpenSubspace]
     """meeting_locus of each distinct image simplex with each element:
     (i, j) -> one result per element, for the u-arcs 1 <= i <= j <= n, with
     the points in the order of arc_points(i, j, n), duplicates included.
-    The products E u are formed once per distinct equality matrix E."""
+    The products E (n u_k) = n E e_k - E 1 of the integer rows E of an
+    element with the points scaled by their denominator n are formed once
+    per distinct E."""
     us = [u_vector(k, n) for k in range(1, n + 1)]
-    products = {E: [E.matvec(u) for u in us]
-                for E in {e.equalities for e in elements}}
-    images = [products[e.equalities] for e in elements]
+    products = {E: [[n * r[k] - sum(r) for r in E] for k in range(n)]
+                for E in {e.rows for e in elements}}
+    images = [products[e.rows] for e in elements]
     census = {}
     for i in range(1, n + 1):
         for j in range(i, n + 1):
-            ids = [i - 1, i % n, j - 1, j % n]
+            ids = _arc_ids(i, j, n)
             census[i, j] = [meeting_locus([us[k] for k in ids], e,
                                           [img[k] for k in ids])
                             for e, img in zip(elements, images)]
     return census
+
+
+def _arc_ids(i: int, j: int, n: int) -> list[int]:
+    """0-based indices k of the points u_{k+1} of arc_points(i, j, n)."""
+    return [(i - 1) % n, i % n, (j - 1) % n, j % n]
 
 
 def enumerate_L_intersections(h: GeneralPositionMap, n: int, a: int, b: int
@@ -343,15 +352,20 @@ def preimage_simplices(h: GeneralPositionMap, poset: IntersectionPoset,
     group = poset.arrangement.group
     tops = poset.maximal_node_ids
     rho = rho_cells(n, a, b)
-    special_sets = [frozenset(arc_points(*rho[key], n))
+    # distinct k give distinct u_k, so sets of points are sets of indices
+    special_sets = [frozenset(_arc_ids(*rho[key], n))
                     for key in ("rho1", "rho2")]
+    pairs = {}                    # (p, q) -> (degenerate, special)
+    for p in range(1, n + 1):
+        for q in range(1, n + 1):
+            ids = frozenset(_arc_ids(p, q, n))
+            pairs[p, q] = (len(ids) < 4, ids in special_sets)
     elements = [poset.nodes[m].subspace for m in tops]
     census = arc_census(n, elements)
     cells: dict[tuple[int, int], PreimageCell] = {}
     for cell in sphere.top_cells():
         p, q = h.cell_arcs(cell)
-        pts = arc_points(p, q, n)
-        degenerate = len(set(pts)) < 4
+        degenerate, special = pairs[p, q]
         for m, elem, hit in zip(tops, elements, census[min(p, q), max(p, q)]):
             if hit is None:
                 continue
@@ -369,13 +383,12 @@ def preimage_simplices(h: GeneralPositionMap, poset: IntersectionPoset,
             if any(x == 0 for x in lam):
                 raise GeneralPositionError(
                     f"boundary intersection in cell {cell}")
-            rec = cells.setdefault(
-                cell, PreimageCell(cell, [], [], frozenset(pts) in special_sets))
+            rec = cells.setdefault(cell, PreimageCell(cell, [], [], special))
             rec.hits.append((m, lam, pt))
     sigma = (a + b, 1)
+    sigma_images = [(g.word, sphere.act_cell(g, sigma)) for g in group.elements]
     for rec in cells.values():
-        rec.orbit_words = [g.word for g in group.elements
-                           if sphere.act_cell(g, sigma) == rec.cell]
+        rec.orbit_words = [w for w, c in sigma_images if c == rec.cell]
     return sorted(cells.values(), key=lambda r: r.cell)
 
 

@@ -20,8 +20,20 @@ from fractions import Fraction
 from math import gcd
 
 from fanpart.arrangement import _fm_feasible, _restrict
-from fanpart.exactlin import (Matrix, is_zero_vec, kernel_basis,
-                              primitive_signed, row_space_reduce, rref, vec)
+from fanpart.exactlin import (Matrix, Vec, is_zero_vec, kernel_basis,
+                              primitive_signed, rref, vec)
+
+
+def row_space_reduce(form: Vec, rref_m: Matrix, pivots) -> Vec:
+    """Residue of a linear form modulo the row space of an RREF matrix."""
+    res = list(form)
+    for r, c in enumerate(pivots):
+        f = res[c]
+        if f:
+            for j, y in enumerate(rref_m.entries[r]):
+                if y:
+                    res[j] -= f * y
+    return tuple(res)
 
 
 def canonical_key(eq_forms, ineq_forms, ambient_dim, stats=None):

@@ -10,7 +10,8 @@ to itself.  Only used in tests.
 from __future__ import annotations
 
 from fanpart.arrangement import HalfOpenSubspace
-from fanpart.coinvariants import _page_image, transport_sign
+from fanpart.coinvariants import (_integer_frames, _page_image,
+                                  transport_sign)
 from fanpart.exactlin import Matrix, kernel_basis
 from fanpart.groups import ActionGroup, GroupElement, act, det_character
 from fanpart.homology import ZZBasis
@@ -38,9 +39,10 @@ def join_sphere_sign(group: ActionGroup, zz: ZZBasis, g: GroupElement,
     """Sign picked up by the wall sphere on (elem_pair) at `node` under a
     g that maps the pair to itself (possibly swapping the two sheets)."""
     wall = zz.wall_by_node[node]
+    frames = _integer_frames(zz)
     images = {}
     for e in elem_pair:
-        v2, e2, side2, sgn = _page_image(group, zz, g, wall, e)
+        v2, e2, side2, sgn = _page_image(group, zz, g, wall, e, frames)
         if v2 != node or e2 not in elem_pair or side2 != wall.rep_side[e2]:
             raise ValueError("element does not stabilize this wall sphere")
         images[e] = (e2, sgn)

@@ -44,17 +44,17 @@ def z4_fixture():
 
 
 def test_cone_feasible_basic():
-    E = Matrix.zeros(0, 2)
-    assert cone_feasible(E, [vec([1, 0])], [vec([0, 1])])
+    E = ()                                   # no equalities on Q^2
+    assert cone_feasible(E, 2, [vec([1, 0])], [vec([0, 1])])
     # x >= 0 and -x > 0 cannot both hold
-    assert not cone_feasible(E, [vec([1, 0])], [vec([-1, 0])])
+    assert not cone_feasible(E, 2, [vec([1, 0])], [vec([-1, 0])])
 
 
 def test_cone_implies():
-    E = Matrix.zeros(0, 2)
+    E = ()
     # x >= 0 and y >= 0 imply x + y >= 0
-    assert cone_implies(E, [vec([1, 0]), vec([0, 1])], vec([1, 1]))
-    assert not cone_implies(E, [vec([1, 0])], vec([0, 1]))
+    assert cone_implies(E, 2, [vec([1, 0]), vec([0, 1])], vec([1, 1]))
+    assert not cone_implies(E, 2, [vec([1, 0])], vec([0, 1]))
 
 
 # --- canonical form -------------------------------------------------------

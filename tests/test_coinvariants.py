@@ -394,3 +394,52 @@ def test_projection_of_doubled_wall_generator(main_data):
     assert not cg.is_zero(two_k)
     assert cg.order_of(two_k) is None
     assert not cg.is_zero(four_k)
+
+
+def test_duplicate_relations_leave_the_quotient_unchanged():
+    import random
+
+    from fanpart.coinvariants import coinvariants_from_relations
+    rng = random.Random(20261018)
+    seen_torsion = seen_free = False
+    for _ in range(100):
+        r = rng.randint(1, 5)
+        distinct = list({tuple(rng.randint(-4, 4) for _ in range(r))
+                         for _ in range(rng.randint(1, 6))})
+        repeated = distinct + [rng.choice(distinct)
+                               for _ in range(rng.randint(1, 8))]
+        rng.shuffle(repeated)
+        first = list(dict.fromkeys(repeated))
+        full = coinvariants_from_relations(repeated, r)
+        short = coinvariants_from_relations(first, r)
+        assert (full.invariant_factors, full.rank) == \
+            (short.invariant_factors, short.rank)
+        seen_torsion |= bool(full.invariant_factors)
+        seen_free |= full.rank > 0
+    assert seen_torsion and seen_free
+
+
+@pytest.mark.parametrize("n,a,b", [(6, 1, 2), (8, 1, 3)])
+def test_coinvariants_match_every_relation_column(main_data, n, a, b):
+    # the quotient by the distinct columns of g - 1 equals the quotient by
+    # all of them, repeats included (312 columns, 95 distinct, at (1, 2)).
+    # The Smith coordinate change U is the same too, so `project`, and with
+    # it the class coordinates of a certificate, is unchanged; on random
+    # relations U can differ, so this is checked on the certificate cases.
+    from fanpart.coinvariants import coinvariants_from_relations
+    data = main_data(n, a, b)
+    action, group = data["action"], data["group"]
+    r = action.basis.rank
+    modified = [action.modified_matrix(g) for g in group.elements]
+    dual = [action.modified_matrix(group.inv(g)).transpose()
+            for g in group.elements]
+    for mats, cg in ((modified, modified_coinvariants(action, group)),
+                     (dual, dual_coinvariants(action, group))):
+        cols = [tuple(int(m.entries[i][j]) - (i == j) for i in range(r))
+                for m in mats for j in range(r)]
+        cols = [c for c in cols if any(c)]
+        assert len(set(cols)) < len(cols)
+        full = coinvariants_from_relations(cols, r)
+        assert (full.invariant_factors, full.rank) == (cg.invariant_factors,
+                                                       cg.rank)
+        assert full.U == cg.U

@@ -359,3 +359,92 @@ def test_mul_matches_fraction_product():
         assert all(type(x) is Fraction for row in p.entries for x in row)
     with pytest.raises(ValueError):
         draw(2, 3).mul(draw(2, 3))
+
+
+def _random_frames(rng, trials):
+    """(frm, to, outside) over Fraction vectors: `to` spans a subspace,
+    `frm` has as many vectors, all in that span unless `outside`."""
+    for trial in range(trials):
+        dim = rng.randint(1, 6)
+        k = rng.randint(1, dim)
+        to = [vec([Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+                   for _ in range(dim)]) for _ in range(k)]
+        coeffs = [[rng.randint(-2, 2) for _ in to] for _ in range(k)]
+        frm = [vec([sum(c * v[i] for c, v in zip(row, to))
+                    for i in range(dim)]) for row in coeffs]
+        outside = trial % 10 == 0 and k < dim
+        if outside:
+            frm[-1] = next(
+                e for e in (vec([int(i == c) for i in range(dim)])
+                            for c in range(dim))
+                if solve_affine(from_columns(to), e) is None)
+        yield frm, to, outside
+
+
+def test_change_of_basis_det_on_integer_frames():
+    # the same value on int entries as on Fraction entries, and the same
+    # sign after every vector is rescaled by a positive factor
+    from math import prod
+
+    from fanpart.exactlin import frame_det, integer_form, sign
+    rng = random.Random(20261018)
+    outside = zero = 0
+    for frm, to, leaves in _random_frames(rng, 120):
+        ints_frm = [integer_form(v) for v in frm]
+        ints_to = [integer_form(v) for v in to]
+        as_fractions = ([vec(v) for v in ints_frm], [vec(v) for v in ints_to])
+        cf = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in frm]
+        ct = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in to]
+        rescaled = ([tuple(c * x for x in v) for c, v in zip(cf, frm)],
+                    [tuple(c * x for x in v) for c, v in zip(ct, to)])
+        if leaves:
+            outside += 1
+            for args in ((ints_frm, ints_to), as_fractions, rescaled):
+                with pytest.raises(ValueError, match="not in span"):
+                    change_of_basis_det(*args)
+            continue
+        det = change_of_basis_det(frm, to)
+        zero += det == 0
+        assert change_of_basis_det(ints_frm, ints_to) \
+            == change_of_basis_det(*as_fractions)
+        assert Fraction(*frame_det(ints_frm, ints_to)) \
+            == change_of_basis_det(ints_frm, ints_to)
+        got = change_of_basis_det(*rescaled)
+        assert got == det * prod(cf) / prod(ct)
+        assert sign(got) == sign(det) == sign(frame_det(*rescaled)[0])
+        assert frame_det(*rescaled)[1] > 0
+    assert outside >= 5 and zero >= 1
+
+
+def test_integer_kernel_is_a_positive_rescaling():
+    # one vector per free column, each a positive multiple of the one
+    # sympy reads off the rational RREF; kernel_basis is that one exactly
+    from fanpart.exactlin import echelon, integer_kernel
+    rng = random.Random(5)
+    for _ in range(200):
+        r, c = rng.randint(0, 4), rng.randint(1, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)]
+        E, _ = echelon(rows)
+        got = integer_kernel(E, c)
+        expect = [tuple(Fraction(int(x.p), int(x.q)) for x in v)
+                  for v in sympy.Matrix(r, c, sum(rows, [])).nullspace()]
+        assert kernel_basis(Matrix.from_rows(rows, cols=c)) == expect
+        assert len(got) == len(expect)
+        for v, w in zip(got, expect):
+            assert all(type(x) is int for x in v)
+            ratios = {Fraction(x) / y for x, y in zip(v, w) if y}
+            assert len(ratios) == 1 and ratios.pop() > 0
+            assert all(x == 0 for x, y in zip(v, w) if not y)
+
+
+def test_snf_of_integer_rows_matches_matrix():
+    rng = random.Random(9)
+    for _ in range(50):
+        rows = [[rng.randrange(-9, 10) for _ in range(rng.randrange(1, 7))]]
+        rows += [[rng.randrange(-9, 10) for _ in rows[0]]
+                 for _ in range(rng.randrange(0, 4))]
+        a, b = smith_normal_form(rows), smith_normal_form(Matrix(rows))
+        assert (a.U, a.D, a.rank, a.V) == (b.U, b.D, b.rank, b.V)
+    for bad in ([[1, Fraction(1, 2)]], Matrix([[Fraction(3, 2)]])):
+        with pytest.raises(ValueError, match="integer entries"):
+            smith_normal_form(bad)

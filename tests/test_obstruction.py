@@ -455,3 +455,43 @@ def test_certificate_n10_23_laws():
                  "no homology above the top degree"):
         assert cert.checks[name], name
     assert cert.homology_rank == 25
+
+
+@pytest.mark.parametrize("n,a,b", [(6, 1, 2), (8, 2, 2), (8, 1, 3)])
+def test_arc_census_matches_meeting_locus_per_pair(main_data, n, a, b):
+    # the census (integer images of n u_k) against one plain call per
+    # simplex and element on the Fraction points, for every poset node and
+    # the block subspace, which the simplices meet in segments
+    from fanpart.arrangement import make_L_alpha
+    from fanpart.obstruction import arc_census
+    elements = [nd.subspace for nd in main_data(n, a, b)["poset"].nodes]
+    elements.append(make_L_alpha(n, a, b))
+    census = arc_census(n, elements)
+    assert len(census) == n * (n + 1) // 2
+    dims = set()
+    for (i, j), hits in census.items():
+        pts = arc_points(i, j, n)
+        assert hits == [meeting_locus(pts, e) for e in elements]
+        dims.update(hit and hit[0] for hit in hits)
+    assert {None, 0, 1} <= dims
+
+
+def test_transport_and_census_make_no_rational_rref(main_data, monkeypatch):
+    import sys
+
+    from fanpart.coinvariants import induced_action
+    from fanpart.obstruction import arc_census
+    n, a, b = 6, 1, 2
+    data = main_data(n, a, b)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rref called")
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "fanpart" and hasattr(module, "rref"):
+            monkeypatch.setattr(module, "rref", refuse)
+    action = induced_action(data["group"], data["zz"])
+    assert action.matrices == data["action"].matrices
+    poset = data["poset"]
+    census = arc_census(n, [poset.nodes[m].subspace
+                            for m in poset.maximal_node_ids])
+    assert any(hit is not None for hits in census.values() for hit in hits)
