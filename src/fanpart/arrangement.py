@@ -10,21 +10,19 @@ and `_settle_cone` promotes the implicit equalities and drops the redundant
 inequalities.  A group element permutes coordinates, which keeps every
 facet and creates no implicit equality, so `transform` runs stage one
 only; the intersection poset keys each meet by its integer stage-one form
-and builds a subspace, with its Fraction RREF, only for a form it has not
-seen.
+and builds a subspace, and does the cone work, only for a form it has not
+seen.  A subspace holds its equalities as those integer rows only.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exactlin import (Matrix, Vec, ZERO, ONE, echelon, echelon_rationals,
-                       integer_form, integer_kernel, integer_rows,
-                       is_zero_vec, leading_column, primitive_row,
-                       rational_kernel, reduce_row)
+from .exactlin import (Vec, echelon, echelon_rationals, integer_form,
+                       integer_kernel, integer_rows, is_zero_vec,
+                       leading_column, primitive_row, reduce_row)
 from .groups import ActionGroup, GroupElement
 
 
@@ -89,11 +87,12 @@ def _multiple(f: Vec, g: Vec) -> bool:
     return k >= 0 and all(x * g[k] == y * f[k] for x, y in zip(f, g))
 
 
-def cached_kernel(equalities: Matrix) -> list[Vec]:
-    """kernel_basis of a canonical equality matrix (RREF, full row rank),
-    read off its rows with no elimination.  Nothing is cached; the name is
-    kept for the profiling wrappers that look it up."""
-    return rational_kernel(integer_rows(equalities.entries), equalities.cols)
+def cached_kernel(rows: Sequence[Sequence[int]],
+                  cols: int) -> list[tuple[int, ...]]:
+    """The integer kernel basis of canonical equality rows, read off the
+    rows with no elimination (`exactlin.integer_kernel`).  Nothing is
+    cached; the name is kept for the profiling wrappers that look it up."""
+    return integer_kernel(rows, cols)
 
 
 def _restrict(forms: Iterable[Vec], basis: Sequence[Vec]) -> list[Vec]:
@@ -124,20 +123,13 @@ def cone_implies(rows: Sequence[Sequence[int]], dim: int,
 
 @dataclass(frozen=True)
 class HalfOpenSubspace:
-    equalities: Matrix                 # canonical RREF, full row rank
+    # the equalities: the RREF with each row a primitive integer row with
+    # positive pivot (`exactlin.echelon`), full row rank
+    rows: tuple[tuple[int, ...], ...]
     # primitive integer forms, reduced, irredundant, sorted
     inequalities: tuple[tuple[int, ...], ...]
     ambient_dim: int
     label: str = ""
-    # the rows of `equalities` as primitive integer rows with positive
-    # pivots; derived from `equalities` when not given
-    rows: tuple[tuple[int, ...], ...] = field(default=None, compare=False,
-                                              repr=False)
-
-    def __post_init__(self):
-        if self.rows is None:
-            object.__setattr__(self, "rows", tuple(map(
-                primitive_row, integer_rows(self.equalities.entries))))
 
     @property
     def dim(self) -> int:
@@ -148,30 +140,25 @@ class HalfOpenSubspace:
         return not self.inequalities
 
     def key(self):
-        """The canonical form over Fraction; its order is the order of the
-        maximal elements."""
-        return (self.equalities.entries, self.inequalities)
-
-    def int_key(self):
-        """The canonical form as integer rows: equal exactly when `key()`
-        is, and the key the intersection poset looks nodes up by."""
+        """The canonical form: two subspaces of one ambient space are the
+        same set exactly when their keys are equal.  The intersection poset
+        looks nodes up by it."""
         return (self.rows, self.inequalities)
 
-    def same_set(self, other: "HalfOpenSubspace") -> bool:
-        return self.int_key() == other.int_key()
-
-    def carrier_basis(self) -> list[Vec]:
-        return cached_kernel(self.equalities)
+    def carrier_basis(self) -> list[tuple[int, ...]]:
+        """A basis of the carrier in coprime integers, each vector a
+        positive multiple of the one `kernel_basis` reads off the RREF."""
+        return cached_kernel(self.rows, self.ambient_dim)
 
     def contains_point(self, p: Vec) -> bool:
-        if any(x != 0 for x in self.equalities.matvec(p)):
+        if any(sum(a * b for a, b in zip(r, p)) for r in self.rows):
             return False
         return all(sum(a * b for a, b in zip(q, p)) >= 0
                    for q in self.inequalities)
 
     def relabel(self, label: str) -> "HalfOpenSubspace":
-        return HalfOpenSubspace(self.equalities, self.inequalities,
-                                self.ambient_dim, label, self.rows)
+        return HalfOpenSubspace(self.rows, self.inequalities,
+                                self.ambient_dim, label)
 
     def __repr__(self):
         return (f"HalfOpenSubspace({self.label or 'dim %d' % self.dim}, "
@@ -184,18 +171,10 @@ def _reduce(eq_rows: Iterable[Sequence[int]],
     echelon form (`exactlin.echelon`, with the rows of `base` already in
     echelon form) and the inequalities reduced modulo them, made primitive,
     deduplicated and sorted.  The cone is not examined.  Returns the
-    integer key (rows, inequalities) of `HalfOpenSubspace.int_key`."""
+    key (rows, inequalities) of `HalfOpenSubspace.key`."""
     rows, pivots = echelon(eq_rows, base)
     reduced = {primitive_row(reduce_row(q, rows, pivots)) for q in ineq_rows}
     return rows, tuple(sorted(q for q in reduced if any(q)))
-
-
-def _subspace(form: tuple, ambient_dim: int,
-              label: str = "") -> HalfOpenSubspace:
-    """The subspace of a stage-one form, with its Fraction RREF."""
-    rows, ineqs = form
-    return HalfOpenSubspace(Matrix._wrap(echelon_rationals(rows), ambient_dim),
-                            ineqs, ambient_dim, label, rows)
 
 
 def _settle_cone(s: HalfOpenSubspace) -> HalfOpenSubspace:
@@ -212,26 +191,27 @@ def _settle_cone(s: HalfOpenSubspace) -> HalfOpenSubspace:
     forced = set(implicit_equalities(forms, [], len(kb)))
     if forced:
         qs = s.inequalities
-        s = _subspace(_reduce([qs[j] for j in forced],
-                              [q for j, q in enumerate(qs) if j not in forced],
-                              s.rows), s.ambient_dim, s.label)
+        s = HalfOpenSubspace(*_reduce(
+            [qs[j] for j in forced],
+            [q for j, q in enumerate(qs) if j not in forced], s.rows),
+            s.ambient_dim, s.label)
         kb = integer_kernel(s.rows, s.ambient_dim)
         forms = _restrict(s.inequalities, kb)
     if len(forms) > 1:
-        s = HalfOpenSubspace(s.equalities, tuple(
+        s = HalfOpenSubspace(s.rows, tuple(
             q for j, (q, f) in enumerate(zip(s.inequalities, forms))
             if _fm_feasible(forms[:j] + forms[j + 1:],
                             [tuple(-x for x in f)], len(kb))),
-            s.ambient_dim, s.label, s.rows)
+            s.ambient_dim, s.label)
     return s
 
 
 def make_subspace(eq_forms: Iterable[Vec], ineq_forms: Iterable[Vec],
                   ambient_dim: int, label: str = "") -> HalfOpenSubspace:
     """Canonicalize a description into a HalfOpenSubspace."""
-    return _settle_cone(_subspace(_reduce(integer_rows(eq_forms),
-                                          integer_rows(ineq_forms)),
-                                  ambient_dim, label))
+    return _settle_cone(HalfOpenSubspace(
+        *_reduce(integer_rows(eq_forms), integer_rows(ineq_forms)),
+        ambient_dim, label))
 
 
 def _moved_form(g: GroupElement, s: HalfOpenSubspace) -> tuple:
@@ -250,16 +230,16 @@ def _moved_form(g: GroupElement, s: HalfOpenSubspace) -> tuple:
 def transform(group: ActionGroup, g: GroupElement,
               s: HalfOpenSubspace) -> HalfOpenSubspace:
     """The image g . s (see `_moved_form`)."""
-    return _subspace(_moved_form(g, s), s.ambient_dim, s.label)
+    return HalfOpenSubspace(*_moved_form(g, s), s.ambient_dim, s.label)
 
 
 def intersect(a: HalfOpenSubspace, b: HalfOpenSubspace,
               label: str = "") -> HalfOpenSubspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return _settle_cone(_subspace(_reduce(b.rows, a.inequalities +
-                                          b.inequalities, a.rows),
-                                  a.ambient_dim, label))
+    return _settle_cone(HalfOpenSubspace(
+        *_reduce(b.rows, a.inequalities + b.inequalities, a.rows),
+        a.ambient_dim, label))
 
 
 def contains_set(big: HalfOpenSubspace, small: HalfOpenSubspace) -> bool:
@@ -275,19 +255,13 @@ def contains_set(big: HalfOpenSubspace, small: HalfOpenSubspace) -> bool:
     return True
 
 
-def canonical_equal(s1: HalfOpenSubspace, s2: HalfOpenSubspace) -> bool:
-    if s1.ambient_dim != s2.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    return s1.same_set(s2)
-
-
 # ---------------------------------------------------------------------------
 # the problem-specific pieces
 
 
-def _block_form(n: int, lo: int, hi: int) -> Vec:
+def _block_form(n: int, lo: int, hi: int) -> tuple[int, ...]:
     """The form x_lo + ... + x_hi (1-based, inclusive) on R^n."""
-    return tuple(ONE if lo <= i + 1 <= hi else ZERO for i in range(n))
+    return tuple(int(lo <= i + 1 <= hi) for i in range(n))
 
 
 def _check_params(n: int, a: int, b: int):
@@ -295,8 +269,8 @@ def _check_params(n: int, a: int, b: int):
         raise ValueError(f"need a >= 1, b >= 1 and n = 2a + 2b, got {(n, a, b)}")
 
 
-def ones_form(n: int) -> Vec:
-    return (ONE,) * n
+def ones_form(n: int) -> tuple[int, ...]:
+    return (1,) * n
 
 
 def make_L_alpha(n: int, a: int, b: int) -> HalfOpenSubspace:
@@ -309,22 +283,22 @@ def make_L_alpha(n: int, a: int, b: int) -> HalfOpenSubspace:
     return make_subspace([ones_form(n), xi1, xi2, xi3], [], n, "L")
 
 
-def h1_form(n: int, a: int, b: int) -> Vec:
+def h1_form(n: int, a: int, b: int) -> tuple[int, ...]:
     """(a+b)(x_a - x_{2a+b} + x_1 - x_{a+b+1}) + x_{a+1} - x_{2a+b+1} + x_n - x_{a+b}."""
-    f = [ZERO] * n
-    c = Fraction(a + b)
+    f = [0] * n
+    c = a + b
     for idx, coeff in ((a, c), (2 * a + b, -c), (1, c), (a + b + 1, -c),
-                       (a + 1, ONE), (2 * a + b + 1, -ONE), (n, ONE),
-                       (a + b, -ONE)):
+                       (a + 1, 1), (2 * a + b + 1, -1), (n, 1),
+                       (a + b, -1)):
         f[idx - 1] += coeff
     return tuple(f)
 
 
-def k_form(n: int, a: int, b: int) -> Vec:
+def k_form(n: int, a: int, b: int) -> tuple[int, ...]:
     return _block_form(n, 1, a + b)
 
 
-def h2_form(n: int, a: int, b: int) -> Vec:
+def h2_form(n: int, a: int, b: int) -> tuple[int, ...]:
     return _block_form(n, a + 1, a + b)
 
 
@@ -362,8 +336,8 @@ def orbit_closure(group: ActionGroup,
         for g in group.elements:
             form = _moved_form(g, s)
             if form not in images:
-                images[form] = _subspace(form, s.ambient_dim,
-                                         f"{s.label}.{g!r}")
+                images[form] = HalfOpenSubspace(*form, s.ambient_dim,
+                                                f"{s.label}.{g!r}")
     elems = list(images.values())
     keep = []
     for i, s in enumerate(elems):
@@ -371,7 +345,10 @@ def orbit_closure(group: ActionGroup,
                       for j, t in enumerate(elems))
         if not covered:
             keep.append(s)
-    keep.sort(key=lambda s: s.key())
+    # the order of the RREF over Fraction, not of the integer rows: the two
+    # differ at (1, 2), and the node numbers and basis coordinates of every
+    # certificate follow this order
+    keep.sort(key=lambda s: (echelon_rationals(s.rows), s.inequalities))
     return Arrangement(keep, group, group.ambient_dim)
 
 
@@ -403,7 +380,7 @@ class IntersectionPoset:
     above: list[list[int]]             # strict supersets, by node index
     hasse_edges: list[tuple[int, int]]
     arrangement: Arrangement
-    # integer stage-one key (`HalfOpenSubspace.int_key`) -> node index
+    # stage-one key (`HalfOpenSubspace.key`) -> node index
     _by_key: dict = field(default_factory=dict, repr=False)
     _act_memo: dict = field(default_factory=dict, repr=False)
     # (node, degree) -> reduced homology below the node; filled by
@@ -457,9 +434,9 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
     pairs with m already in mask(i) give i itself.  A mask not seen yet is
     looked up by the integer stage-one form of the meet, from m's rows
     inserted into i's (integer elimination only), and only a new stage-one
-    form gets a Fraction RREF and the cone work of stage two.  Once i has
-    met every element its mask is its exact support, and the order follows
-    from the supports alone (see IntersectionPoset).
+    form gets the cone work of stage two.  Once i has met every element
+    its mask is its exact support, and the order follows from the supports
+    alone (see IntersectionPoset).
     """
     nodes: list[HalfOpenSubspace] = []
     support: list[int] = []
@@ -468,14 +445,14 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
     by_key: dict = {}
 
     def add(s: HalfOpenSubspace, mask: int) -> int:
-        by_key[s.int_key()] = len(nodes)
+        by_key[s.key()] = len(nodes)
         nodes.append(s)
         support.append(mask)
         return len(nodes) - 1
 
     for k, s in enumerate(arr.maximal_elements):
-        if s.int_key() in by_key:
-            raise ValueError(f"maximal elements {by_key[s.int_key()]} and {k} "
+        if s.key() in by_key:
+            raise ValueError(f"maximal elements {by_key[s.key()]} and {k} "
                              "are the same set")
         add(s, 1 << k)
     # maximal element k is node k, so bit m of a mask stands for node m
@@ -495,9 +472,9 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
                 raw = _reduce(b.rows, a.inequalities + b.inequalities, a.rows)
                 j = by_key.get(raw)
                 if j is None:
-                    s = _settle_cone(_subspace(raw, arr.ambient_dim,
-                                               f"meet{len(nodes)}"))
-                    j = by_key.get(s.int_key())
+                    s = _settle_cone(HalfOpenSubspace(
+                        *raw, arr.ambient_dim, f"meet{len(nodes)}"))
+                    j = by_key.get(s.key())
                     if j is None:
                         j = add(s, mask)
                         queue.append(j)

@@ -13,10 +13,10 @@ is where the boundary-wall correction terms come from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .exactlin import (Matrix, Vec, frame_det, integer_dot, integer_form,
-                       sign, smith_normal_form, vec)
+from .exactlin import (Matrix, Vec, frame_det, integer_dot, sign,
+                       smith_normal_form, vec)
 from .groups import ActionGroup, GroupElement, act, det_character
 from .homology import UnsupportedArrangement, WallNode, ZZBasis
 
@@ -26,29 +26,6 @@ def transport_sign(g: GroupElement, basis_from: Sequence[Vec],
     """Sign of det of (g applied to basis_from) expressed in basis_to."""
     moved = [act(g, v) for v in basis_from]
     return sign(frame_det(moved, basis_to)[0])
-
-
-class _Frame(NamedTuple):
-    """The orientation frame of a wall or a full maximal element with each
-    vector scaled to integers by a positive factor, which changes no
-    orientation sign and no side of a wall.  For a full element `spine` is
-    its carrier basis and the two dicts are empty."""
-    spine: list
-    rays: dict                 # (element, side) -> ray
-    functionals: dict          # element -> wall form
-
-
-def _integer_frames(zz: ZZBasis) -> dict[int, _Frame]:
-    """Node -> integer frame, for every wall and full maximal element."""
-    def scaled(vs):
-        return list(map(integer_form, vs))
-    frames = {m: _Frame(scaled(zz.top_basis[m]), {}, {}) for m in zz.top_nodes}
-    for w in zz.walls:
-        frames[w.node] = _Frame(
-            scaled(w.spine_basis),
-            dict(zip(w.rays, scaled(w.rays.values()))),
-            dict(zip(w.functionals, scaled(w.functionals.values()))))
-    return frames
 
 
 @dataclass
@@ -71,27 +48,26 @@ class OrientedGeneratorAction:
 
 
 def _page_image(group: ActionGroup, zz: ZZBasis, g: GroupElement,
-                wall: WallNode, elem: int, frames: dict[int, _Frame]
-                ) -> tuple[int, int, int, int]:
+                wall: WallNode, elem: int) -> tuple[int, int, int, int]:
     """Image data of the representative cone of `elem` at `wall` under g:
-    (target wall node, target element, target side, orientation sign).
-    `frames` are the integer frames of `_integer_frames(zz)`."""
+    (target wall node, target element, target side, orientation sign),
+    read off the integer frames of the two walls."""
     poset = zz.poset
     v2 = poset.act_node(g, wall.node)
-    if v2 not in zz.wall_by_node:
+    wall2 = zz.wall_by_node.get(v2)
+    if wall2 is None:
         raise UnsupportedArrangement(
             f"image node {v2} of walls under {g!r} carries no wall table")
     e2 = poset.act_node(g, elem)
-    frame, frame2 = frames[wall.node], frames[v2]
-    gray = act(g, frame.rays[(elem, wall.rep_side[elem])])
-    side2 = sign(integer_dot(frame2.functionals[e2], gray))
+    gray = act(g, wall.rays[(elem, wall.rep_side[elem])])
+    side2 = sign(integer_dot(wall2.functionals[e2], gray))
     if side2 == 0:
         raise UnsupportedArrangement("transported ray landed on the wall")
-    if (e2, side2) not in frame2.rays:
+    if (e2, side2) not in wall2.rays:
         raise UnsupportedArrangement(
             "transported cone left its half-subspace; image not expressible")
-    num, _ = frame_det([act(g, v) for v in frame.spine] + [gray],
-                       frame2.spine + [frame2.rays[(e2, side2)]])
+    num, _ = frame_det([act(g, v) for v in wall.spine_basis] + [gray],
+                       wall2.spine_basis + [wall2.rays[(e2, side2)]])
     return v2, e2, side2, sign(num)
 
 
@@ -131,38 +107,36 @@ def _wall_gen_image(zz: ZZBasis, wall: WallNode, elem: int,
     return out
 
 
-def _top_gen_image(zz: ZZBasis, g: GroupElement, node: int,
-                   frames: dict[int, _Frame]) -> dict:
+def _top_gen_image(zz: ZZBasis, g: GroupElement, node: int) -> dict:
     poset = zz.poset
     n2 = poset.act_node(g, node)
     if ("top", n2) not in zz.index:
         raise UnsupportedArrangement(
             f"image of a full maximal element is not in the basis: node {n2}")
-    sgn = transport_sign(g, frames[node].spine, frames[n2].spine)
+    sgn = transport_sign(g, zz.top_basis[node], zz.top_basis[n2])
     return {zz.top_index(n2): sgn}
 
 
 def induced_action(group: ActionGroup, zz: ZZBasis) -> OrientedGeneratorAction:
     """Plain-action matrices of every group element on the basis.
 
-    The frames are scaled to integers once per call.  Under each element
-    the page image of every sheet of a wall is computed once, when the
-    first generator on that wall needs it: the base sheet enters the image
-    of every generator on the wall, and every other sheet is a generator."""
+    Under each element the page image of every sheet of a wall is computed
+    once, when the first generator on that wall needs it: the base sheet
+    enters the image of every generator on the wall, and every other sheet
+    is a generator."""
     r = zz.rank
-    frames = _integer_frames(zz)
     matrices = {}
     for g in group.elements:
         pages: dict = {}          # wall node -> sheet -> _page_image
         cols = []
         for gen in zz.generators:
             if gen.kind == "top":
-                img = _top_gen_image(zz, g, gen.node, frames)
+                img = _top_gen_image(zz, g, gen.node)
             else:
                 wall = zz.wall_by_node[gen.node]
                 if gen.node not in pages:
                     pages[gen.node] = {
-                        e: _page_image(group, zz, g, wall, e, frames)
+                        e: _page_image(group, zz, g, wall, e)
                         for e in wall.elements}
                 img = _wall_gen_image(zz, wall, gen.element, pages[gen.node])
             col = [0] * r

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-Vec = tuple  # tuple of Fraction
+Vec = tuple  # tuple of Fraction, or of int for an integer row or frame
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -40,14 +40,6 @@ def is_zero_vec(u: Vec) -> bool:
     return all(x == 0 for x in u)
 
 
-def primitive_signed(form: Vec) -> Vec:
-    """Scale a rational form to coprime integers by a positive factor.
-
-    The sign is preserved, so this is safe for inequality forms.
-    """
-    return tuple(map(Fraction, integer_form(form)))
-
-
 def integer_form(form: Sequence) -> tuple[int, ...]:
     """A form with int or Fraction entries scaled to coprime integers by a
     positive factor: the same half-space, the same orientation."""
@@ -57,17 +49,6 @@ def integer_form(form: Sequence) -> tuple[int, ...]:
 def integer_dot(u: Sequence[int], v: Sequence[int]) -> int:
     """The dot product of two integer rows."""
     return sum(map(operator.mul, u, v))
-
-
-def primitive(form: Vec) -> Vec:
-    """Scale a rational form to coprime integers with first nonzero entry > 0.
-
-    Only for objects defined up to sign (canonical wall functionals); never
-    use on inequality forms.
-    """
-    ints = _integer_row(form)[1]
-    c = leading_column(ints)
-    return tuple(map(Fraction, primitive_row(ints, ints[c] if c >= 0 else 1)))
 
 
 class Matrix:
@@ -274,9 +255,18 @@ def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
 
 
 def kernel_basis(m: Matrix) -> list[Vec]:
-    """Basis of the right kernel, one vector per free column, deterministic."""
+    """Basis of the right kernel, one vector per free column, deterministic:
+    the kernel basis read off the RREF, with a 1 in each free column.
+
+    It is `integer_kernel` of the echelon rows with each vector divided by
+    its entry in its free column, which is its last nonzero entry (a row
+    with a nonzero entry in a free column has its pivot before it)."""
     rows, _ = echelon(_integer_row(row)[1] for row in m.entries)
-    return rational_kernel(rows, m.cols)
+    out = []
+    for v in integer_kernel(rows, m.cols):
+        d = next(x for x in reversed(v) if x)
+        out.append(tuple(Fraction(x, d) if x else ZERO for x in v))
+    return out
 
 
 def integer_kernel(rows: Sequence[Sequence[int]],
@@ -286,8 +276,8 @@ def integer_kernel(rows: Sequence[Sequence[int]],
     coprime integers: one vector per free column, positive in that column
     and zero in every other free column.  A form restricted to this basis
     has a positive multiple of each coordinate of its restriction to the
-    rational one (`rational_kernel`), so every question about a cone has
-    the same answer in either."""
+    rational one (`kernel_basis`), so every question about a cone has the
+    same answer in either."""
     pivots = [leading_column(r) for r in rows]
     pivset = set(pivots)
     basis = []
@@ -302,19 +292,6 @@ def integer_kernel(rows: Sequence[Sequence[int]],
             v[pc] = -r[c] * (m // r[pc])
         basis.append(primitive_row(v))
     return basis
-
-
-def rational_kernel(rows: Sequence[Sequence[int]],
-                    cols: int) -> list[Vec]:
-    """`integer_kernel` over Fraction: each vector divided by its entry in
-    its free column, which is its last nonzero entry (a row with a nonzero
-    entry in a free column has its pivot before it).  This is the kernel
-    basis read off the RREF, with a 1 in each free column."""
-    out = []
-    for v in integer_kernel(rows, cols):
-        d = next(x for x in reversed(v) if x)
-        out.append(tuple(Fraction(x, d) if x else ZERO for x in v))
-    return out
 
 
 def scaled_points(points: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
@@ -378,12 +355,6 @@ def solve_affine(equalities: Matrix, rhs: Vec) -> Optional[Vec]:
     for r, c in enumerate(pivots):
         x[c] = R.entries[r][equalities.cols]
     return tuple(x)
-
-
-def solve_in_basis(basis: Sequence[Vec], target: Vec) -> Optional[Vec]:
-    """Coordinates of target in the given spanning list, or None if outside."""
-    mat = from_columns(list(basis))
-    return solve_affine(mat, target)
 
 
 def change_of_basis_det(frm: Sequence[Vec], to: Sequence[Vec]) -> Fraction:

@@ -30,9 +30,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .exactlin import (Matrix, Vec, change_of_basis_det, echelon,
-                       leading_column, primitive, primitive_signed,
-                       reduce_row, sign, solve_affine,
+from .exactlin import (Matrix, change_of_basis_det, echelon, integer_form,
+                       leading_column, reduce_row, sign, solve_affine,
                        sparse_rank_and_factors, vec)
 from .arrangement import HalfOpenSubspace, IntersectionPoset
 
@@ -204,12 +203,14 @@ def node_homology(poset: IntersectionPoset, node: int, d: int) -> HomologyGroup:
 
 @dataclass
 class WallNode:
+    """The frames of a wall, all integer vectors: a vector scaled by a
+    positive factor changes no orientation sign and no side of a wall."""
     node: int
-    spine_basis: list[Vec]
+    spine_basis: list[tuple]                 # the node's carrier basis
     elements: list[int]                      # maximal elements above, sorted
-    functionals: dict[int, Vec]              # element -> primitive wall form
+    functionals: dict[int, tuple]            # element -> primitive wall form
     rep_side: dict[int, int]
-    rays: dict[tuple[int, int], Vec]         # (element, side) -> ray point
+    rays: dict[tuple[int, int], tuple]       # (element, side) -> ray point
     rewrite_sign: dict[int, int]             # full element -> s in
                                              # C(anti) = C(rep) - s * [sphere]
 
@@ -249,27 +250,27 @@ class ZZBasis:
         return self.index[("wall", node, element)]
 
 
-def _wall_form(node: HalfOpenSubspace, element: HalfOpenSubspace) -> Vec:
+def _wall_form(node: HalfOpenSubspace, element: HalfOpenSubspace) -> tuple:
     """Primitive functional cutting the wall inside the element's carrier:
-    the node's integer rows reduced modulo the element's, in echelon form.
-    An echelon row is primitive with a positive leading entry, which is
-    the normalisation of `primitive`."""
+    the node's integer rows reduced modulo the element's, in echelon form,
+    so a primitive integer row with a positive leading entry."""
     piv = [leading_column(r) for r in element.rows]
     rows, _ = echelon(reduce_row(r, element.rows, piv) for r in node.rows)
     if len(rows) != 1:
         raise UnsupportedArrangement(
             f"node is not of codimension one in element {element.label!r}")
-    return vec(rows[0])
+    return rows[0]
 
 
-def _ray(element: HalfOpenSubspace, form: Vec, value: int) -> Vec:
-    """A deterministic point of the element's carrier with form(x) = value."""
-    eqs = Matrix(element.equalities.entries + (form,))
-    rhs = vec([0] * element.equalities.rows + [value])
-    x = solve_affine(eqs, rhs)
+def _ray(element: HalfOpenSubspace, form: tuple, value: int) -> tuple:
+    """A deterministic point of the element's carrier with form(x) = value
+    (zero in every free column), scaled to coprime integers by a positive
+    factor."""
+    x = solve_affine(Matrix(element.rows + (form,)),
+                     vec([0] * len(element.rows) + [value]))
     if x is None:
         raise UnsupportedArrangement("wall form vanishes on the element")
-    return x
+    return integer_form(x)
 
 
 def _build_wall(poset: IntersectionPoset, node: int) -> WallNode:
@@ -293,10 +294,13 @@ def _build_wall(poset: IntersectionPoset, node: int) -> WallNode:
                 raise UnsupportedArrangement(
                     "half-open maximal element with several walls")
             q = elem.inequalities[0]
-            if primitive(q) != phi:
+            if q == phi:
+                side = 1
+            elif q == tuple(-x for x in phi):
+                side = -1
+            else:
                 raise UnsupportedArrangement(
                     "element boundary is not the wall through this node")
-            side = 1 if primitive_signed(q) == phi else -1
             rep_side[e] = side
             rays[(e, side)] = _ray(elem, phi, side)
     return WallNode(node, spine, elements, functionals, rep_side, rays, rewrite)

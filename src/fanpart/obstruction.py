@@ -313,7 +313,7 @@ def intersect_with_Jpieces(h: GeneralPositionMap, l1: HalfOpenSubspace,
     """Hits of the image simplices on both seed pieces, with the excluded
     candidate recorded."""
     out = {"l1_hits": [], "l2_hits": [], "rho3_candidate": None}
-    elements = (HalfOpenSubspace(l1.equalities, (), n, "carrier(L1*)"),
+    elements = (HalfOpenSubspace(l1.rows, (), n, "carrier(L1*)"),
                 l1, l2)
     for arcs, hits in arc_census(n, elements).items():
         if arcs[0] == arcs[1]:
@@ -438,10 +438,11 @@ def _moved_point(elem: HalfOpenSubspace, point: Vec,
     carrier: p + s + D t with E (p + s + D t) = 0.  None unless t exists and
     is unique."""
     start = tuple(p + s for p, s in zip(point, shift))
-    A = elem.equalities.mul(from_columns(list(disc)))
-    rhs = elem.equalities.matvec(start)
-    R, _, pivots = rref(Matrix([list(row) + [-x]
-                                for row, x in zip(A.entries, rhs)]))
+    # E D t = -E start with D and start scaled by one positive factor: the
+    # same t, from integer entries
+    _, (*D, s) = scaled_points(list(disc) + [start])
+    R, _, pivots = rref(Matrix([[integer_dot(r, d) for d in D]
+                                + [-integer_dot(r, s)] for r in elem.rows]))
     if pivots != [0, 1, 2]:
         return None
     t = [R.entries[r][3] for r in range(3)]
@@ -607,8 +608,7 @@ class ObstructionCertificate:
 def wall_node_of_point(poset: IntersectionPoset, zz: ZZBasis,
                        point: Vec) -> Optional[int]:
     for w in zz.walls:
-        sub = poset.nodes[w.node].subspace
-        if all(x == 0 for x in sub.equalities.matvec(point)):
+        if poset.nodes[w.node].subspace.contains_point(point):
             return w.node
     return None
 
@@ -717,7 +717,7 @@ def proportionality_chain(poset: IntersectionPoset, zz: ZZBasis,
     eaj = group.mul(group.by_word(a), group.by_word(0, 1))
     e2abj = group.mul(group.by_word(2 * a + b), group.by_word(0, 1))
     targets = []
-    kf = vec(k_form(n, a, b))
+    kf = k_form(n, a, b)
     for g in (group.identity(), eab, eaj, e2abj):
         targets.append(act(g, kf))   # pullback along g^-1: (g^-1)^T = g
     # order the four half elements as L1*, eps^{a+b}L1*, eps^a j L1*,
@@ -727,7 +727,7 @@ def proportionality_chain(poset: IntersectionPoset, zz: ZZBasis,
     for g in (group.identity(), eab, eaj, e2abj):
         img = transform(group, g, l1)
         for e in wall.elements:
-            if poset.nodes[e].subspace.same_set(img):
+            if poset.nodes[e].subspace.key() == img.key():
                 ordered.append(e)
                 break
     if len(ordered) != 4:
@@ -737,7 +737,7 @@ def proportionality_chain(poset: IntersectionPoset, zz: ZZBasis,
         q = _moved_point(poset.nodes[e].subspace, point, disc, shift)
         if q is None:
             return None
-        evals.append(dot(vec(form), q))
+        evals.append(dot(form, q))
     c = a + b
     chain = [(n + 1) * evals[0], -(n + 1) * evals[1],
              (n - 1) * evals[2], -(n - 1) * evals[3]]

@@ -11,7 +11,8 @@ exercise both.
 Only used in tests, as an oracle for `make_subspace`.  It shares the exact
 arithmetic (`rref`, `kernel_basis`, Fourier-Motzkin) but none of the
 control flow.  `stage_one_key` is the rational stage-one form, over
-Fraction, for the integer stage-one form of the package.
+Fraction, for the integer stage-one form of the package, and
+`rational_key` the rational form of a subspace, rebuilt from its rows.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from fractions import Fraction
 from math import gcd
 
 from fanpart.arrangement import _fm_feasible, _restrict
-from fanpart.exactlin import (Matrix, Vec, is_zero_vec, kernel_basis,
-                              primitive_signed, rref, vec)
+from fanpart.exactlin import (Matrix, Vec, integer_form, is_zero_vec,
+                              kernel_basis, rref, vec)
 
 
 def row_space_reduce(form: Vec, rref_m: Matrix, pivots) -> Vec:
@@ -49,7 +50,7 @@ def canonical_key(eq_forms, ineq_forms, ambient_dim, stats=None):
     while True:
         reduced = []
         for q in ineqs:
-            qr = primitive_signed(row_space_reduce(q, R, pivots))
+            qr = integer_form(row_space_reduce(q, R, pivots))
             if not is_zero_vec(qr):
                 reduced.append(qr)
         reduced = sorted(set(reduced))
@@ -137,3 +138,18 @@ def stage_one_key(eq_forms, ineq_forms, ambient_dim):
         if any(x != 0 for x in q):
             reduced.add(_primitive(q))
     return R, tuple(sorted(reduced))
+
+
+def rational_key(s):
+    """The canonical form of a subspace over Fraction, rebuilt from its
+    integer rows with no code from the package: (the equality RREF, the
+    inequalities), the form `canonical_key` returns."""
+    rows = [[Fraction(x) for x in r] for r in s.rows]
+    return _gauss_jordan(rows, s.ambient_dim), s.inequalities
+
+
+def positive_multiple(u, v) -> bool:
+    """Is u = c v for some c > 0, v a nonzero vector?"""
+    k = next(i for i, x in enumerate(v) if x)
+    c = Fraction(u[k]) / v[k]
+    return c > 0 and all(x == c * y for x, y in zip(u, v))

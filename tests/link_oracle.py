@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from fanpart.exactlin import (Matrix, kernel_basis, primitive, rref,
+from fanpart.exactlin import (Matrix, integer_form, kernel_basis,
+                              leading_column, primitive_row, rref,
                               sparse_rank_and_factors, vec)
 from fanpart.arrangement import _fm_feasible
 
@@ -23,7 +24,8 @@ from fanpart.arrangement import _fm_feasible
 def _dedupe_forms(forms):
     seen = []
     for f in forms:
-        p = primitive(f)
+        p = integer_form(f)
+        p = primitive_row(p, p[leading_column(p)])   # f and -f agree
         if any(x != 0 for x in p) and p not in seen:
             seen.append(p)
     return seen

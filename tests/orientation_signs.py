@@ -10,9 +10,8 @@ to itself.  Only used in tests.
 from __future__ import annotations
 
 from fanpart.arrangement import HalfOpenSubspace
-from fanpart.coinvariants import (_integer_frames, _page_image,
-                                  transport_sign)
-from fanpart.exactlin import Matrix, kernel_basis
+from fanpart.coinvariants import _page_image, transport_sign
+from fanpart.exactlin import Matrix, dot, kernel_basis
 from fanpart.groups import ActionGroup, GroupElement, act, det_character
 from fanpart.homology import ZZBasis
 
@@ -20,11 +19,13 @@ from fanpart.homology import ZZBasis
 def orientation_sign(group: ActionGroup, g: GroupElement,
                      carrier: HalfOpenSubspace) -> int:
     """Sign of det of g restricted to a g-stable carrier, computed as
-    det_ambient(g) * det on an explicit basis of the orthogonal complement."""
-    basis = carrier.carrier_basis()
-    eqs = carrier.equalities
+    det_ambient(g) * det on an explicit basis of the orthogonal complement.
+    The carrier basis is the rational kernel of the carrier's rows, not the
+    one the package stores."""
+    basis = kernel_basis(Matrix.from_rows(carrier.rows,
+                                          cols=group.ambient_dim))
     for v in basis:
-        if any(x != 0 for x in eqs.matvec(act(g, v))):
+        if any(dot(r, act(g, v)) for r in carrier.rows):
             raise ValueError("element does not stabilize the carrier")
     comp = kernel_basis(Matrix(basis)) if basis else \
         kernel_basis(Matrix.zeros(0, group.ambient_dim))
@@ -39,10 +40,9 @@ def join_sphere_sign(group: ActionGroup, zz: ZZBasis, g: GroupElement,
     """Sign picked up by the wall sphere on (elem_pair) at `node` under a
     g that maps the pair to itself (possibly swapping the two sheets)."""
     wall = zz.wall_by_node[node]
-    frames = _integer_frames(zz)
     images = {}
     for e in elem_pair:
-        v2, e2, side2, sgn = _page_image(group, zz, g, wall, e, frames)
+        v2, e2, side2, sgn = _page_image(group, zz, g, wall, e)
         if v2 != node or e2 not in elem_pair or side2 != wall.rep_side[e2]:
             raise ValueError("element does not stabilize this wall sphere")
         images[e] = (e2, sgn)

@@ -52,12 +52,13 @@ def equal_dimension_pairs(poset, above) -> list[tuple[int, int]]:
 
 def rational_closure(arr):
     """(keys, labels, supports, covers) of the intersection poset of an
-    arrangement, built with rational keys only: a meet missed by the mask
+    arrangement, built with rational keys only (`canonical_oracle.rational_key`
+    of each maximal element, from its rows): a meet missed by the mask
     lookup is keyed by `canonical_oracle.stage_one_key` of the two
     descriptions, and a stage-one form not seen before gets the full
     canonical form of `canonical_oracle.canonical_key`, the node key."""
     dim = arr.ambient_dim
-    keys = [s.key() for s in arr.maximal_elements]
+    keys = [canonical_oracle.rational_key(s) for s in arr.maximal_elements]
     labels = [s.label for s in arr.maximal_elements]
     support = [1 << k for k in range(len(keys))]
     by_key = {key: k for k, key in enumerate(keys)}

@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 from fanpart.arrangement import (Arrangement, HalfOpenSubspace, cached_kernel,
-                                 canonical_equal, cone_feasible, cone_implies,
+                                 cone_feasible, cone_implies,
                                  contains_set, h1_form, h2_form, intersect,
                                  intersection_poset, k_form, make_J_pieces,
                                  make_L_alpha, make_subspace, ones_form,
                                  orbit_closure, transform)
-from fanpart.exactlin import Matrix, kernel_basis, vec
+from fanpart.exactlin import Matrix, integer_kernel, kernel_basis, vec
 from fanpart.groups import cyclic_shift_group, quaternion_on_Wn
 
 import canonical_oracle
@@ -72,12 +72,12 @@ def test_redundant_inequality_dropped():
     assert len(s.inequalities) == 2
 
 
-def test_canonical_equal_self_and_opposite():
+def test_key_self_and_opposite():
     n = 6
     kp = make_subspace([ones_form(n)], [k_form(n, 1, 2)], n, "K+")
     km = make_subspace([ones_form(n)], [vec([-x for x in k_form(n, 1, 2)])], n, "K-")
-    assert canonical_equal(kp, kp)
-    assert not canonical_equal(kp, km)
+    assert kp.key() == make_subspace([ones_form(n)], [k_form(n, 1, 2)], n).key()
+    assert kp.key() != km.key()
 
 
 # --- the problem-specific subspaces ----------------------------------------
@@ -101,7 +101,7 @@ def test_L_alpha_612():
         vec([0, 1, 1, 1, 0, 0]),
         vec([0, 0, 0, 0, 1, 1]),
     ], [], 6)
-    assert canonical_equal(L, expected)
+    assert L.key() == expected.key()
     assert L.dim == 3
 
 
@@ -126,7 +126,7 @@ def test_J_pieces_degenerate_21():
     # carrier and both pieces collapse to the same linear subspace
     l1, l2 = make_J_pieces(6, 2, 1)
     assert l1.is_linear
-    assert canonical_equal(l1, l2)
+    assert l1.key() == l2.key()
 
 
 def test_eps_ab_fixes_H1_and_swaps_K():
@@ -134,11 +134,11 @@ def test_eps_ab_fixes_H1_and_swaps_K():
     g = quaternion_on_Wn(n)
     eab = g.by_word(a + b)
     H1 = make_subspace([h1_form(n, a, b)], [], n)
-    assert canonical_equal(transform(g, eab, H1), H1)
+    assert transform(g, eab, H1).key() == H1.key()
     KpW = make_subspace([ones_form(n)], [k_form(n, a, b)], n)
     KmW = make_subspace([ones_form(n)],
                         [vec([-x for x in k_form(n, a, b)])], n)
-    assert canonical_equal(transform(g, eab, KpW), KmW)
+    assert transform(g, eab, KpW).key() == KmW.key()
 
 
 def test_L2star_invariances():
@@ -147,8 +147,8 @@ def test_L2star_invariances():
     _, l2 = make_J_pieces(n, a, b)
     eab = g.by_word(a + b)
     ebj = g.mul(g.inv(g.by_word(b)), g.by_word(0, 1))  # eps^{-b} j
-    assert canonical_equal(transform(g, eab, l2), l2)
-    assert canonical_equal(transform(g, ebj, l2), l2)
+    assert transform(g, eab, l2).key() == l2.key()
+    assert transform(g, ebj, l2).key() == l2.key()
 
 
 def test_transform_matches_matrix_pullback():
@@ -160,7 +160,7 @@ def test_transform_matches_matrix_pullback():
         for g in group.elements:
             pull = group.inv(g).matrix.transpose().matvec
             expected = make_subspace(
-                [pull(row) for row in piece.equalities.entries],
+                [pull(row) for row in piece.rows],
                 [pull(q) for q in piece.inequalities], n, piece.label)
             assert transform(group, g, piece).key() == expected.key()
 
@@ -186,6 +186,18 @@ def test_orbit_closure_idempotent():
     arr2 = orbit_closure(group, arr1.maximal_elements)
     assert [s.key() for s in arr1.maximal_elements] == \
         [s.key() for s in arr2.maximal_elements]
+
+
+def test_maximal_elements_in_rational_rref_order():
+    # orbit_closure sorts by the RREF over Fraction; at (1, 2) the integer
+    # keys sort differently, and the node numbers and basis coordinates of
+    # a certificate follow the sort
+    group = quaternion_on_Wn(6)
+    arr = orbit_closure(group, make_J_pieces(6, 1, 2))
+    rational = [canonical_oracle.rational_key(s) for s in arr.maximal_elements]
+    assert rational == sorted(rational)
+    integer = [s.key() for s in arr.maximal_elements]
+    assert integer != sorted(integer)
 
 
 def test_main_orbit_sizes():
@@ -270,7 +282,7 @@ def test_main_case_spine():
                                 transform(group, g_2abj(group, a, b), l1))))
     assert i_node.is_linear
     assert i_node.dim == n - 5
-    assert canonical_equal(transform(group, eab, i_node), i_node)
+    assert transform(group, eab, i_node).key() == i_node.key()
 
 
 def g_a_j(group, a):
@@ -380,8 +392,8 @@ def test_make_subspace_matches_iterative_oracle():
     for _ in range(2000):
         eqs, ineqs, dim = _random_description(rng)
         expected = canonical_oracle.canonical_key(eqs, ineqs, dim, stats)
-        assert make_subspace(eqs, ineqs, dim).key() == expected, \
-            (eqs, ineqs, dim)
+        got = canonical_oracle.rational_key(make_subspace(eqs, ineqs, dim))
+        assert got == expected, (eqs, ineqs, dim)
     # the draws exercise both halves of the cone work
     assert stats["promoted"] > 100
     assert stats["dropped"] > 100
@@ -407,7 +419,7 @@ def _assert_transform_is_canonical(group, subspaces):
         pull = group.inv(g).matrix.transpose().matvec
         for s in subspaces:
             expected = make_subspace(
-                [pull(row) for row in s.equalities.entries],
+                [pull(row) for row in s.rows],
                 [pull(q) for q in s.inequalities], n)
             assert transform(group, g, s).key() == expected.key()
 
@@ -448,19 +460,25 @@ def test_transform_makes_no_cone_test(fixture_data, main_data, case,
 
 @pytest.mark.parametrize("case", POSET_CASES)
 def test_kernel_read_off_pivots(fixture_data, main_data, case):
+    # the carrier basis is the RREF kernel with each vector scaled to
+    # coprime integers by a positive factor
     _, poset = _case_poset(fixture_data, main_data, case)
     for nd in poset.nodes:
-        E = nd.subspace.equalities
-        assert cached_kernel(E) == kernel_basis(E)
-        assert nd.subspace.carrier_basis() == kernel_basis(E)
+        s = nd.subspace
+        rational = kernel_basis(Matrix.from_rows(s.rows, cols=s.ambient_dim))
+        assert cached_kernel(s.rows, s.ambient_dim) == s.carrier_basis() \
+            == integer_kernel(s.rows, s.ambient_dim)
+        assert len(s.carrier_basis()) == len(rational) == s.dim
+        for u, v in zip(s.carrier_basis(), rational):
+            assert canonical_oracle.positive_multiple(u, v)
+            assert math.gcd(*u) == 1
 
 
 def test_kernel_of_no_equalities():
-    E = Matrix.zeros(0, 5)
-    assert cached_kernel(E) == kernel_basis(E)
-    assert len(cached_kernel(E)) == 5
-    whole = make_subspace([], [], 5)
-    assert whole.carrier_basis() == kernel_basis(E)
+    units = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    assert cached_kernel((), 5) == units
+    assert make_subspace([], [], 5).carrier_basis() == units
+    assert kernel_basis(Matrix.zeros(0, 5)) == units
 
 
 # --- the integer stage-one form --------------------------------------------
@@ -550,13 +568,12 @@ def test_implicit_equalities_tests_an_opposite_pair_once(monkeypatch):
 
 
 def _count_poset_work(monkeypatch, arr):
-    """Run intersection_poset with no Fraction rref allowed, counting the
-    stage-one reductions, the settled forms, the promotions among them and
-    the Fraction RREFs built."""
+    """Run intersection_poset with no Fraction RREF allowed, counting the
+    stage-one reductions, the settled forms and the promotions among
+    them."""
     import fanpart.arrangement as arrangement
     import fanpart.exactlin as exactlin
-    count = dict.fromkeys(("reduce", "settle", "promoted", "fraction_rref"),
-                          0)
+    count = dict.fromkeys(("reduce", "settle", "promoted"), 0)
 
     def counted(key, fn):
         def run(*args):
@@ -576,11 +593,9 @@ def _count_poset_work(monkeypatch, arr):
         raise AssertionError("the poset ran a Fraction elimination")
 
     monkeypatch.setattr(exactlin, "rref", refuse)
+    monkeypatch.setattr(arrangement, "echelon_rationals", refuse)
     monkeypatch.setattr(arrangement, "_reduce",
                         counted("reduce", arrangement._reduce))
-    monkeypatch.setattr(arrangement, "echelon_rationals",
-                        counted("fraction_rref",
-                                arrangement.echelon_rationals))
     monkeypatch.setattr(arrangement, "_settle_cone", counted_settle)
     poset = intersection_poset(arr)
     monkeypatch.undo()
@@ -589,7 +604,8 @@ def _count_poset_work(monkeypatch, arr):
 
 def _assert_poset_matches_rational_closure(arr, poset):
     keys, labels, support, hasse = poset_oracle.rational_closure(arr)
-    assert [nd.subspace.key() for nd in poset.nodes] == keys
+    assert [canonical_oracle.rational_key(nd.subspace)
+            for nd in poset.nodes] == keys
     assert [nd.label for nd in poset.nodes] == labels
     assert poset.support == support
     assert poset.hasse_edges == hasse
@@ -601,9 +617,6 @@ def test_poset_matches_rational_closure(fixture_data, main_data, case,
     arr = _case_poset(fixture_data, main_data, case)[1].arrangement
     poset, count = _count_poset_work(monkeypatch, arr)
     _assert_poset_matches_rational_closure(arr, poset)
-    # a Fraction RREF only for a stage-one form not seen before, and for
-    # the form a promotion in stage two makes of it
-    assert count["fraction_rref"] == count["settle"] + count["promoted"]
 
 
 @pytest.mark.slow
@@ -613,5 +626,4 @@ def test_poset_matches_rational_closure_n10_23(main_data, monkeypatch):
     _assert_poset_matches_rational_closure(arr, poset)
     # 3781 of the 6400 (node, element) pairs miss the mask lookup; 281 of
     # their stage-one forms are new, 60 of those promote an equality
-    assert count == {"reduce": 3781 + 60, "settle": 281, "promoted": 60,
-                     "fraction_rref": 281 + 60}
+    assert count == {"reduce": 3781 + 60, "settle": 281, "promoted": 60}

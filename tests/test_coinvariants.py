@@ -8,8 +8,7 @@ from fanpart.arrangement import (HalfOpenSubspace, intersection_poset,
 from fanpart.coinvariants import (dual_coinvariants, induced_action,
                                   modified_coinvariants, transport_sign)
 from fanpart.exactlin import (Matrix, determinant, dot, from_columns,
-                              kernel_basis, sign, solve_affine,
-                              solve_in_basis, vec)
+                              kernel_basis, sign, solve_affine, vec)
 from fanpart.groups import act, cyclic_shift_group, det_character, \
     quaternion_on_Wn
 from fanpart.homology import zz_basis
@@ -85,7 +84,7 @@ def test_complement_determinant_example_matrix():
     cols = []
     for f in (f1, f2, f3, f4):
         img = act(eps2, f)
-        cols.append(solve_in_basis([f1, f2, f3, f4], img))
+        cols.append(solve_affine(from_columns([f1, f2, f3, f4]), img))
     m = from_columns(cols)
     assert determinant(m) == -1
 
@@ -166,7 +165,7 @@ def test_main_case_l_relations(main_data):
                                 data["action"])
     l2 = data["l2"]
     l2_node = next(i for i in poset.maximal_node_ids
-                   if poset.nodes[i].subspace.same_set(l2))
+                   if poset.nodes[i].subspace.key() == l2.key())
     idx = zz.top_index(l2_node)
     eab = group.by_word(a + b)
     ebj = group.mul(group.inv(group.by_word(b)), group.by_word(0, 1))
@@ -299,7 +298,7 @@ def graph_model_matrices(data):
         sd2 = sign(dot(w2.functionals[el2], gray))
         (bv,) = walls[wn].spine_basis
         (bv2,) = w2.spine_basis
-        coords = solve_in_basis([bv2], act(g, bv))
+        coords = solve_affine(from_columns([bv2]), act(g, bv))
         return (wn2, el2, sd2), sign(coords[0])
 
     def basis_cycles():

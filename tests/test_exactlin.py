@@ -5,9 +5,9 @@ import pytest
 import sympy
 
 from fanpart.exactlin import (Matrix, SmithForm, change_of_basis_det,
-                              determinant, from_columns, kernel_basis,
-                              primitive, rref, smith_normal_form, solve_affine,
-                              vec)
+                              determinant, from_columns, integer_form,
+                              kernel_basis, primitive_row, rref,
+                              smith_normal_form, solve_affine, vec)
 
 
 def frac_matrix(rows):
@@ -152,9 +152,11 @@ def test_solve_affine_solution_satisfies_system():
 
 
 def test_primitive_scaling():
-    assert primitive(vec([Fraction(2, 3), Fraction(-4, 3)])) == vec([1, -2])
-    assert primitive(vec([-2, 4])) == vec([1, -2])
-    assert primitive(vec([0, 0])) == vec([0, 0])
+    # integer_form keeps the sign; primitive_row takes it from `lead`
+    assert integer_form(vec([Fraction(2, 3), Fraction(-4, 3)])) == (1, -2)
+    assert integer_form(vec([-2, 4])) == (-1, 2)
+    assert primitive_row([-2, 4], -2) == (1, -2)
+    assert integer_form(vec([0, 0])) == (0, 0)
 
 
 def test_change_of_basis_det_sign():
@@ -217,9 +219,9 @@ def test_solve_affine_barycentric_special_point():
     pts = [u_vector(a, n), u_vector(a + 1, n), u_vector(2 * a + b, n),
            u_vector(2 * a + b + 1, n)]
     rows = [tuple(sum(row[i] * p[i] for i in range(n)) for p in pts)
-            for row in l1.equalities.entries]
+            for row in l1.rows]
     rows.append((Fraction(1),) * 4)
-    rhs = vec([0] * l1.equalities.rows + [1])
+    rhs = vec([0] * len(l1.rows) + [1])
     lam = vec([Fraction(a, n), Fraction(b, n), Fraction(a, n), Fraction(b, n)])
     assert Matrix(rows).matvec(lam) == rhs
     x = solve_affine(Matrix(rows), rhs)

@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from fanpart.arrangement import make_subspace
-from fanpart.exactlin import Matrix, vec
+from fanpart.exactlin import Matrix, kernel_basis, solve_affine, vec
 from fanpart.homology import (SimplicialComplex, UnsupportedArrangement,
                               boundary_matrix, complex_from_facets,
                               crosscut_complex, max_chain_length_above, nerve,
@@ -12,6 +13,7 @@ from fanpart.homology import (SimplicialComplex, UnsupportedArrangement,
                               reduced_homology, verify_lemma16,
                               verify_no_homology_above_top, zz_basis)
 
+from canonical_oracle import positive_multiple, rational_key
 from homology_oracle import dense_homology
 from link_oracle import union_homology_rank
 
@@ -249,6 +251,43 @@ def test_zz_wall_pages_structure(main_data):
         for e in halves:
             assert (e, w.rep_side[e]) in w.rays
             assert (e, -w.rep_side[e]) not in w.rays
+
+
+@pytest.mark.parametrize("case", ["z8", "z4", (1, 2), (1, 3)])
+def test_frames_are_positive_rescalings(fixture_data, main_data, case):
+    # the orientation signs and wall sides of Steps 5-8 survive scaling a
+    # vector by a positive factor, so the integer frames of the basis must
+    # be positive multiples of the rational ones: the kernel basis read off
+    # the RREF, and the affine solve of RREF rows plus wall form for a ray
+    if isinstance(case, str):
+        data = fixture_data(case)
+    else:
+        data = main_data(2 * sum(case), *case)
+    poset, zz = data["poset"], data["zz"]
+
+    def assert_rescaled(ints, rational):
+        assert len(ints) == len(rational)
+        for u, v in zip(ints, rational):
+            assert all(type(x) is int for x in u) and math.gcd(*u) == 1
+            assert positive_multiple(u, v)
+
+    def rational_basis(node):
+        s = poset.nodes[node].subspace
+        return kernel_basis(Matrix.from_rows(s.rows, cols=s.ambient_dim))
+
+    for m in zz.top_nodes:
+        assert_rescaled(zz.top_basis[m], rational_basis(m))
+    for w in zz.walls:
+        assert_rescaled(w.spine_basis, rational_basis(w.node))
+        for e, phi in w.functionals.items():
+            assert all(type(x) is int for x in phi) and math.gcd(*phi) == 1
+            assert next(x for x in phi if x) > 0
+        for (e, side), ray in w.rays.items():
+            R, _ = rational_key(poset.nodes[e].subspace)
+            point = solve_affine(Matrix(R + (vec(w.functionals[e]),)),
+                                 vec([0] * len(R) + [side]))
+            assert_rescaled([ray], [point])
+    assert zz.walls or zz.top_nodes
 
 
 def test_action_permutes_generator_nodes(fixture_data):

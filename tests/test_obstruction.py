@@ -118,7 +118,7 @@ def test_third_candidate_misses_carrier():
     n, a, b = 6, 1, 2
     l1, _ = make_J_pieces(n, a, b)
     from fanpart.arrangement import HalfOpenSubspace
-    carrier = HalfOpenSubspace(l1.equalities, (), n, "carrier")
+    carrier = HalfOpenSubspace(l1.rows, (), n, "carrier")
     i, j = rho_cells(n, a, b)["rho3"]
     pts = [u_vector(i, n), u_vector(i + 1, n), u_vector(j, n),
            u_vector(j + 1, n)]
