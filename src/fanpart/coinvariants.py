@@ -13,10 +13,11 @@ is where the boundary-wall correction terms come from.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .exactlin import (Matrix, Vec, frame_det, integer_dot, sign,
-                       smith_normal_form, vec)
+                       smith_normal_form)
 from .groups import ActionGroup, GroupElement, act, det_character
 from .homology import UnsupportedArrangement, WallNode, ZZBasis
 
@@ -156,14 +157,10 @@ class CoinvariantGroup:
     diag: list[int]                       # all nonzero SNF diagonal entries
     module_rank: int
 
-    def project(self, x: Sequence) -> tuple:
-        y = self.U.matvec(vec(x))
-        tors = []
-        for i, d in enumerate(self.diag):
-            if d > 1:
-                tors.append(int(y[i]) % d)
-        free = [int(y[i]) for i in range(len(self.diag), self.module_rank)]
-        return tuple(tors), tuple(free)
+    def project(self, x: Sequence[int]) -> tuple:
+        y = [integer_dot(row, x) for row in self.U.entries]
+        tors = tuple(y[i] % d for i, d in enumerate(self.diag) if d > 1)
+        return tors, tuple(y[len(self.diag):self.module_rank])
 
     def is_zero(self, x: Sequence) -> bool:
         tors, free = self.project(x)
@@ -175,11 +172,8 @@ class CoinvariantGroup:
         if any(free):
             return None
         order = 1
-        factors = [d for d in self.diag if d > 1]
-        from math import gcd
-        for t, d in zip(tors, factors):
-            k = d // gcd(d, t) if t else 1
-            order = order * k // gcd(order, k)
+        for t, d in zip(tors, self.invariant_factors):
+            order = lcm(order, d // gcd(d, t))
         return order
 
     def describe(self) -> str:
@@ -200,7 +194,7 @@ def coinvariants_from_relations(relations: Sequence[Sequence[int]],
                                 [], module_rank)
     sf = smith_normal_form([[r[i] for r in relations]
                             for i in range(module_rank)])
-    diag = [int(sf.D.entries[i][i]) for i in range(sf.rank)]
+    diag = list(sf.invariant_factors)
     factors = [d for d in diag if d > 1]
     return CoinvariantGroup(factors, module_rank - sf.rank, sf.U, diag,
                             module_rank)
@@ -210,13 +204,12 @@ def _coinvariants_of(matrices: Iterable[Matrix], r: int) -> CoinvariantGroup:
     """Quotient of Z^r by the nonzero columns of M - I over the matrices.
 
     The columns are integer tuples, each kept once, in the order of first
-    occurrence: a repeated relation leaves the quotient unchanged."""
+    occurrence: a repeated relation leaves the quotient unchanged, and a
+    non-integer one makes the Smith form raise ValueError."""
     rels: dict = {}
     for m in matrices:
-        if not m.is_integral():
-            raise ValueError("coinvariants need integer action matrices")
         for j, col in enumerate(zip(*m.entries)):
-            rel = tuple(x.numerator - (i == j) for i, x in enumerate(col))
+            rel = tuple(x - (i == j) for i, x in enumerate(col))
             if any(rel):
                 rels[rel] = None
     return coinvariants_from_relations(list(rels), r)

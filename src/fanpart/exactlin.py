@@ -4,6 +4,10 @@ Everything is exact: Fraction, or integer rows that stand for rational rows
 up to a positive factor; no floating point anywhere.  Signs of
 determinants and half-space memberships must be bit-exact, so approximate
 arithmetic is not an option.
+
+The integer core (`echelon`, `integer_kernel`, `frame_det`, the Smith form)
+is the pipeline's one elimination route; `rref`, `solve_affine`,
+`kernel_basis` and `change_of_basis_det` are Fraction views the tests use.
 """
 
 from __future__ import annotations
@@ -19,15 +23,10 @@ from typing import Iterable, Optional, Sequence
 Vec = tuple  # tuple of Fraction, or of int for an integer row or frame
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def vec(entries: Iterable) -> Vec:
     return tuple(Fraction(x) for x in entries)
-
-
-def zero_vec(dim: int) -> Vec:
-    return (ZERO,) * dim
 
 
 def dot(u: Vec, v: Vec) -> Fraction:
@@ -52,13 +51,16 @@ def integer_dot(u: Sequence[int], v: Sequence[int]) -> int:
 
 
 class Matrix:
-    """Immutable dense matrix of Fractions."""
+    """Immutable dense matrix of int or Fraction entries, kept as given
+    (anything else becomes a Fraction) and never divided with `/`.  An int
+    matrix equals, and hashes like, the Fraction one of the same values."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence]):
         rows = tuple(
-            tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+            tuple(x if type(x) in (int, Fraction) else Fraction(x)
+                  for x in row)
             for row in entries)
         if rows:
             ncols = len(rows[0])
@@ -84,16 +86,16 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return Matrix([[int(i == j) for j in range(n)] for i in range(n)])
 
     @staticmethod
     def zeros(r: int, c: int) -> "Matrix":
-        return Matrix._wrap(tuple((ZERO,) * c for _ in range(r)), c)
+        return Matrix._wrap(tuple((0,) * c for _ in range(r)), c)
 
     @staticmethod
     def _wrap(entries: tuple, cols: int) -> "Matrix":
-        """A matrix on rows that are already tuples of Fractions of length
-        `cols`, taken without conversion or checks."""
+        """A matrix on rows that are already tuples of int or Fraction
+        entries of length `cols`, taken without conversion or checks."""
         m = Matrix([])
         object.__setattr__(m, "entries", entries)
         object.__setattr__(m, "rows", len(entries))
@@ -132,9 +134,6 @@ class Matrix:
         if self.cols != len(v):
             raise ValueError("shape mismatch in matrix-vector product")
         return tuple(dot(r, v) for r in self.entries)
-
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -419,7 +418,7 @@ class SmithForm:
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
-        return tuple(int(self.D.entries[i][i]) for i in range(self.rank))
+        return tuple(self.D.entries[i][i] for i in range(self.rank))
 
     @cached_property
     def V(self) -> Matrix:

@@ -30,9 +30,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .exactlin import (Matrix, change_of_basis_det, echelon, integer_form,
-                       leading_column, reduce_row, sign, solve_affine,
-                       sparse_rank_and_factors, vec)
+from .exactlin import (Matrix, echelon, frame_det, integer_kernel,
+                       leading_column, primitive_row, reduce_row, sign,
+                       sparse_rank_and_factors)
 from .arrangement import HalfOpenSubspace, IntersectionPoset
 
 
@@ -265,12 +265,14 @@ def _wall_form(node: HalfOpenSubspace, element: HalfOpenSubspace) -> tuple:
 def _ray(element: HalfOpenSubspace, form: tuple, value: int) -> tuple:
     """A deterministic point of the element's carrier with form(x) = value
     (zero in every free column), scaled to coprime integers by a positive
-    factor."""
-    x = solve_affine(Matrix(element.rows + (form,)),
-                     vec([0] * len(element.rows) + [value]))
-    if x is None:
+    factor: x of the integer kernel vector (x, s > 0) of [E 0; form -value]
+    for its last column, which is a pivot when the form vanishes on E."""
+    dim = len(form)
+    rows, pivots = echelon([form + (-value,)],
+                           [r + (0,) for r in element.rows])
+    if pivots[-1] == dim:
         raise UnsupportedArrangement("wall form vanishes on the element")
-    return integer_form(x)
+    return primitive_row(integer_kernel(rows, dim + 1)[-1][:dim])
 
 
 def _build_wall(poset: IntersectionPoset, node: int) -> WallNode:
@@ -286,9 +288,8 @@ def _build_wall(poset: IntersectionPoset, node: int) -> WallNode:
             rep_side[e] = 1
             rays[(e, 1)] = _ray(elem, phi, 1)
             rays[(e, -1)] = _ray(elem, phi, -1)
-            basis_x = elem.carrier_basis()
-            rewrite[e] = sign(change_of_basis_det(
-                spine + [rays[(e, 1)]], basis_x))
+            rewrite[e] = sign(frame_det(spine + [rays[(e, 1)]],
+                                        elem.carrier_basis())[0])
         else:
             if len(elem.inequalities) != 1:
                 raise UnsupportedArrangement(

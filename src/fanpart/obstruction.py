@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactlin import (Matrix, Vec, determinant, dot, echelon, from_columns,
-                       integer_dot, integer_kernel, rref, scaled_points,
-                       sign, solve_affine, vec, zero_vec)
+from .exactlin import (Vec, determinant, dot, echelon, frame_det,
+                       from_columns, integer_dot, integer_kernel,
+                       scaled_points, sign, vec)
 from .groups import ActionGroup, GroupElement, act, quaternion_on_Wn
 from .arrangement import (HalfOpenSubspace, IntersectionPoset, _check_params,
                           _fm_feasible, _restrict, implicit_equalities,
@@ -283,20 +283,19 @@ def expected_families(n: int, a: int, b: int) -> set[tuple[int, int]]:
     return {(min(i, j), max(i, j)) for i, j in fams}
 
 
+def _u_combination(n: int, terms) -> Vec:
+    """The sum of (w/n) u_idx over the pairs (idx, w)."""
+    us = [(Fraction(w, n), u_vector(idx, n)) for idx, w in terms]
+    return tuple(sum(c * u[k] for c, u in us) for k in range(n))
+
+
 def v_point(n: int, a: int, b: int) -> Vec:
-    out = zero_vec(n)
-    for idx, c in ((a, Fraction(a, n)), (a + 1, Fraction(b, n)),
-                   (2 * a + b, Fraction(a, n)), (2 * a + b + 1, Fraction(b, n))):
-        out = tuple(x + c * y for x, y in zip(out, u_vector(idx, n)))
-    return out
+    return _u_combination(n, ((a, a), (a + 1, b), (2 * a + b, a),
+                              (2 * a + b + 1, b)))
 
 
 def w_point(n: int, a: int, b: int) -> Vec:
-    out = zero_vec(n)
-    for idx, c in ((a + b, Fraction(b, n)), (a + b + 1, Fraction(a, n)),
-                   (n, Fraction(b, n)), (1, Fraction(a, n))):
-        out = tuple(x + c * y for x, y in zip(out, u_vector(idx, n)))
-    return out
+    return _u_combination(n, ((a + b, b), (a + b + 1, a), (n, b), (1, a)))
 
 
 def rho_cells(n: int, a: int, b: int) -> dict:
@@ -441,11 +440,11 @@ def _moved_point(elem: HalfOpenSubspace, point: Vec,
     # E D t = -E start with D and start scaled by one positive factor: the
     # same t, from integer entries
     _, (*D, s) = scaled_points(list(disc) + [start])
-    R, _, pivots = rref(Matrix([[integer_dot(r, d) for d in D]
-                                + [-integer_dot(r, s)] for r in elem.rows]))
+    rows, pivots = echelon([integer_dot(r, d) for d in D]
+                           + [-integer_dot(r, s)] for r in elem.rows)
     if pivots != [0, 1, 2]:
         return None
-    t = [R.entries[r][3] for r in range(3)]
+    t = [Fraction(r[3], r[c]) for r, c in zip(rows, pivots)]
     return tuple(x + sum(d[i] * y for d, y in zip(disc, t))
                  for i, x in enumerate(start))
 
@@ -655,10 +654,12 @@ def assemble_cocycle(poset: IntersectionPoset, zz: ZZBasis,
     checks["eps^a j . v = w"] = act(eaj, v) == w
     # the vertex permutation relating the two image simplices is even, so
     # the transported disc frame of v matches the one of w positively
-    span_mat = from_columns(list(disc))
-    coords = [solve_affine(span_mat, act(eaj, d)) for d in v_disc(n, a, b)]
-    checks["disc frames compatible (even permutation)"] = (
-        None not in coords and sign(determinant(from_columns(coords))) == 1)
+    try:
+        compatible = frame_det([act(eaj, d) for d in v_disc(n, a, b)],
+                               disc)[0] > 0
+    except ValueError:
+        compatible = False
+    checks["disc frames compatible (even permutation)"] = compatible
     wall_v = wall_node_of_point(poset, zz, act(eb, v))
     wall_w = wall_node_of_point(poset, zz, w)
     checks["broken points lie on wall nodes"] = \

@@ -418,6 +418,21 @@ def test_duplicate_relations_leave_the_quotient_unchanged():
     assert seen_torsion and seen_free
 
 
+def test_non_integer_action_is_refused(fixture_data):
+    # a Fraction(1, 2) entry gives a non-integer relation column, which the
+    # Smith form refuses
+    from fanpart.coinvariants import OrientedGeneratorAction
+    data = fixture_data("z8")
+    group, action = data["group"], data["action"]
+    g = group.generators[0]
+    rows = [list(row) for row in action.matrix(g).entries]
+    rows[0][0] = Fraction(1, 2)
+    bad = OrientedGeneratorAction(group, action.basis,
+                                  {**action.matrices, g.word: Matrix(rows)})
+    with pytest.raises(ValueError):
+        modified_coinvariants(bad, group)
+
+
 @pytest.mark.parametrize("n,a,b", [(6, 1, 2), (8, 1, 3)])
 def test_coinvariants_match_every_relation_column(main_data, n, a, b):
     # the quotient by the distinct columns of g - 1 equals the quotient by

@@ -363,6 +363,31 @@ def test_mul_matches_fraction_product():
         draw(2, 3).mul(draw(2, 3))
 
 
+def test_matrix_keeps_int_entries(fixture_data):
+    # int entries stay int and Fraction entries stay Fraction; an integer
+    # matrix equals, and hashes like, the Fraction matrix of the same values
+    from fanpart.coinvariants import induced_action
+    from fanpart.groups import quaternion_on_Wn
+
+    def all_int(m):
+        return all(type(x) is int for row in m.entries for x in row)
+
+    assert tuple(map(type, Matrix([[1, Fraction(1, 2)]]).entries[0])) == \
+        (int, Fraction)
+    ints = Matrix([[1, -2, 0], [0, 3, 7]])
+    fracs = Matrix([[Fraction(x) for x in row] for row in ints.entries])
+    assert not any(type(x) is int for row in fracs.entries for x in row)
+    assert ints == fracs and hash(ints) == hash(fracs)
+    assert all_int(Matrix.identity(3)) and all_int(Matrix.zeros(2, 3))
+    assert all(all_int(g.matrix) for g in quaternion_on_Wn(4).elements)
+    data = fixture_data("z8")
+    action = induced_action(data["group"], data["zz"])
+    assert all(all_int(m) for m in action.matrices.values())
+    sf = smith_normal_form(Matrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]))
+    assert sf.invariant_factors == (2, 6, 12)
+    assert all_int(sf.U) and all_int(sf.D) and all_int(sf.V)
+
+
 def _random_frames(rng, trials):
     """(frm, to, outside) over Fraction vectors: `to` spans a subspace,
     `frm` has as many vectors, all in that span unless `outside`."""

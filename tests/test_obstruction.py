@@ -477,21 +477,32 @@ def test_arc_census_matches_meeting_locus_per_pair(main_data, n, a, b):
 
 
 def test_transport_and_census_make_no_rational_rref(main_data, monkeypatch):
+    # the Fraction elimination routines are refused in every module: the
+    # certificate and the fixtures run on the integer core alone, with the
+    # same results
     import sys
 
     from fanpart.coinvariants import induced_action
+    from fanpart.fixtures import run_fixture
     from fanpart.obstruction import arc_census
     n, a, b = 6, 1, 2
     data = main_data(n, a, b)
+    cert, z4 = obstruction_class(n, a, b), run_fixture("z4")
 
     def refuse(*args, **kwargs):
-        raise AssertionError("rref called")
+        raise AssertionError("Fraction elimination called")
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "fanpart" and hasattr(module, "rref"):
-            monkeypatch.setattr(module, "rref", refuse)
+        if name.split(".")[0] != "fanpart":
+            continue
+        for fn in ("rref", "solve_affine", "kernel_basis",
+                   "change_of_basis_det"):
+            if hasattr(module, fn):
+                monkeypatch.setattr(module, fn, refuse)
     action = induced_action(data["group"], data["zz"])
     assert action.matrices == data["action"].matrices
     poset = data["poset"]
     census = arc_census(n, [poset.nodes[m].subspace
                             for m in poset.maximal_node_ids])
     assert any(hit is not None for hits in census.values() for hit in hits)
+    assert obstruction_class(n, a, b) == cert
+    assert run_fixture("z4") == z4
