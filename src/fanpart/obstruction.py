@@ -11,13 +11,23 @@ Where an image simplex meets an element, the dimension of the meeting locus
 is decided exactly, by elimination and Fourier-Motzkin (`meeting_locus`).
 Steps 2-3 read one census (`arc_census`) that decides each distinct image
 simplex against each element once.
+
+The certificate is built in two stages.  Steps 1-6 (`_prepare`: group,
+pieces, vertex map, censuses, arrangement, poset, preimage cells, homology
+basis with the deep-node checks, action and coinvariants) read only
+(n, a, b) and are memoised for one (n, a, b), the last one asked for.
+Steps 7-8 (`_class_of_cocycle`: the pairing of the cocycle and its class)
+are the only stage that reads the sign flips, so the flips of one case
+rerun only them.
 """
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import wraps
+from typing import NamedTuple, Optional, Sequence
 
 from .exactlin import (Vec, determinant, dot, echelon, frame_det,
                        from_columns, integer_dot, integer_kernel,
@@ -29,8 +39,8 @@ from .arrangement import (HalfOpenSubspace, IntersectionPoset, _check_params,
                           make_L_alpha, orbit_closure, transform)
 from .homology import (UnsupportedArrangement, ZZBasis, verify_lemma16,
                        verify_no_homology_above_top, zz_basis)
-from .coinvariants import (dual_coinvariants, induced_action,
-                           modified_coinvariants)
+from .coinvariants import (CoinvariantGroup, dual_coinvariants,
+                           induced_action, modified_coinvariants)
 
 
 class GeneralPositionError(Exception):
@@ -185,8 +195,16 @@ def meeting_locus(points: Sequence[Vec], element: HalfOpenSubspace,
     constraints hold with equality on all of it; those implicit equalities
     fix its dimension, which is one more than the locus's.
     """
-    m = len(points)
-    den, P = scaled_points(points)
+    return _scaled_locus(*scaled_points(points), element, images)
+
+
+def _scaled_locus(den: int, P: Sequence[Sequence[int]],
+                  element: HalfOpenSubspace,
+                  images: Optional[Sequence[Sequence[int]]]
+                  ) -> Optional[tuple[int, Optional[Vec], Optional[Vec]]]:
+    """meeting_locus of the points P / den, given as the integer points P
+    and their positive denominator den."""
+    m = len(P)
     if images is None:
         images = [[integer_dot(r, p) for r in element.rows] for p in P]
     rows, pivots = echelon([list(r) + [0] for r in zip(*images)]
@@ -235,10 +253,11 @@ def arc_census(n: int, elements: Sequence[HalfOpenSubspace]
     """meeting_locus of each distinct image simplex with each element:
     (i, j) -> one result per element, for the u-arcs 1 <= i <= j <= n, with
     the points in the order of arc_points(i, j, n), duplicates included.
-    The products E (n u_k) = n E e_k - E 1 of the integer rows E of an
-    element with the points scaled by their denominator n are formed once
+    The points are handed over scaled by their denominator n, as the
+    integer points n u_k = n e_k - 1, and the products E (n u_k) =
+    n E e_k - E 1 with the integer rows E of an element are formed once
     per distinct E."""
-    us = [u_vector(k, n) for k in range(1, n + 1)]
+    nus = [[n * (c == k) - 1 for c in range(n)] for k in range(n)]
     products = {E: [[n * r[k] - sum(r) for r in E] for k in range(n)]
                 for E in {e.rows for e in elements}}
     images = [products[e.rows] for e in elements]
@@ -246,7 +265,7 @@ def arc_census(n: int, elements: Sequence[HalfOpenSubspace]
     for i in range(1, n + 1):
         for j in range(i, n + 1):
             ids = _arc_ids(i, j, n)
-            census[i, j] = [meeting_locus([us[k] for k in ids], e,
+            census[i, j] = [_scaled_locus(n, [nus[k] for k in ids], e,
                                           [img[k] for k in ids])
                             for e, img in zip(elements, images)]
     return census
@@ -752,19 +771,46 @@ def proportionality_chain(poset: IntersectionPoset, zz: ZZBasis,
     }
 
 
-def obstruction_class(n: int, a: int, b: int,
-                      term_flips: Optional[Sequence[int]] = None,
-                      global_flip: bool = False) -> ObstructionCertificate:
-    """Run the full pipeline and certify the class of the obstruction
-    cocycle in the coinvariants of the dual module."""
-    _check_params(n, a, b)
+class _Context(NamedTuple):
+    """What Steps 7-8 read of Steps 1-6."""
+    group: ActionGroup
+    h: GeneralPositionMap
+    poset: IntersectionPoset
+    zz: ZZBasis
+    dg: CoinvariantGroup
+
+
+def _one_slot(build):
+    """Memoise `build` for its last arguments only.  The slot is emptied
+    before a new build, so two cases are never held at once; an exception
+    leaves it empty."""
+    slot: dict = {}
+
+    @wraps(build)
+    def cached(*key):
+        if key not in slot:
+            slot.clear()
+            slot[key] = build(*key)
+        return slot[key]
+    cached.cache_clear = slot.clear
+    return cached
+
+
+@_one_slot
+def _prepare(n: int, a: int, b: int
+             ) -> tuple[ObstructionCertificate, Optional[_Context]]:
+    """Steps 1-6, which read only (n, a, b): the certificate fields and
+    checks recorded so far, and the context of Steps 7-8, None when the
+    verdict is already reached.  Memoised for the last (n, a, b) only, so
+    the sign flips of one case rebuild none of it; callers copy the
+    certificate and leave the context unchanged."""
     cert = ObstructionCertificate(n=n, a=a, b=b)
     checks = cert.checks
     if n < 6:
         cert.verdict = ("special case n = 4: the seed pieces degenerate to "
                         "points; not certified by this pipeline")
         checks["n >= 6"] = False
-        return cert
+        return cert, None
     checks["n >= 6"] = True
     group = quaternion_on_Wn(n)
     l1, l2 = make_J_pieces(n, a, b)
@@ -821,7 +867,7 @@ def obstruction_class(n: int, a: int, b: int,
     except GeneralPositionError as e:
         checks["general position"] = False
         cert.verdict = f"inconclusive: general position failed ({e})"
-        return cert
+        return cert, None
     checks["general position"] = True
 
     cert.steps.append("Step 4: cocycle value as broken point classes")
@@ -831,7 +877,7 @@ def obstruction_class(n: int, a: int, b: int,
     except UnsupportedArrangement as e:
         checks["decomposition supported"] = False
         cert.verdict = f"inconclusive: {e}"
-        return cert
+        return cert, None
     checks["decomposition supported"] = True
     cert.homology_rank = zz.rank
     cert.homology_rank_expected = 5 * (a + b)
@@ -858,11 +904,22 @@ def obstruction_class(n: int, a: int, b: int,
     cert.coinvariant_factors = list(dg.invariant_factors)
     cert.coinvariant_rank = dg.rank
 
+    return cert, _Context(group, h, poset, zz, dg)
+
+
+def _class_of_cocycle(cert: ObstructionCertificate, ctx: _Context,
+                      term_flips: Optional[Sequence[int]],
+                      global_flip: bool) -> None:
+    """Steps 7-8 on the context of `_prepare`, recorded on `cert`: the
+    only stage that reads the sign flips."""
+    n, a, b = cert.n, cert.a, cert.b
+    group, h, poset, zz, dg = ctx
+    checks = cert.checks
     cert.steps.append("Step 7: pairing of the cocycle against the basis")
     terms = assemble_cocycle(poset, zz, h, n, a, b, checks)
     if not terms:
         cert.verdict = "inconclusive: broken classes not located on walls"
-        return cert
+        return
     F_total = [0] * zz.rank
     shift_used = 0
     for t_i, term in enumerate(terms):
@@ -930,4 +987,20 @@ def obstruction_class(n: int, a: int, b: int,
     else:
         cert.verdict = ("inconclusive: failed checks: "
                         + "; ".join(cert.failing_checks()))
+
+
+def obstruction_class(n: int, a: int, b: int,
+                      term_flips: Optional[Sequence[int]] = None,
+                      global_flip: bool = False) -> ObstructionCertificate:
+    """Run the full pipeline and certify the class of the obstruction
+    cocycle in the coinvariants of the dual module.
+
+    Steps 1-6 (`_prepare`) depend on (n, a, b) alone and are kept for the
+    last case; only Steps 7-8 (`_class_of_cocycle`) read `term_flips` and
+    `global_flip`.  Each call returns a certificate of its own."""
+    _check_params(n, a, b)
+    prepared, ctx = _prepare(n, a, b)
+    cert = deepcopy(prepared)
+    if ctx is not None:
+        _class_of_cocycle(cert, ctx, term_flips, global_flip)
     return cert

@@ -11,8 +11,16 @@ from fanpart.coinvariants import induced_action
 from fanpart.fixtures import z4_fixture, z8_fixture
 from fanpart.groups import quaternion_on_Wn
 from fanpart.homology import zz_basis
+from fanpart.obstruction import _prepare
 
 _cache = {}
+
+
+@pytest.fixture(autouse=True)
+def cold_pipeline():
+    """Every test starts with Steps 1-6 of no case kept, whatever ran
+    before it."""
+    _prepare.cache_clear()
 
 
 def _build_fixture(name):

@@ -68,7 +68,8 @@ def test_compute_12_report_and_json(capsys, tmp_path):
 
 
 def test_compute_verbose_builds_the_poset_once(monkeypatch, capsys):
-    # the -v listing is read off the certificate, not from a second poset
+    # the -v listing is read off the certificate, not from a second poset,
+    # and a second `compute` of the same case reuses Steps 1-6
     import fanpart.cli
     import fanpart.obstruction
     from fanpart.arrangement import intersection_poset
@@ -80,10 +81,14 @@ def test_compute_verbose_builds_the_poset_once(monkeypatch, capsys):
     for mod in (fanpart.obstruction, fanpart.cli):
         monkeypatch.setattr(mod, "intersection_poset", counting,
                             raising=False)
-    assert main(["compute", "--a", "1", "--b", "2", "-v"]) == 2
-    out = capsys.readouterr().out
-    assert len(calls) == 1
-    assert sum(ln.strip().startswith("node ") for ln in out.splitlines()) == 19
+    fanpart.obstruction._prepare.cache_clear()
+    for builds in (1, 0):          # cold, then warm
+        calls.clear()
+        assert main(["compute", "--a", "1", "--b", "2", "-v"]) == 2
+        out = capsys.readouterr().out
+        assert len(calls) == builds
+        assert sum(ln.strip().startswith("node ")
+                   for ln in out.splitlines()) == 19
 
 
 def test_json_determinism(tmp_path):

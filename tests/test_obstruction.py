@@ -5,8 +5,8 @@ import pytest
 
 from fanpart.arrangement import make_J_pieces, make_subspace
 from fanpart.coinvariants import dual_coinvariants
-from fanpart.exactlin import (Matrix, dot, from_columns, kernel_basis, sign,
-                              vec)
+from fanpart.exactlin import (Matrix, dot, from_columns, kernel_basis,
+                              scaled_points, sign, vec)
 from fanpart.groups import act, quaternion_on_Wn
 from fanpart.obstruction import (CocycleTerm, GeneralPositionError,
                                  ObstructionCertificate, ambient_orientation_det,
@@ -17,7 +17,7 @@ from fanpart.obstruction import (CocycleTerm, GeneralPositionError,
                                  generic_shift, intersect_with_Jpieces,
                                  obstruction_class, pair_point_class,
                                  preimage_simplices, proportionality_chain,
-                                 meeting_locus, rho_cells,
+                                 meeting_locus, rho_cells, _prepare,
                                  simplex_direction_frame, u_vector, v_point,
                                  vstar_barycentric, w_point,
                                  wall_node_of_point, PointTerm)
@@ -159,16 +159,19 @@ def test_vstar_and_wstar(main_data):
 
 
 def test_census_decides_each_image_simplex_once(main_data, monkeypatch):
-    # n(n+1)/2 distinct image simplices, each decided once per element
+    # n(n+1)/2 distinct image simplices, each decided once per element;
+    # the census hands its points over already scaled, so its decisions
+    # are counted on the routine under meeting_locus
     import fanpart.obstruction as ob
     n, a, b = 6, 1, 2
     data = main_data(n, a, b)
     calls = []
+    locus = ob._scaled_locus
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return meeting_locus(*args, **kwargs)
-    monkeypatch.setattr(ob, "meeting_locus", counting)
+        return locus(*args, **kwargs)
+    monkeypatch.setattr(ob, "_scaled_locus", counting)
     h = define_h(n)
     preimage_simplices(h, data["poset"], n, a, b)
     assert len(calls) == n * (n + 1) // 2 * len(data["poset"].maximal_node_ids)
@@ -504,5 +507,119 @@ def test_transport_and_census_make_no_rational_rref(main_data, monkeypatch):
     census = arc_census(n, [poset.nodes[m].subspace
                             for m in poset.maximal_node_ids])
     assert any(hit is not None for hits in census.values() for hit in hits)
+    # Steps 1-6 of (6, 1, 2) are kept from the unpatched call: run them
+    # again under the patch
+    _prepare.cache_clear()
     assert obstruction_class(n, a, b) == cert
     assert run_fixture("z4") == z4
+
+
+def test_census_hands_over_integer_points(main_data, monkeypatch):
+    # the census knows its points n u_k = n e_k - 1 over n: no call scales
+    # them again, while a plain meeting_locus call still does
+    import fanpart.obstruction as ob
+    from fanpart.obstruction import arc_census
+    calls = []
+
+    def counting(points):
+        calls.append(points)
+        return scaled_points(points)
+    monkeypatch.setattr(ob, "scaled_points", counting)
+    n, a, b = 6, 1, 2
+    poset = main_data(n, a, b)["poset"]
+    h = define_h(n)
+    census = arc_census(n, [poset.nodes[m].subspace
+                            for m in poset.maximal_node_ids])
+    assert any(hit is not None for hits in census.values() for hit in hits)
+    assert enumerate_L_intersections(h, n, a, b)
+    assert intersect_with_Jpieces(h, *make_J_pieces(n, a, b), n, a, b)
+    assert preimage_simplices(h, poset, n, a, b)
+    assert calls == []
+    meeting_locus(arc_points(1, 3, n), poset.nodes[0].subspace)
+    assert len(calls) == 1
+
+
+# --- Steps 1-6 kept for the last case ----------------------------------------
+
+FLIP_CASES = [(None, False)] + [(f, g) for f in ((1, 1), (1, -1), (-1, 1),
+                                                 (-1, -1))
+                                for g in (False, True)]
+
+
+def _certificate_view(cert):
+    return (cert.to_json_dict(), list(cert.checks.items()), cert.steps,
+            cert.poset_lines, cert.tau_signs, cert.mu_signs)
+
+
+@pytest.mark.parametrize("flips,gf", FLIP_CASES)
+def test_warm_certificate_equals_cold(flips, gf):
+    _prepare.cache_clear()
+    cold = obstruction_class(6, 1, 2, term_flips=flips, global_flip=gf)
+    _prepare.cache_clear()
+    obstruction_class(6, 1, 2, term_flips=(-1, 1), global_flip=True)
+    warm = obstruction_class(6, 1, 2, term_flips=flips, global_flip=gf)
+    assert _certificate_view(warm) == _certificate_view(cold)
+    assert warm == cold
+
+
+def _count_calls(monkeypatch, module, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _name=name, _fn=getattr(module, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+def test_flip_sweep_builds_steps_1_to_6_once(monkeypatch):
+    import fanpart.obstruction as ob
+    counts = _count_calls(monkeypatch, ob, ("intersection_poset", "zz_basis",
+                                            "induced_action"))
+    for flips, gf in FLIP_CASES:
+        obstruction_class(6, 1, 2, term_flips=flips, global_flip=gf)
+    assert counts == {"intersection_poset": 1, "zz_basis": 1,
+                      "induced_action": 1}
+
+
+def test_next_case_evicts_the_last(monkeypatch):
+    import fanpart.obstruction as ob
+    counts = _count_calls(monkeypatch, ob, ("intersection_poset",))
+    # the second (6, 1, 2) is kept, the third is built again
+    for case, builds in (((6, 1, 2), 1), ((6, 1, 2), 1), ((8, 1, 3), 2),
+                         ((6, 1, 2), 3)):
+        obstruction_class(*case)
+        assert counts["intersection_poset"] == builds
+
+
+def test_returned_certificate_is_a_copy():
+    cold = _certificate_view(obstruction_class(6, 1, 2))
+    cert = obstruction_class(6, 1, 2)
+    cert.checks["general position"] = False
+    cert.checks["added"] = True
+    cert.poset_lines.append("node 99")
+    cert.poset_lines[0] = ""
+    cert.steps.clear()
+    cert.poset_levels[99] = 1
+    assert _certificate_view(obstruction_class(6, 1, 2)) == cold
+
+
+@pytest.mark.parametrize("n,a,b,early", [(8, 3, 1, True), (6, 2, 1, False),
+                                         (4, 1, 1, True)])
+def test_degenerate_cases_warm_equal_cold(n, a, b, early):
+    # (8, 3, 1) and n = 4 stop in Steps 1-6 with no context for Steps 7-8;
+    # (6, 2, 1) fails its element count and runs on
+    cold = obstruction_class(n, a, b)
+    warm = obstruction_class(n, a, b)
+    assert (_prepare(n, a, b)[1] is None) == early
+    assert cold.verdict.startswith(("inconclusive", "special case"))
+    assert warm.verdict == cold.verdict
+    assert list(warm.checks.items()) == list(cold.checks.items())
+    assert _certificate_view(warm) == _certificate_view(cold)
+
+
+def test_bad_params_raise_on_every_call():
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            obstruction_class(6, 0, 3)
+        obstruction_class(6, 1, 2)
