@@ -9,14 +9,15 @@ The canonical form has two stages: `_reduce` is integer elimination only,
 and `_settle_cone` promotes the implicit equalities and drops the redundant
 inequalities.  A group element permutes coordinates, which keeps every
 facet and creates no implicit equality, so `transform` runs stage one
-only; the intersection poset keys each meet by its integer stage-one form
-and builds a subspace, and does the cone work, only for a form it has not
-seen.  A subspace holds its equalities as those integer rows only.
+only.  The intersection poset meets one node per group orbit with the
+maximal elements, keys each meet by its integer stage-one form and does
+the cone work only for a form it has not seen; it moves the other nodes
+of an orbit by the group.  A subspace holds its equalities as those
+integer rows only.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -233,15 +234,6 @@ def transform(group: ActionGroup, g: GroupElement,
     return HalfOpenSubspace(*_moved_form(g, s), s.ambient_dim, s.label)
 
 
-def intersect(a: HalfOpenSubspace, b: HalfOpenSubspace,
-              label: str = "") -> HalfOpenSubspace:
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    return _settle_cone(HalfOpenSubspace(
-        *_reduce(b.rows, a.inequalities + b.inequalities, a.rows),
-        a.ambient_dim, label))
-
-
 def contains_set(big: HalfOpenSubspace, small: HalfOpenSubspace) -> bool:
     """Set containment small <= big."""
     piv_small = [leading_column(r) for r in small.rows]
@@ -380,9 +372,10 @@ class IntersectionPoset:
     above: list[list[int]]             # strict supersets, by node index
     hasse_edges: list[tuple[int, int]]
     arrangement: Arrangement
-    # stage-one key (`HalfOpenSubspace.key`) -> node index
-    _by_key: dict = field(default_factory=dict, repr=False)
-    _act_memo: dict = field(default_factory=dict, repr=False)
+    # g.perm -> pi_g, the permutation of the maximal elements by g
+    _moves: dict = field(default_factory=dict, repr=False)
+    # support mask -> node index
+    _by_support: dict = field(default_factory=dict, repr=False)
     # (node, degree) -> reduced homology below the node; filled by
     # homology.node_homology
     _homology_memo: dict = field(default_factory=dict, repr=False)
@@ -398,13 +391,10 @@ class IntersectionPoset:
         return [m for m in self.support_ids(i) if m != i]
 
     def act_node(self, g: GroupElement, i: int) -> int:
-        key = (g.word, i)
-        if key not in self._act_memo:
-            j = self._by_key.get(_moved_form(g, self.nodes[i].subspace))
-            if j is None:
-                raise ValueError("poset is not invariant under the group")
-            self._act_memo[key] = j
-        return self._act_memo[key]
+        """The node g . node i: the node whose support is pi_g of the
+        support of node i (see `intersection_poset`)."""
+        return self._by_support[_move_mask(self._moves[g.perm],
+                                           self.support[i])]
 
     def level_counts(self) -> dict[int, int]:
         counts: dict[int, int] = {}
@@ -423,67 +413,130 @@ class IntersectionPoset:
         return lines
 
 
-def intersection_poset(arr: Arrangement) -> IntersectionPoset:
-    """Close the maximal elements under pairwise intersection and order the
-    distinct sets by inclusion.
+def _move_mask(pi: Sequence[int], mask: int) -> int:
+    """A support mask moved by pi: bit k goes to bit pi[k]."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << pi[low.bit_length() - 1]
+        mask ^= low
+    return out
 
-    Each node carries the mask of maximal elements known to contain it, and
-    the node is the intersection of the elements in that mask.  Meeting
-    node i with element m therefore gives the intersection of
-    mask(i) | m, which is looked up by that mask before any elimination;
-    pairs with m already in mask(i) give i itself.  A mask not seen yet is
-    looked up by the integer stage-one form of the meet, from m's rows
-    inserted into i's (integer elimination only), and only a new stage-one
-    form gets the cone work of stage two.  Once i has met every element
-    its mask is its exact support, and the order follows from the supports
-    alone (see IntersectionPoset).
+
+def _element_moves(arr: Arrangement, index: dict) -> dict:
+    """g.perm -> pi_g for every g of the group, pi_g[k] the maximal element
+    g . (element k): the generators' moves, looked up by stage-one form in
+    `index`, composed.  A move out of the arrangement is a ValueError."""
+    elems, gens = arr.maximal_elements, []
+    for g in arr.group.generators:
+        pi = [index.get(_moved_form(g, s)) for s in elems]
+        if None in pi:
+            k = pi.index(None)
+            raise ValueError(
+                f"maximal element {k} ({elems[k].label}) moved by {g!r} "
+                "leaves the arrangement; it is not invariant under the group")
+        gens.append((g.perm, pi))
+    moves = {arr.group.identity().perm: tuple(range(len(elems)))}
+    todo = list(moves)
+    for p in todo:
+        for gp, gpi in gens:
+            q = tuple(gp[x] for x in p)  # g after p
+            if q not in moves:
+                moves[q] = tuple(gpi[x] for x in moves[p])
+                todo.append(q)
+    return moves
+
+
+def intersection_poset(arr: Arrangement) -> IntersectionPoset:
+    """Close the maximal elements under intersection and order the distinct
+    sets by inclusion.
+
+    g permutes the maximal elements by pi_g (`_element_moves`), and a node
+    is the intersection of its support, so g . node is the node with
+    support pi_g(support).  So one node per orbit meets the elements, by
+    the integer stage-one form of the meet, and only a form not seen yet
+    gets the cone work of stage two.  The meets that give the node itself
+    make its exact support; the rest of its orbit is one node per distinct
+    pi_g(support), moved from it by g (stage one only).  Then the closure
+    from the maximal elements is replayed on masks to number the nodes:
+    the meet of node i and element m is the node of fewest support bits
+    among those whose support holds support[i] | m (the intersection of
+    that mask), a new one labelled meet<number>.  The order follows from
+    the supports (see IntersectionPoset).
     """
-    nodes: list[HalfOpenSubspace] = []
-    support: list[int] = []
-    # stage-one integer key -> node; holds the key of every node and of
-    # every meet looked up so far
-    by_key: dict = {}
+    elems = arr.maximal_elements
+    nmax, dim = len(elems), arr.ambient_dim
+    # stage-one key of every node and of every meet seen -> node
+    known: dict = {}
+    for k, s in enumerate(elems):
+        if known.setdefault(s.key(), k) != k:
+            raise ValueError(f"maximal elements {known[s.key()]} and {k} "
+                             "are the same set")
+    moves = _element_moves(arr, known)
+    sets, support = list(elems), [1 << k for k in range(nmax)]
+    by_support: dict = {}  # exact support -> node
 
     def add(s: HalfOpenSubspace, mask: int) -> int:
-        by_key[s.key()] = len(nodes)
-        nodes.append(s)
+        known[s.key()] = len(sets)
+        sets.append(s)
         support.append(mask)
-        return len(nodes) - 1
+        return len(sets) - 1
 
-    for k, s in enumerate(arr.maximal_elements):
-        if s.key() in by_key:
-            raise ValueError(f"maximal elements {by_key[s.key()]} and {k} "
-                             "are the same set")
-        add(s, 1 << k)
-    # maximal element k is node k, so bit m of a mask stands for node m
-    maximal_ids = list(range(len(nodes)))
-    by_mask: dict[int, int] = {}
-    queue = deque(maximal_ids)
-    while queue:
-        i = queue.popleft()
-        a = nodes[i]
-        for m in maximal_ids:
-            if support[i] >> m & 1:
-                continue
-            mask = support[i] | 1 << m
-            j = by_mask.get(mask)
-            if j is None:
-                b = nodes[m]
+    def settle(r: int) -> None:
+        # a new meet is settled at once (depth first): the only orbits not
+        # complete meanwhile are those of the nodes being settled, which lie
+        # strictly above the meet, and no node lies strictly below a node
+        # of its own orbit; so a meet not found by key is a new node
+        a = sets[r]
+        for m, b in enumerate(elems):
+            if not support[r] >> m & 1:
                 raw = _reduce(b.rows, a.inequalities + b.inequalities, a.rows)
-                j = by_key.get(raw)
+                j = known.get(raw)
                 if j is None:
-                    s = _settle_cone(HalfOpenSubspace(
-                        *raw, arr.ambient_dim, f"meet{len(nodes)}"))
-                    j = by_key.get(s.key())
+                    s = _settle_cone(HalfOpenSubspace(*raw, dim))
+                    j = known.get(s.key())
                     if j is None:
-                        j = add(s, mask)
-                        queue.append(j)
-                    by_key[raw] = j
-                by_mask[mask] = j
-            support[j] |= mask
+                        j = add(s, support[r] | 1 << m)
+                        settle(j)
+                    known[raw] = j
+                if j == r:
+                    support[r] |= 1 << m
+        by_support[support[r]] = r
+        for g in arr.group.elements:
+            pi = moves[g.perm]
+            mask = _move_mask(pi, support[r])
+            if mask not in by_support:
+                j = pi[r] if r < nmax else add(HalfOpenSubspace(
+                    *_moved_form(g, a), dim), mask)
+                support[j] = mask
+                by_support[mask] = j
+
+    for k in range(nmax):  # one element per orbit of elements
+        if by_support.get(support[k]) != k:
+            settle(k)
+    # in order of support size, the lowest bit of a set of nodes is the
+    # node of fewest support bits; holds[m] has bit p when element m
+    # contains node order[p]
+    order = sorted(range(len(sets)), key=lambda i: support[i].bit_count())
+    holds = [sum(1 << p for p, i in enumerate(order) if support[i] >> m & 1)
+             for m in range(nmax)]
+    bfs = list(range(nmax))
+    numbered = set(bfs)
+    for i in bfs:
+        below = -1
+        for m in range(nmax):
+            if support[i] >> m & 1:
+                below &= holds[m]
+        for h in holds:
+            c = below & h  # lowest bit: the meet with that element
+            j = order[(c & -c).bit_length() - 1]
+            if j not in numbered:
+                numbered.add(j)
+                bfs.append(j)
+    support = [support[j] for j in bfs]
     # i <= j exactly when support[j] <= support[i]; distinct nodes have
     # distinct supports, so this is strict containment
-    n = len(nodes)
+    n = len(bfs)
     above = [[j for j in range(n) if j != i and not support[j] & ~support[i]]
              for i in range(n)]
     # the covers of i are the members of above[i] with inclusion-maximal
@@ -496,9 +549,10 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
             if all(support[j] & ~support[c] for c in covers):
                 covers.append(j)
         hasse.extend((i, j) for j in covers)
-    poset_nodes = [PosetNode(i, s, s.dim, s.label or f"node{i}")
-                   for i, s in enumerate(nodes)]
-    poset = IntersectionPoset(poset_nodes, maximal_ids, support, above,
-                              sorted(hasse), arr)
-    poset._by_key = by_key
-    return poset
+    poset_nodes = []
+    for i, j in enumerate(bfs):
+        s = sets[j] if j < nmax else sets[j].relabel(f"meet{i}")
+        poset_nodes.append(PosetNode(i, s, s.dim, s.label or f"node{i}"))
+    return IntersectionPoset(
+        poset_nodes, list(range(nmax)), support, above, sorted(hasse), arr,
+        _moves=moves, _by_support={s: i for i, s in enumerate(support)})

@@ -10,13 +10,15 @@ Only used in tests, as an oracle for the support masks that
 `intersection_poset` orders its nodes by.  `rational_closure` is the
 closure loop the package ran when it keyed meets by rational forms; it
 is the oracle for the node order, labels and supports of the poset.
+`moved_nodes` is the route `act_node` took before it moved support masks:
+the node's rows moved by the group element and looked up by key.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from fanpart.arrangement import contains_set
+from fanpart.arrangement import _moved_form, contains_set
 
 import canonical_oracle
 
@@ -42,6 +44,13 @@ def supports(poset) -> list[int]:
     return [sum(1 << k for k, big in enumerate(tops)
                 if contains_set(big, nd.subspace))
             for nd in poset.nodes]
+
+
+def moved_nodes(poset, g) -> list[int]:
+    """g . node i for every node i: the integer stage-one form of node i
+    moved by g (`arrangement._moved_form`), looked up among the node keys."""
+    index = {nd.subspace.key(): nd.index for nd in poset.nodes}
+    return [index[_moved_form(g, nd.subspace)] for nd in poset.nodes]
 
 
 def equal_dimension_pairs(poset, above) -> list[tuple[int, int]]:

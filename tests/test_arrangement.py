@@ -6,7 +6,7 @@ import pytest
 
 from fanpart.arrangement import (Arrangement, HalfOpenSubspace, cached_kernel,
                                  cone_feasible, cone_implies,
-                                 contains_set, h1_form, h2_form, intersect,
+                                 contains_set, h1_form, h2_form,
                                  intersection_poset, k_form, make_J_pieces,
                                  make_L_alpha, make_subspace, ones_form,
                                  orbit_closure, transform)
@@ -276,13 +276,19 @@ def test_main_case_spine():
         assert len(poset.elements_above(nd.index)) == 5
     assert any(poset.act_node(eab, nd.index) == nd.index for nd in spine_nodes)
     # property (ii): the special five-fold intersection is eps^{a+b}-stable
-    i_node = intersect(
-        intersect(l1, transform(group, eab, l1)),
-        intersect(l2, intersect(transform(group, g_a_j(group, a), l1),
-                                transform(group, g_2abj(group, a, b), l1))))
+    i_node = intersect(l1, transform(group, eab, l1), l2,
+                       transform(group, g_a_j(group, a), l1),
+                       transform(group, g_2abj(group, a, b), l1))
     assert i_node.is_linear
     assert i_node.dim == n - 5
     assert transform(group, eab, i_node).key() == i_node.key()
+
+
+def intersect(*sets):
+    """The intersection of subspaces of one ambient space, canonical."""
+    return make_subspace([r for s in sets for r in s.rows],
+                         [q for s in sets for q in s.inequalities],
+                         sets[0].ambient_dim)
 
 
 def g_a_j(group, a):
@@ -345,6 +351,23 @@ def test_poset_makes_no_containment_tests(main_data, monkeypatch):
     poset = intersection_poset(arr)
     assert len(poset.nodes) == 59
     assert calls == []
+
+
+def test_poset_refuses_arrangement_not_invariant(main_data):
+    # the (1, 2) arrangement with one maximal element dropped: the element
+    # a generator moves onto it leaves the arrangement, and the poset names
+    # it
+    data = main_data(6, 1, 2)
+    group = data["group"]
+    elems = data["poset"].arrangement.maximal_elements
+    dropped = elems[3]
+    kept = elems[:3] + elems[4:]
+    k, g = next((k, g) for g in group.generators for k, s in enumerate(kept)
+                if transform(group, g, s).key() == dropped.key())
+    with pytest.raises(ValueError, match="leaves the arrangement") as err:
+        intersection_poset(Arrangement(kept, group, 6))
+    assert f"maximal element {k} ({kept[k].label}) moved by {g!r}" \
+        in str(err.value)
 
 
 def test_poset_rejects_repeated_maximal_element():
@@ -458,6 +481,39 @@ def test_transform_makes_no_cone_test(fixture_data, main_data, case,
             transform(group, g, nd.subspace)
 
 
+def _assert_act_node_matches_key_route(group, poset):
+    for g in group.elements:
+        assert [poset.act_node(g, nd.index) for nd in poset.nodes] \
+            == poset_oracle.moved_nodes(poset, g)
+
+
+@pytest.mark.parametrize("case", POSET_CASES)
+def test_act_node_matches_key_route(fixture_data, main_data, case):
+    _assert_act_node_matches_key_route(
+        *_case_poset(fixture_data, main_data, case))
+
+
+@pytest.mark.slow
+def test_act_node_matches_key_route_n10_23(main_data):
+    data = main_data(10, 2, 3)
+    _assert_act_node_matches_key_route(data["group"], data["poset"])
+
+
+def test_act_node_makes_no_elimination(main_data, monkeypatch):
+    import fanpart.arrangement as arrangement
+    data = main_data(8, 1, 3)
+
+    def refuse(*args):
+        raise AssertionError("act_node ran an elimination")
+
+    for name in ("_moved_form", "_reduce", "echelon"):
+        monkeypatch.setattr(arrangement, name, refuse)
+    poset = data["poset"]
+    images = {poset.act_node(g, nd.index)
+              for g in data["group"].elements for nd in poset.nodes}
+    assert images == set(range(len(poset.nodes)))
+
+
 @pytest.mark.parametrize("case", POSET_CASES)
 def test_kernel_read_off_pivots(fixture_data, main_data, case):
     # the carrier basis is the RREF kernel with each vector scaled to
@@ -569,11 +625,11 @@ def test_implicit_equalities_tests_an_opposite_pair_once(monkeypatch):
 
 def _count_poset_work(monkeypatch, arr):
     """Run intersection_poset with no Fraction RREF allowed, counting the
-    stage-one reductions, the settled forms and the promotions among
-    them."""
+    stage-one reductions, the moves of a subspace by a group element
+    among them, the settled forms and the promotions among those."""
     import fanpart.arrangement as arrangement
     import fanpart.exactlin as exactlin
-    count = dict.fromkeys(("reduce", "settle", "promoted"), 0)
+    count = dict.fromkeys(("reduce", "moved", "settle", "promoted"), 0)
 
     def counted(key, fn):
         def run(*args):
@@ -597,6 +653,8 @@ def _count_poset_work(monkeypatch, arr):
     monkeypatch.setattr(arrangement, "_reduce",
                         counted("reduce", arrangement._reduce))
     monkeypatch.setattr(arrangement, "_settle_cone", counted_settle)
+    monkeypatch.setattr(arrangement, "_moved_form",
+                        counted("moved", arrangement._moved_form))
     poset = intersection_poset(arr)
     monkeypatch.undo()
     return poset, count
@@ -621,9 +679,19 @@ def test_poset_matches_rational_closure(fixture_data, main_data, case,
 
 @pytest.mark.slow
 def test_poset_matches_rational_closure_n10_23(main_data, monkeypatch):
-    arr = main_data(10, 2, 3)["poset"].arrangement
+    data = main_data(10, 2, 3)
+    arr = data["poset"].arrangement
     poset, count = _count_poset_work(monkeypatch, arr)
     _assert_poset_matches_rational_closure(arr, poset)
-    # 3781 of the 6400 (node, element) pairs miss the mask lookup; 281 of
-    # their stage-one forms are new, 60 of those promote an equality
-    assert count == {"reduce": 3781 + 60, "settle": 281, "promoted": 60}
+    # only one node of each of the 24 orbits meets the 25 elements, 518
+    # meets in all; 30 of their stage-one forms are new, 8 of those promote
+    # an equality.  The moves are the 2 x 25 of the generators on the
+    # elements and one per node of an orbit other than its representative
+    # (209 of the 231 that are no element)
+    orbits = {min(poset.act_node(g, nd.index) for g in data["group"].elements)
+              for nd in poset.nodes}
+    meets = count["reduce"] - count["moved"] - count["promoted"]
+    assert len(orbits) == 24 and len(arr.maximal_elements) == 25
+    assert meets == 518 <= len(orbits) * len(arr.maximal_elements)
+    assert count == {"reduce": 518 + 259 + 8, "moved": 2 * 25 + 209,
+                     "settle": 30, "promoted": 8}
