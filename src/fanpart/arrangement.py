@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 from .exactlin import (Vec, echelon, echelon_rationals, integer_form,
                        integer_kernel, integer_rows, is_zero_vec,
                        leading_column, primitive_row, reduce_row)
-from .groups import ActionGroup, GroupElement
+from .groups import ActionGroup, GroupElement, distinct_actions
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +320,14 @@ class Arrangement:
 def orbit_closure(group: ActionGroup,
                   seeds: Sequence[HalfOpenSubspace]) -> Arrangement:
     """Minimal group-invariant arrangement containing the seeds, with
-    containment-redundant images pruned."""
+    containment-redundant images pruned.  Each seed is moved once per
+    distinct permutation, by the first element that acts by it, which
+    names the image."""
     images: dict = {}
     for s in seeds:
         if s.ambient_dim != group.ambient_dim:
             raise ValueError("seed does not live in the group's ambient space")
-        for g in group.elements:
+        for g in distinct_actions(group):
             form = _moved_form(g, s)
             if form not in images:
                 images[form] = HalfOpenSubspace(*form, s.ambient_dim,
@@ -415,10 +417,15 @@ class IntersectionPoset:
 
 def _move_mask(pi: Sequence[int], mask: int) -> int:
     """A support mask moved by pi: bit k goes to bit pi[k]."""
-    out = 0
+    return sum(1 << pi[k] for k in _bit_list(mask))
+
+
+def _bit_list(mask: int) -> list[int]:
+    """The positions of the set bits of a mask, in increasing order."""
+    out = []
     while mask:
         low = mask & -mask
-        out |= 1 << pi[low.bit_length() - 1]
+        out.append(low.bit_length() - 1)
         mask ^= low
     return out
 
@@ -473,6 +480,7 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
             raise ValueError(f"maximal elements {known[s.key()]} and {k} "
                              "are the same set")
     moves = _element_moves(arr, known)
+    actions = distinct_actions(arr.group)
     sets, support = list(elems), [1 << k for k in range(nmax)]
     by_support: dict = {}  # exact support -> node
 
@@ -502,7 +510,7 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
                 if j == r:
                     support[r] |= 1 << m
         by_support[support[r]] = r
-        for g in arr.group.elements:
+        for g in actions:
             pi = moves[g.perm]
             mask = _move_mask(pi, support[r])
             if mask not in by_support:
@@ -514,6 +522,9 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
     for k in range(nmax):  # one element per orbit of elements
         if by_support.get(support[k]) != k:
             settle(k)
+    # the recursive closure refers to itself: without this the cycle keeps
+    # it and every table it reads alive until the cyclic collector runs
+    del settle
     # in order of support size, the lowest bit of a set of nodes is the
     # node of fewest support bits; holds[m] has bit p when element m
     # contains node order[p]
@@ -534,11 +545,19 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
                 numbered.add(j)
                 bfs.append(j)
     support = [support[j] for j in bfs]
-    # i <= j exactly when support[j] <= support[i]; distinct nodes have
-    # distinct supports, so this is strict containment
+    # i <= j exactly when support[j] <= support[i]: j lies in no element
+    # outside support[i].  Distinct nodes have distinct supports, so this
+    # is strict containment once i itself is taken out
     n = len(bfs)
-    above = [[j for j in range(n) if j != i and not support[j] & ~support[i]]
-             for i in range(n)]
+    inside = [sum(1 << i for i in range(n) if support[i] >> m & 1)
+              for m in range(nmax)]
+    above = []
+    for i in range(n):
+        bits = ((1 << n) - 1) ^ (1 << i)
+        for m in range(nmax):
+            if not support[i] >> m & 1:
+                bits &= ~inside[m]
+        above.append(_bit_list(bits))
     # the covers of i are the members of above[i] with inclusion-maximal
     # support; in order of decreasing support size, every member whose
     # support lies in a larger one is dominated by a cover already found

@@ -48,34 +48,52 @@ class OrientedGeneratorAction:
         return Matrix([[-x for x in row] for row in m.entries])
 
 
-def _page_image(group: ActionGroup, zz: ZZBasis, g: GroupElement,
-                wall: WallNode, elem: int) -> tuple[int, int, int, int]:
-    """Image data of the representative cone of `elem` at `wall` under g:
-    (target wall node, target element, target side, orientation sign),
-    read off the integer frames of the two walls."""
+def _wall_pages(zz: ZZBasis, g: GroupElement, wall: WallNode) -> dict:
+    """Image data of the representative cone of every sheet of `wall`
+    under g: sheet -> (target wall node, target element, target side,
+    orientation sign), read off the integer frames of the two walls.
+
+    The frame [g spine, g ray] in [spine2, ray2] is block triangular:
+    g spine lies in span(spine2), on which the target sheet's wall form
+    phi2 vanishes.  So its determinant is det(g spine in spine2) times
+    phi2(g ray) / phi2(ray2), and the spine sign is taken once per wall.
+    Each sheet checks that g ray lies in its target sheet's carrier and
+    that the ray factor is positive."""
     poset = zz.poset
     v2 = poset.act_node(g, wall.node)
     wall2 = zz.wall_by_node.get(v2)
     if wall2 is None:
         raise UnsupportedArrangement(
             f"image node {v2} of walls under {g!r} carries no wall table")
-    e2 = poset.act_node(g, elem)
-    gray = act(g, wall.rays[(elem, wall.rep_side[elem])])
-    side2 = sign(integer_dot(wall2.functionals[e2], gray))
-    if side2 == 0:
-        raise UnsupportedArrangement("transported ray landed on the wall")
-    if (e2, side2) not in wall2.rays:
-        raise UnsupportedArrangement(
-            "transported cone left its half-subspace; image not expressible")
-    num, _ = frame_det([act(g, v) for v in wall.spine_basis] + [gray],
-                       wall2.spine_basis + [wall2.rays[(e2, side2)]])
-    return v2, e2, side2, sign(num)
+    spine_sign = transport_sign(g, wall.spine_basis, wall2.spine_basis) \
+        if wall.spine_basis else 1
+    pages = {}
+    for e in wall.elements:
+        e2 = poset.act_node(g, e)
+        gray = act(g, wall.rays[(e, wall.rep_side[e])])
+        if any(integer_dot(r, gray) for r in poset.nodes[e2].subspace.rows):
+            raise ValueError(
+                "transported ray is not in the carrier of its image sheet")
+        phi2 = wall2.functionals[e2]
+        side2 = sign(integer_dot(phi2, gray))
+        if side2 == 0:
+            raise UnsupportedArrangement("transported ray landed on the wall")
+        ray2 = wall2.rays.get((e2, side2))
+        if ray2 is None:
+            raise UnsupportedArrangement(
+                "transported cone left its half-subspace; image not "
+                "expressible")
+        if sign(integer_dot(phi2, ray2)) != side2:
+            raise UnsupportedArrangement(
+                "ray factor of a transported frame is not positive")
+        pages[e] = (v2, e2, side2, spine_sign)
+    return pages
 
 
 def _wall_gen_image(zz: ZZBasis, wall: WallNode, elem: int,
                     pages: dict) -> dict:
     """Image of the generator C(elem) - C(base) as basis coordinates;
-    `pages` maps each sheet of the wall to its `_page_image`."""
+    `pages` maps each sheet of the wall to its image (`_wall_pages`)."""
     base = wall.elements[0]
     cone_coeff: dict[int, int] = {}
     top_coeff: dict[int, int] = {}
@@ -121,14 +139,14 @@ def _top_gen_image(zz: ZZBasis, g: GroupElement, node: int) -> dict:
 def induced_action(group: ActionGroup, zz: ZZBasis) -> OrientedGeneratorAction:
     """Plain-action matrices of every group element on the basis.
 
-    Under each element the page image of every sheet of a wall is computed
-    once, when the first generator on that wall needs it: the base sheet
+    Under each element the images of the sheets of a wall are computed
+    once, when the first generator on that wall needs them: the base sheet
     enters the image of every generator on the wall, and every other sheet
     is a generator."""
     r = zz.rank
     matrices = {}
     for g in group.elements:
-        pages: dict = {}          # wall node -> sheet -> _page_image
+        pages: dict = {}          # wall node -> `_wall_pages`
         cols = []
         for gen in zz.generators:
             if gen.kind == "top":
@@ -136,9 +154,7 @@ def induced_action(group: ActionGroup, zz: ZZBasis) -> OrientedGeneratorAction:
             else:
                 wall = zz.wall_by_node[gen.node]
                 if gen.node not in pages:
-                    pages[gen.node] = {
-                        e: _page_image(group, zz, g, wall, e)
-                        for e in wall.elements}
+                    pages[gen.node] = _wall_pages(zz, g, wall)
                 img = _wall_gen_image(zz, wall, gen.element, pages[gen.node])
             col = [0] * r
             for idx, c in img.items():

@@ -159,6 +159,15 @@ def cyclic_shift_group(m: int, N: int, shift_spec: tuple[int, ...]) -> ActionGro
     return group
 
 
+def distinct_actions(group: ActionGroup) -> list[GroupElement]:
+    """The first element of each distinct permutation, in group order: one
+    element per distinct action on R^N."""
+    firsts: dict = {}
+    for g in group.elements:
+        firsts.setdefault(g.perm, g)
+    return list(firsts.values())
+
+
 def det_character(g: GroupElement) -> int:
     """Determinant of the action matrix: the sign of the permutation."""
     cycles = _cycle_lengths(g.perm)

@@ -9,8 +9,9 @@ torsion property of the final class) is computed exactly and recorded; a
 failed identity downgrades the verdict to inconclusive and names the check.
 Where an image simplex meets an element, the dimension of the meeting locus
 is decided exactly, by elimination and Fourier-Motzkin (`meeting_locus`).
-Steps 2-3 read one census (`arc_census`) that decides each distinct image
-simplex against each element once.
+Steps 2-3 read one census core (`_census`): each distinct image simplex
+is decided once against each seed piece (`arc_census`), and once per
+group orbit of (simplex, maximal element) pairs (`orbit_census`).
 
 The certificate is built in two stages.  Steps 1-6 (`_prepare`: group,
 pieces, vertex map, censuses, arrangement, poset, preimage cells, homology
@@ -27,12 +28,14 @@ from copy import deepcopy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .exactlin import (Vec, determinant, dot, echelon, frame_det,
                        from_columns, integer_dot, integer_kernel,
                        scaled_points, sign, vec)
-from .groups import ActionGroup, GroupElement, act, quaternion_on_Wn
+from .groups import (ActionGroup, GroupElement, act, distinct_actions,
+                     quaternion_on_Wn)
 from .arrangement import (HalfOpenSubspace, IntersectionPoset, _check_params,
                           _fm_feasible, _restrict, implicit_equalities,
                           intersection_poset, k_form, make_J_pieces,
@@ -94,22 +97,14 @@ class SphereComplex:
         """Image cell, or None when the image is not an (a-arc, b-arc) cell
         in the standard listing (j swaps the families)."""
         imgs = [self.act_vertex(g, v) for v in self.cell_vertices(cell)]
-        a_part = sorted(i for fam, i in imgs if fam == "a")
-        b_part = sorted(i for fam, i in imgs if fam == "b")
-        if len(a_part) != 2 or len(b_part) != 2:
-            return None
-        def arc_start(pair):
-            lo, hi = pair
-            if hi == lo + 1:
-                return lo
-            if lo == 1 and hi == 2 * self.n:
-                return 2 * self.n
-            return None
-        i2 = arc_start(tuple(a_part))
-        j2 = arc_start(tuple(b_part))
-        if i2 is None or j2 is None:
-            return None
-        return (i2, j2)
+        starts = []
+        for fam in ("a", "b"):
+            arc = {i for f, i in imgs if f == fam}
+            start = [i for i in arc if self._idx(i + 1) in arc]
+            if len(arc) != 2 or len(start) != 1:
+                return None
+            starts.append(start[0])
+        return tuple(starts)
 
     def fundamental_cells(self) -> list[tuple[int, int]]:
         return [(i, 1) for i in range(1, self.n + 1)]
@@ -156,12 +151,14 @@ def define_h(n: int) -> GeneralPositionMap:
 
 
 def check_equivariance(h: GeneralPositionMap, group: ActionGroup) -> bool:
-    image = {v: h.vertex_image(v) for v in h.sphere.vertices()}
-    for g in group.elements:
-        for v, p in image.items():
-            if act(g, p) != image[h.sphere.act_vertex(g, v)]:
-                return False
-    return True
+    """g h(v) = h(g v) for every vertex v and every element g, on the
+    vertex images scaled to integers by one positive factor (the points
+    n u_k)."""
+    verts = h.sphere.vertices()
+    _, points = scaled_points([h.vertex_image(v) for v in verts])
+    image = dict(zip(verts, map(tuple, points)))
+    return all(act(g, p) == image[h.sphere.act_vertex(g, v)]
+               for g in group.elements for v, p in image.items())
 
 
 # ---------------------------------------------------------------------------
@@ -175,15 +172,12 @@ def arc_points(i: int, j: int, n: int) -> list[Vec]:
             u_vector(j, n), u_vector(j + 1, n)]
 
 
-def meeting_locus(points: Sequence[Vec], element: HalfOpenSubspace,
-                  images: Optional[Sequence[Sequence[int]]] = None
+def meeting_locus(points: Sequence[Vec], element: HalfOpenSubspace
                   ) -> Optional[tuple[int, Optional[Vec], Optional[Vec]]]:
     """Where conv(points) meets the element: None if nowhere, else
     (dim, lam, pt) with dim the exact dimension of the meeting locus and,
     when dim == 0, the barycentric coordinates lam and the ambient point pt
-    of its one point.  `images`, if known, are the products E p of the
-    element's integer `rows` E with the points, all scaled to integers by
-    one positive factor.
+    of its one point.
 
     Every element is a cone through 0, so the points may be scaled by their
     common denominator D without changing lam or any sign.  The solutions
@@ -195,18 +189,19 @@ def meeting_locus(points: Sequence[Vec], element: HalfOpenSubspace,
     constraints hold with equality on all of it; those implicit equalities
     fix its dimension, which is one more than the locus's.
     """
-    return _scaled_locus(*scaled_points(points), element, images)
+    den, P = scaled_points(points)
+    return _scaled_locus(den, P, element, [[integer_dot(r, p) for r in
+                                            element.rows] for p in P])
 
 
 def _scaled_locus(den: int, P: Sequence[Sequence[int]],
                   element: HalfOpenSubspace,
-                  images: Optional[Sequence[Sequence[int]]]
+                  images: Sequence[Sequence[int]]
                   ) -> Optional[tuple[int, Optional[Vec], Optional[Vec]]]:
-    """meeting_locus of the points P / den, given as the integer points P
-    and their positive denominator den."""
+    """meeting_locus of the points P / den, given as the integer points P,
+    their positive denominator den and the products E p of the element's
+    integer `rows` E with them."""
     m = len(P)
-    if images is None:
-        images = [[integer_dot(r, p) for r in element.rows] for p in P]
     rows, pivots = echelon([list(r) + [0] for r in zip(*images)]
                            + [[1] * m + [-1]])
     if m in pivots:
@@ -252,22 +247,57 @@ def arc_census(n: int, elements: Sequence[HalfOpenSubspace]
                ) -> dict[tuple[int, int], list]:
     """meeting_locus of each distinct image simplex with each element:
     (i, j) -> one result per element, for the u-arcs 1 <= i <= j <= n, with
-    the points in the order of arc_points(i, j, n), duplicates included.
-    The points are handed over scaled by their denominator n, as the
-    integer points n u_k = n e_k - 1, and the products E (n u_k) =
-    n E e_k - E 1 with the integer rows E of an element are formed once
-    per distinct E."""
+    the points in the order of arc_points(i, j, n), duplicates included."""
+    return _census(n, elements, [(k, [None]) for k in range(len(elements))])
+
+
+def orbit_census(n: int, poset: IntersectionPoset
+                 ) -> dict[tuple[int, int], list]:
+    """arc_census of the poset's maximal elements, decided on one element
+    r per group orbit: conv(P) meets g . r where g moves the meeting of
+    conv(g^-1 P) and r, and g^-1 moves the point ids by `g.source`
+    (g n u_k = n u_perm[k])."""
+    movers, reps, columns = distinct_actions(poset.arrangement.group), [], {}
+    for m in poset.maximal_node_ids:
+        if m not in columns:
+            reps.append(poset.nodes[m].subspace)
+            for g in movers:
+                columns.setdefault(poset.act_node(g, m),
+                                   (len(reps) - 1, []))[1].append(g)
+    return _census(n, reps, [columns[m] for m in poset.maximal_node_ids])
+
+
+def _census(n: int, reps: Sequence[HalfOpenSubspace], columns: list
+            ) -> dict[tuple[int, int], list]:
+    """The census of the columns (r, movers), each element g . reps[r] for
+    every g in movers (None: the identity).  A simplex is decided against
+    reps[r] as its point ids moved by the g^-1 that gives the least ids,
+    in order; so lam is unchanged, g moves the point back, and each group
+    orbit of (simplex, element) pairs is decided once.  The points go in
+    as n u_k = n e_k - 1 over n, with E (n u_k) = n E e_k - E 1 formed
+    once per distinct rows E."""
     nus = [[n * (c == k) - 1 for c in range(n)] for k in range(n)]
-    products = {E: [[n * r[k] - sum(r) for r in E] for k in range(n)]
-                for E in {e.rows for e in elements}}
-    images = [products[e.rows] for e in elements]
+    products = {e.rows: [[n * r[k] - sum(r) for r in e.rows]
+                         for k in range(n)] for e in reps}
+    memo: dict = {}
     census = {}
     for i in range(1, n + 1):
         for j in range(i, n + 1):
             ids = _arc_ids(i, j, n)
-            census[i, j] = [_scaled_locus(n, [nus[k] for k in ids], e,
-                                          [img[k] for k in ids])
-                            for e, img in zip(elements, images)]
+            census[i, j] = row = []
+            for r, movers in columns:
+                pulled, g = min(((tuple(ids if g is None else
+                                        map(g.source.__getitem__, ids)), g)
+                                 for g in movers), key=itemgetter(0))
+                if (r, pulled) not in memo:
+                    img = products[reps[r].rows]
+                    memo[r, pulled] = _scaled_locus(
+                        n, [nus[k] for k in pulled], reps[r],
+                        [img[k] for k in pulled])
+                hit = memo[r, pulled]
+                if g is not None and hit is not None and hit[0] == 0:
+                    hit = (0, hit[1], act(g, hit[2]))
+                row.append(hit)
     return census
 
 
@@ -293,11 +323,9 @@ def enumerate_L_intersections(h: GeneralPositionMap, n: int, a: int, b: int
 
 
 def expected_families(n: int, a: int, b: int) -> set[tuple[int, int]]:
-    fams = {(a, 2 * a + b)}
+    fams = {(a, 2 * a + b), (a, n), (2 * a + b, n)}
     fams.update((a, r) for r in range(2 * a + b + 1, n))
     fams.update((r, 2 * a + b) for r in range(1, a))
-    fams.add((a, n))
-    fams.add((2 * a + b, n))
     fams.update((r, n) for r in range(a + 1, 2 * a + b))
     return {(min(i, j), max(i, j)) for i, j in fams}
 
@@ -373,27 +401,22 @@ def preimage_simplices(h: GeneralPositionMap, poset: IntersectionPoset,
     # distinct k give distinct u_k, so sets of points are sets of indices
     special_sets = [frozenset(_arc_ids(*rho[key], n))
                     for key in ("rho1", "rho2")]
-    pairs = {}                    # (p, q) -> (degenerate, special)
-    for p in range(1, n + 1):
-        for q in range(1, n + 1):
-            ids = frozenset(_arc_ids(p, q, n))
-            pairs[p, q] = (len(ids) < 4, ids in special_sets)
-    elements = [poset.nodes[m].subspace for m in tops]
-    census = arc_census(n, elements)
+    census = orbit_census(n, poset)
     cells: dict[tuple[int, int], PreimageCell] = {}
     for cell in sphere.top_cells():
         p, q = h.cell_arcs(cell)
-        degenerate, special = pairs[p, q]
-        for m, elem, hit in zip(tops, elements, census[min(p, q), max(p, q)]):
+        ids = frozenset(_arc_ids(p, q, n))
+        for m, hit in zip(tops, census[min(p, q), max(p, q)]):
             if hit is None:
                 continue
-            if degenerate:
+            if len(ids) < 4:
                 raise GeneralPositionError(
                     f"degenerate cell {cell} meets element {m}")
             dim, lam, pt = hit
             if dim > 0:
+                label = poset.nodes[m].subspace.label
                 raise GeneralPositionError(
-                    f"simplex meets {elem.label or 'an element'} in a "
+                    f"simplex meets {label or 'an element'} in a "
                     f"{dim}-dimensional locus")
             if p > q:
                 # the census lists the arcs ascending; back to cell order
@@ -401,7 +424,8 @@ def preimage_simplices(h: GeneralPositionMap, poset: IntersectionPoset,
             if any(x == 0 for x in lam):
                 raise GeneralPositionError(
                     f"boundary intersection in cell {cell}")
-            rec = cells.setdefault(cell, PreimageCell(cell, [], [], special))
+            rec = cells.setdefault(cell, PreimageCell(
+                cell, [], [], ids in special_sets))
             rec.hits.append((m, lam, pt))
     sigma = (a + b, 1)
     sigma_images = [(g.word, sphere.act_cell(g, sigma)) for g in group.elements]
@@ -446,8 +470,7 @@ def generic_shift(n: int, k: int) -> Vec:
 
 def ambient_orientation_det(columns: Sequence[Vec], n: int) -> Fraction:
     """Determinant of the given columns together with the all-ones vector."""
-    cols = list(columns) + [vec([1] * n)]
-    return determinant(from_columns(cols))
+    return determinant(from_columns(list(columns) + [vec([1] * n)]))
 
 
 def _moved_point(elem: HalfOpenSubspace, point: Vec,
@@ -551,11 +574,8 @@ def pair_point_class(poset: IntersectionPoset, zz: ZZBasis,
 def _paired_sum(poset: IntersectionPoset, zz: ZZBasis,
                 pieces: Sequence[PointTerm], scale: int) -> list[int]:
     """scale times the sum of the pairing vectors of the point classes."""
-    out = [0] * zz.rank
-    for p in pieces:
-        for i, x in enumerate(pair_point_class(poset, zz, p)):
-            out[i] += scale * x
-    return out
+    vecs = [pair_point_class(poset, zz, p) for p in pieces]
+    return [scale * sum(c) for c in zip([0] * zz.rank, *vecs)]
 
 
 # ---------------------------------------------------------------------------
@@ -625,17 +645,13 @@ class ObstructionCertificate:
 
 def wall_node_of_point(poset: IntersectionPoset, zz: ZZBasis,
                        point: Vec) -> Optional[int]:
-    for w in zz.walls:
-        if poset.nodes[w.node].subspace.contains_point(point):
-            return w.node
-    return None
+    return next((w.node for w in zz.walls
+                 if poset.nodes[w.node].subspace.contains_point(point)), None)
 
 
 def simplex_direction_frame(points: Sequence[Vec]) -> tuple[Vec, Vec, Vec]:
     p0 = points[0]
-    return (tuple(x - y for x, y in zip(points[1], p0)),
-            tuple(x - y for x, y in zip(points[2], p0)),
-            tuple(x - y for x, y in zip(points[3], p0)))
+    return tuple(tuple(x - y for x, y in zip(p, p0)) for p in points[1:4])
 
 
 def v_disc(n: int, a: int, b: int) -> tuple[Vec, Vec, Vec]:
@@ -736,21 +752,15 @@ def proportionality_chain(poset: IntersectionPoset, zz: ZZBasis,
     eab = group.by_word(a + b)
     eaj = group.mul(group.by_word(a), group.by_word(0, 1))
     e2abj = group.mul(group.by_word(2 * a + b), group.by_word(0, 1))
-    targets = []
+    movers = (group.identity(), eab, eaj, e2abj)
     kf = k_form(n, a, b)
-    for g in (group.identity(), eab, eaj, e2abj):
-        targets.append(act(g, kf))   # pullback along g^-1: (g^-1)^T = g
+    targets = [act(g, kf) for g in movers]  # pullback along g^-1: (g^-1)^T = g
     # order the four half elements as L1*, eps^{a+b}L1*, eps^a j L1*,
     # eps^{2a+b} j L1* by transporting the seed
     l1, _ = make_J_pieces(n, a, b)
-    ordered = []
-    for g in (group.identity(), eab, eaj, e2abj):
-        img = transform(group, g, l1)
-        for e in wall.elements:
-            if poset.nodes[e].subspace.key() == img.key():
-                ordered.append(e)
-                break
-    if len(ordered) != 4:
+    sheets = {poset.nodes[e].subspace.key(): e for e in wall.elements}
+    ordered = [sheets.get(transform(group, g, l1).key()) for g in movers]
+    if None in ordered:
         return None
     evals = []
     for e, form in zip(ordered, targets):
@@ -859,9 +869,8 @@ def _prepare(n: int, a: int, b: int
         checks["all hits in the orbit of {v, w}"] = all(
             tuple(hit[2]) in orbit_pts for rec in pre for hit in rec.hits)
         fe = set(h.sphere.fundamental_cells())
-        fe_hits = [(rec.cell, hit) for rec in pre if rec.cell in fe
-                   for hit in rec.hits]
-        pts = {tuple(hit[2]) for _, hit in fe_hits}
+        pts = {tuple(hit[2]) for rec in pre if rec.cell in fe
+               for hit in rec.hits}
         checks["fundamental cell carries two intersection points"] = \
             len(pts) == 2
     except GeneralPositionError as e:
@@ -926,11 +935,8 @@ def _class_of_cocycle(cert: ObstructionCertificate, ctx: _Context,
         pieces, shift_used = decompose_with_retries(
             poset, zz, term.wall_node, term.point, term.disc,
             start=shift_used)
-        flip = 1
-        if term_flips is not None and t_i < len(term_flips):
-            flip = term_flips[t_i]
-        if global_flip:
-            flip = -flip
+        flip = term_flips[t_i] if term_flips and t_i < len(term_flips) else 1
+        flip = -flip if global_flip else flip
         F_total = [x + y for x, y in
                    zip(F_total, _paired_sum(poset, zz, pieces, flip))]
     cert.class_basis_coords = F_total

@@ -4,16 +4,19 @@ of the group action.
 `orientation_sign` takes the determinant of a group element on a stable
 carrier through its orthogonal complement; `join_sphere_sign` reads the
 sign a wall sphere picks up under an element that maps its pair of sheets
-to itself.  Only used in tests.
+to itself, from `page_image_by_frame`: the full (spine, ray) frame of one
+sheet against the target page, one `frame_det` per sheet.  Only used in
+tests.
 """
 
 from __future__ import annotations
 
 from fanpart.arrangement import HalfOpenSubspace
-from fanpart.coinvariants import _page_image, transport_sign
-from fanpart.exactlin import Matrix, dot, kernel_basis
+from fanpart.coinvariants import transport_sign
+from fanpart.exactlin import (Matrix, dot, frame_det, integer_dot,
+                              kernel_basis, sign)
 from fanpart.groups import ActionGroup, GroupElement, act, det_character
-from fanpart.homology import ZZBasis
+from fanpart.homology import WallNode, ZZBasis
 
 
 def orientation_sign(group: ActionGroup, g: GroupElement,
@@ -35,6 +38,22 @@ def orientation_sign(group: ActionGroup, g: GroupElement,
     return det_character(g) * comp_sign
 
 
+def page_image_by_frame(zz: ZZBasis, g: GroupElement, wall: WallNode,
+                        elem: int) -> tuple[int, int, int, int]:
+    """Image data of the representative cone of `elem` at `wall` under g,
+    (target wall node, target element, target side, orientation sign):
+    the sign of the whole frame [g spine, g ray] in [spine2, ray2]."""
+    poset = zz.poset
+    v2 = poset.act_node(g, wall.node)
+    wall2 = zz.wall_by_node[v2]
+    e2 = poset.act_node(g, elem)
+    gray = act(g, wall.rays[(elem, wall.rep_side[elem])])
+    side2 = sign(integer_dot(wall2.functionals[e2], gray))
+    num, _ = frame_det([act(g, v) for v in wall.spine_basis] + [gray],
+                       wall2.spine_basis + [wall2.rays[(e2, side2)]])
+    return v2, e2, side2, sign(num)
+
+
 def join_sphere_sign(group: ActionGroup, zz: ZZBasis, g: GroupElement,
                      node: int, elem_pair: tuple[int, int]) -> int:
     """Sign picked up by the wall sphere on (elem_pair) at `node` under a
@@ -42,7 +61,7 @@ def join_sphere_sign(group: ActionGroup, zz: ZZBasis, g: GroupElement,
     wall = zz.wall_by_node[node]
     images = {}
     for e in elem_pair:
-        v2, e2, side2, sgn = _page_image(group, zz, g, wall, e)
+        v2, e2, side2, sgn = page_image_by_frame(zz, g, wall, e)
         if v2 != node or e2 not in elem_pair or side2 != wall.rep_side[e2]:
             raise ValueError("element does not stabilize this wall sphere")
         images[e] = (e2, sgn)

@@ -330,6 +330,31 @@ def test_poset_order_matches_containment_main_cases(main_data, n, a, b):
     _assert_order_matches_oracle(main_data(n, a, b)["poset"])
 
 
+@pytest.mark.parametrize("n,a,b", [(6, 1, 2), (10, 2, 3)])
+def test_orbit_closure_moves_each_seed_once_per_permutation(n, a, b,
+                                                            monkeypatch):
+    # the 4n elements act through 2n permutations; the first element of
+    # each, in group order, still names the image
+    import fanpart.arrangement as ar
+    group = quaternion_on_Wn(n)
+    seeds = list(make_J_pieces(n, a, b))
+    calls = []
+    moved = ar._moved_form
+
+    def counting(g, s):
+        calls.append(g)
+        return moved(g, s)
+    monkeypatch.setattr(ar, "_moved_form", counting)
+    arr = orbit_closure(group, seeds)
+    assert len(calls) == len(seeds) * 2 * n
+    first: dict = {}
+    for s in seeds:
+        for g in group.elements:
+            first.setdefault(moved(g, s), f"{s.label}.{g!r}")
+    assert [e.label for e in arr.maximal_elements] == \
+        [first[e.key()] for e in arr.maximal_elements]
+
+
 @pytest.mark.slow
 def test_poset_order_matches_containment_n10_23():
     group = quaternion_on_Wn(10)

@@ -5,14 +5,17 @@ import pytest
 from fanpart.arrangement import (HalfOpenSubspace, intersection_poset,
                                  make_J_pieces, make_subspace, orbit_closure,
                                  transform)
-from fanpart.coinvariants import (dual_coinvariants, induced_action,
-                                  modified_coinvariants, transport_sign)
+from fanpart.coinvariants import (_wall_pages, dual_coinvariants,
+                                  induced_action, modified_coinvariants,
+                                  transport_sign)
 from fanpart.exactlin import (Matrix, determinant, dot, from_columns,
-                              kernel_basis, sign, solve_affine, vec)
+                              integer_dot, kernel_basis, sign, solve_affine,
+                              vec)
 from fanpart.groups import act, cyclic_shift_group, det_character, \
     quaternion_on_Wn
-from fanpart.homology import zz_basis
-from orientation_signs import join_sphere_sign, orientation_sign
+from fanpart.homology import UnsupportedArrangement, zz_basis
+from orientation_signs import (join_sphere_sign, orientation_sign,
+                               page_image_by_frame)
 
 
 # --- orientation signs, anchored to the worked examples ---------------------
@@ -125,6 +128,71 @@ def test_induced_action_is_representation(fixture_data, main_data):
             for h in group.elements:
                 assert action.matrix(g).mul(action.matrix(h)) == \
                     action.matrix(group.mul(g, h))
+
+
+@pytest.mark.parametrize("case", ["z4", "z8", (6, 1, 2), (8, 2, 2),
+                                  (8, 1, 3),
+                                  pytest.param((10, 2, 3),
+                                               marks=pytest.mark.slow)])
+def test_wall_signs_equal_the_full_frame_per_sheet(fixture_data, main_data,
+                                                   case):
+    # one spine sign per (element, wall), shared by the sheets, against
+    # the sign of each sheet's whole (spine, ray) frame (z8 has no walls)
+    data = fixture_data(case) if isinstance(case, str) else main_data(*case)
+    zz = data["zz"]
+    assert zz.walls or case == "z8"
+    for g in data["group"].elements:
+        for wall in zz.walls:
+            assert _wall_pages(zz, g, wall) == {
+                e: page_image_by_frame(zz, g, wall, e) for e in wall.elements}
+
+
+def test_induced_action_takes_one_frame_det_per_wall_and_top_node(
+        main_data, monkeypatch):
+    # |G| x (walls + top nodes) frame determinants; one per sheet took
+    # 24 x 18 = 432 at (6, 1, 2)
+    import fanpart.coinvariants as co
+    data = main_data(6, 1, 2)
+    group, zz = data["group"], data["zz"]
+    calls = []
+    frame_det = co.frame_det
+
+    def counting(*args):
+        calls.append(args)
+        return frame_det(*args)
+    monkeypatch.setattr(co, "frame_det", counting)
+    assert induced_action(group, zz).matrices == data["action"].matrices
+    assert len(calls) == group.order * (len(zz.walls) + len(zz.top_nodes)) \
+        == 144
+
+
+def test_wall_pages_check_each_ray(main_data):
+    # the ray factor phi2(g ray) / phi2(ray2) and the carrier of g ray are
+    # checked per sheet: a target ray on the wrong side of its wall, or a
+    # ray moved out of its sheet's carrier, is refused
+    data = main_data(6, 1, 2)
+    group, poset = data["group"], data["poset"]
+    zz = zz_basis(poset)              # tables of its own, edited below
+    g, wall, v2, e2, side2 = next(
+        (g, w, v2, e2, side2) for g in group.elements for w in zz.walls
+        for v2, e2, side2, _ in _wall_pages(zz, g, w).values()
+        if side2 != zz.wall_by_node[v2].rep_side[e2])
+    rays2 = zz.wall_by_node[v2].rays
+    ray2 = rays2[e2, side2]
+    rays2[e2, side2] = tuple(-x for x in ray2)
+    with pytest.raises(UnsupportedArrangement, match="ray factor"):
+        _wall_pages(zz, g, wall)
+    rays2[e2, side2] = ray2
+    e = wall.elements[0]
+    rows = poset.nodes[e].subspace.rows
+    n = len(ray2)
+    out = next(v for v in (tuple(int(c == k) - int(c == k + 1)
+                                 for c in range(n)) for k in range(n - 1))
+               if any(integer_dot(r, v) for r in rows))
+    ray = wall.rays[e, wall.rep_side[e]]
+    wall.rays[e, wall.rep_side[e]] = tuple(x + y for x, y in zip(ray, out))
+    with pytest.raises(ValueError, match="carrier"):
+        _wall_pages(zz, group.identity(), wall)
 
 
 def test_z8_relation_l_equals_minus_eps2_l(fixture_data):

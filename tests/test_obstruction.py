@@ -1,14 +1,15 @@
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
-from fanpart.arrangement import make_J_pieces, make_subspace
+from fanpart.arrangement import (Arrangement, intersection_poset,
+                                 make_J_pieces, make_subspace, transform)
 from fanpart.coinvariants import dual_coinvariants
 from fanpart.exactlin import (Matrix, dot, from_columns, kernel_basis,
                               scaled_points, sign, vec)
-from fanpart.groups import act, quaternion_on_Wn
+from fanpart.groups import act, cyclic_shift_group, quaternion_on_Wn
 from fanpart.obstruction import (CocycleTerm, GeneralPositionError,
+                                 GeneralPositionMap,
                                  ObstructionCertificate, ambient_orientation_det,
                                  arc_points, assemble_cocycle, build_sphere,
                                  check_equivariance, decompose_broken_class,
@@ -62,6 +63,17 @@ def test_vertex_map_values():
 @pytest.mark.parametrize("n", [4, 6])
 def test_vertex_map_equivariance(n):
     assert check_equivariance(define_h(n), quaternion_on_Wn(n))
+
+
+def test_vertex_map_equivariance_fails_on_one_moved_vertex():
+    # b_1 sent to u_1 instead of u_n: eps^k b_1 = b_{1+k} goes to u_k, not
+    # to eps^k u_1 = u_{1+k}
+    class Moved(GeneralPositionMap):
+        def vertex_image(self, v):
+            return super().vertex_image(("a", 1) if v == ("b", 1) else v)
+    n = 6
+    assert not check_equivariance(Moved(n, build_sphere(n)),
+                                  quaternion_on_Wn(n))
 
 
 # --- censuses ----------------------------------------------------------------
@@ -158,13 +170,35 @@ def test_vstar_and_wstar(main_data):
     assert pts_on_e == {tuple(hv), tuple(hw)}
 
 
+def _pair_orbits(n, group, poset):
+    """The group orbits of the pairs (point ids of a census simplex, in
+    their order; maximal element): g moves u_k to g u_k and an element to
+    the one with the key of its transform."""
+    us = [u_vector(k + 1, n) for k in range(n)]
+    index = {u: k for k, u in enumerate(us)}
+    tops = poset.maximal_node_ids
+    keys = {poset.nodes[m].subspace.key(): m for m in tops}
+    moves = [([index[act(g, u)] for u in us],
+              {m: keys[transform(group, g, poset.nodes[m].subspace).key()]
+               for m in tops}) for g in group.elements]
+    orbits = set()
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            ids = [(i - 1) % n, i % n, (j - 1) % n, j % n]
+            for m in tops:
+                orbits.add(frozenset((tuple(s[k] for k in ids), mv[m])
+                                     for s, mv in moves))
+    return orbits
+
+
 def test_census_decides_each_image_simplex_once(main_data, monkeypatch):
-    # n(n+1)/2 distinct image simplices, each decided once per element;
-    # the census hands its points over already scaled, so its decisions
-    # are counted on the routine under meeting_locus
+    # the preimage census decides each group orbit of pairs (simplex,
+    # maximal element) once, of the n(n+1)/2 distinct image simplices
+    # times the elements; the seed pieces are not invariant under the
+    # group and are decided once per simplex and piece.  The census hands
+    # its points over already scaled, so its decisions are counted on the
+    # routine under meeting_locus
     import fanpart.obstruction as ob
-    n, a, b = 6, 1, 2
-    data = main_data(n, a, b)
     calls = []
     locus = ob._scaled_locus
 
@@ -172,13 +206,32 @@ def test_census_decides_each_image_simplex_once(main_data, monkeypatch):
         calls.append(args)
         return locus(*args, **kwargs)
     monkeypatch.setattr(ob, "_scaled_locus", counting)
-    h = define_h(n)
-    preimage_simplices(h, data["poset"], n, a, b)
-    assert len(calls) == n * (n + 1) // 2 * len(data["poset"].maximal_node_ids)
-    assert len(calls) == 315
-    calls.clear()
-    intersect_with_Jpieces(h, data["l1"], data["l2"], n, a, b)
-    assert len(calls) == 3 * n * (n + 1) // 2 == 63
+    for n, a, b, decided in ((6, 1, 2, 90), (8, 1, 3, 160)):
+        data = main_data(n, a, b)
+        poset = data["poset"]
+        h = define_h(n)
+        calls.clear()
+        preimage_simplices(h, poset, n, a, b)
+        assert len(calls) == len(_pair_orbits(n, data["group"], poset)) \
+            == decided
+        assert decided < n * (n + 1) // 2 * len(poset.maximal_node_ids)
+        calls.clear()
+        intersect_with_Jpieces(h, data["l1"], data["l2"], n, a, b)
+        assert len(calls) == 3 * n * (n + 1) // 2
+
+
+@pytest.mark.parametrize("n,a,b", [(6, 1, 2), (8, 2, 2), (8, 1, 3),
+                                   pytest.param(10, 2, 3,
+                                                marks=pytest.mark.slow)])
+def test_orbit_census_equals_arc_census(main_data, n, a, b):
+    # one element per orbit, the simplex pulled back and the point moved,
+    # gives the direct census of every element: lam, pt and misses alike
+    from fanpart.obstruction import arc_census, orbit_census
+    poset = main_data(n, a, b)["poset"]
+    direct = arc_census(n, [poset.nodes[m].subspace
+                            for m in poset.maximal_node_ids])
+    assert orbit_census(n, poset) == direct
+    assert any(hit is not None for hits in direct.values() for hit in hits)
 
 
 @pytest.mark.parametrize("n,a,b", [(6, 1, 2), (8, 2, 2), (8, 1, 3)])
@@ -207,9 +260,10 @@ def test_preimage_hits_on_descending_arcs_in_cell_order():
     x = from_columns(arc_points(1, 3, n)).matvec(lam)
     y = vec([1, -3, 5, 2, -7, 2])
     plane = make_subspace(kernel_basis(Matrix([list(x), list(y)])), [], n)
-    poset = SimpleNamespace(
-        arrangement=SimpleNamespace(group=quaternion_on_Wn(n)),
-        maximal_node_ids=[0], nodes=[SimpleNamespace(subspace=plane)])
+    # the plane is not invariant under the quaternion group: its poset
+    # under the trivial group
+    trivial = cyclic_shift_group(1, n, tuple(range(1, n + 1)))
+    poset = intersection_poset(Arrangement([plane], trivial, n))
     pre = {rec.cell: rec for rec in preimage_simplices(h, poset, n, 1, 2)}
     assert h.cell_arcs((1, 4)) == (1, 3) and h.cell_arcs((3, 2)) == (3, 1)
     assert [hit[1] for hit in pre[1, 4].hits] == [lam]
