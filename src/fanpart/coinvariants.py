@@ -18,7 +18,8 @@ from typing import Iterable, Optional, Sequence
 
 from .exactlin import (Matrix, Vec, frame_det, integer_dot, sign,
                        smith_normal_form)
-from .groups import ActionGroup, GroupElement, act, det_character
+from .groups import (ActionGroup, GroupElement, act, det_character,
+                     distinct_actions)
 from .homology import UnsupportedArrangement, WallNode, ZZBasis
 
 
@@ -139,13 +140,15 @@ def _top_gen_image(zz: ZZBasis, g: GroupElement, node: int) -> dict:
 def induced_action(group: ActionGroup, zz: ZZBasis) -> OrientedGeneratorAction:
     """Plain-action matrices of every group element on the basis.
 
-    Under each element the images of the sheets of a wall are computed
-    once, when the first generator on that wall needs them: the base sheet
-    enters the image of every generator on the wall, and every other sheet
-    is a generator."""
+    A matrix reads g only through its permutation (`act`, `act_node`), so
+    it is computed once per distinct permutation (`distinct_actions`) and
+    shared by the elements that act alike.  Under each element the images
+    of the sheets of a wall are computed once, when the first generator on
+    that wall needs them: the base sheet enters the image of every
+    generator on the wall, and every other sheet is a generator."""
     r = zz.rank
-    matrices = {}
-    for g in group.elements:
+    by_perm = {}
+    for g in distinct_actions(group):
         pages: dict = {}          # wall node -> `_wall_pages`
         cols = []
         for gen in zz.generators:
@@ -160,9 +163,10 @@ def induced_action(group: ActionGroup, zz: ZZBasis) -> OrientedGeneratorAction:
             for idx, c in img.items():
                 col[idx] = c
             cols.append(col)
-        matrices[g.word] = Matrix([[cols[j][i] for j in range(r)]
-                                   for i in range(r)])
-    return OrientedGeneratorAction(group, zz, matrices)
+        by_perm[g.perm] = Matrix([[cols[j][i] for j in range(r)]
+                                  for i in range(r)])
+    return OrientedGeneratorAction(
+        group, zz, {g.word: by_perm[g.perm] for g in group.elements})
 
 
 @dataclass
@@ -234,8 +238,10 @@ def _coinvariants_of(matrices: Iterable[Matrix], r: int) -> CoinvariantGroup:
 def modified_coinvariants(action: OrientedGeneratorAction,
                           group: ActionGroup,
                           generators_only: bool = False) -> CoinvariantGroup:
-    """Quotient by the span of g*x - x for the determinant-twisted action."""
-    elements = group.generators if generators_only else group.elements
+    """Quotient by the span of g*x - x for the determinant-twisted action,
+    over one element per distinct permutation, or over the generators."""
+    elements = group.generators if generators_only \
+        else distinct_actions(group)
     return _coinvariants_of((action.modified_matrix(g) for g in elements),
                             action.basis.rank)
 
@@ -245,7 +251,10 @@ def dual_coinvariants(action: OrientedGeneratorAction,
     """Coinvariants of the dual module Hom(H, Z) with (g.F)(x) = F(g^-1 * x).
 
     The obstruction class naturally lives here; its coordinates are the
-    pairing values against the basis.
+    pairing values against the basis.  Elements that act alike have
+    inverses that act alike, so one element per distinct permutation gives
+    every relation, first met in group order.
     """
     return _coinvariants_of((action.modified_matrix(group.inv(g)).transpose()
-                             for g in group.elements), action.basis.rank)
+                             for g in distinct_actions(group)),
+                            action.basis.rank)

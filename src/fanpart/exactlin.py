@@ -5,9 +5,10 @@ up to a positive factor; no floating point anywhere.  Signs of
 determinants and half-space memberships must be bit-exact, so approximate
 arithmetic is not an option.
 
-The integer core (`echelon`, `integer_kernel`, `frame_det`, the Smith form)
-is the pipeline's one elimination route; `rref`, `solve_affine`,
-`kernel_basis` and `change_of_basis_det` are Fraction views the tests use.
+The integer core (`echelon`, `integer_kernel`, `frame_det`, `scaled_det`,
+the Smith form) is the pipeline's one elimination route; `rref`,
+`solve_affine`, `kernel_basis` and `change_of_basis_det` are Fraction views
+the tests use, and `determinant` serves the tests and the CLI selftest.
 """
 
 from __future__ import annotations
@@ -118,13 +119,20 @@ class Matrix:
                        for j in range(self.cols)])
 
     def mul(self, other: "Matrix") -> "Matrix":
-        """Fraction-free product: every row of self and every column of
-        other is scaled to integers, the integers are multiplied, and each
-        entry is divided by its two scales once."""
+        """Fraction-free product.  Two factors that have entries, all of
+        them int, give the int product of their rows and columns.
+        Otherwise every row of self and every column of other is scaled to
+        integers, the integers are multiplied, and each entry is divided by
+        its two scales once, as a Fraction."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        cols = [_integer_row(c) for c in
-                (zip(*other.entries) if other.rows else [()] * other.cols)]
+        cols = list(zip(*other.entries)) if other.rows else [()] * other.cols
+        if self.cols and all(type(x) is int for m in (self, other)
+                             for row in m.entries for x in row):
+            return Matrix._wrap(tuple(
+                tuple(integer_dot(a, b) for b in cols)
+                for a in self.entries), other.cols)
+        cols = list(map(_integer_row, cols))
         return Matrix._wrap(tuple(
             tuple(Fraction(integer_dot(a, b), da * db)
                   for db, b in cols)
@@ -313,6 +321,16 @@ def determinant(m: Matrix) -> Fraction:
         scale *= den
         a.append(ints)
     return Fraction(_bareiss(a), scale)
+
+
+def scaled_det(vectors: Sequence[Sequence]) -> int:
+    """The determinant of the square matrix with the given rows (or
+    columns), each scaled to integers by a positive factor: an int of the
+    sign of the determinant of the vectors as given, which may have int or
+    Fraction entries."""
+    if any(len(v) != len(vectors) for v in vectors):
+        raise ValueError("determinant of a non-square matrix")
+    return _bareiss([_integer_row(v)[1] for v in vectors])
 
 
 def _bareiss(a: list[list[int]]) -> int:

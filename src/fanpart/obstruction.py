@@ -13,13 +13,18 @@ Steps 2-3 read one census core (`_census`): each distinct image simplex
 is decided once against each seed piece (`arc_census`), and once per
 group orbit of (simplex, maximal element) pairs (`orbit_census`).
 
-The certificate is built in two stages.  Steps 1-6 (`_prepare`: group,
+The certificate is built in two stages.  `_prepare` runs Steps 1-6 (group,
 pieces, vertex map, censuses, arrangement, poset, preimage cells, homology
-basis with the deep-node checks, action and coinvariants) read only
-(n, a, b) and are memoised for one (n, a, b), the last one asked for.
-Steps 7-8 (`_class_of_cocycle`: the pairing of the cocycle and its class)
-are the only stage that reads the sign flips, so the flips of one case
-rerun only them.
+basis with the deep-node checks, action and coinvariants) and the part of
+Step 7 that reads no sign flip (`_flip_free_pairing`: the cocycle, the
+pairing vector of each of its terms, the reduced representative and its
+checks); all of it reads only (n, a, b) and is memoised for one (n, a, b),
+the last one asked for.  `_class_of_cocycle`, the only stage that reads
+the sign flips, weighs the pairing vectors by them and runs Step 8 on the
+sum, so a flip of one case costs one weighted sum and one projection.
+Steps 7-8 run on integer points: each moved disc is scaled to integers
+once (`_moved_disc`), and every sign is read off integer points and
+integer determinants (`_moved_point`, `ambient_orientation_det`).
 """
 
 from __future__ import annotations
@@ -28,12 +33,12 @@ from copy import deepcopy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
+from math import lcm
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
-from .exactlin import (Vec, determinant, dot, echelon, frame_det,
-                       from_columns, integer_dot, integer_kernel,
-                       scaled_points, sign, vec)
+from .exactlin import (Vec, echelon, frame_det, from_columns, integer_dot,
+                       integer_kernel, scaled_det, scaled_points, sign, vec)
 from .groups import (ActionGroup, GroupElement, act, distinct_actions,
                      quaternion_on_Wn)
 from .arrangement import (HalfOpenSubspace, IntersectionPoset, _check_params,
@@ -450,7 +455,9 @@ def vstar_barycentric(n: int, a: int, b: int) -> dict:
 @dataclass
 class PointTerm:
     """An ordinary point class: a point strictly inside one element, with
-    the transversal disc orientation frame."""
+    the transversal disc orientation frame.  Every element is a cone
+    through 0, so the point and the frame vectors may be given up to
+    positive factors; the pipeline gives them as integers."""
     element: int              # poset node id of the maximal element
     point: Vec
     disc: tuple[Vec, Vec, Vec]
@@ -468,27 +475,40 @@ def generic_shift(n: int, k: int) -> Vec:
     return tuple(x - mean for x in raw)
 
 
-def ambient_orientation_det(columns: Sequence[Vec], n: int) -> Fraction:
-    """Determinant of the given columns together with the all-ones vector."""
-    return determinant(from_columns(list(columns) + [vec([1] * n)]))
+def ambient_orientation_det(columns: Sequence[Vec], n: int) -> int:
+    """An int of the sign of the determinant of the given columns together
+    with the all-ones vector (`scaled_det`: each column scaled to integers
+    by a positive factor)."""
+    return scaled_det(list(columns) + [(1,) * n])
 
 
-def _moved_point(elem: HalfOpenSubspace, point: Vec,
-                 disc: tuple[Vec, Vec, Vec], shift: Vec) -> Optional[Vec]:
-    """Where the disc, moved from `point` by `shift`, crosses the element's
-    carrier: p + s + D t with E (p + s + D t) = 0.  None unless t exists and
+def _moved_disc(point: Vec, disc: Sequence[Vec], shift: Vec
+                ) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The disc moved from `point` by `shift`: its start point + shift and
+    its frame, each scaled to integers by a positive factor of its own.  A
+    crossing point (`_moved_point`) scales with the start, and no sign read
+    off the disc changes."""
+    _, (start,) = scaled_points([[p + s for p, s in zip(point, shift)]])
+    _, frame = scaled_points(disc)
+    return start, list(map(tuple, frame))
+
+
+def _moved_point(elem: HalfOpenSubspace, start: Sequence[int],
+                 disc: Sequence[Sequence[int]]
+                 ) -> Optional[tuple[tuple[int, ...], int]]:
+    """Where the integer disc at the integer point `start` crosses the
+    element's carrier, start + D t with E (start + D t) = 0, as the integer
+    point m (start + D t) and its factor m > 0.  None unless t exists and
     is unique."""
-    start = tuple(p + s for p, s in zip(point, shift))
-    # E D t = -E start with D and start scaled by one positive factor: the
-    # same t, from integer entries
-    _, (*D, s) = scaled_points(list(disc) + [start])
-    rows, pivots = echelon([integer_dot(r, d) for d in D]
-                           + [-integer_dot(r, s)] for r in elem.rows)
+    rows, pivots = echelon([integer_dot(r, d) for d in disc]
+                           + [-integer_dot(r, start)] for r in elem.rows)
     if pivots != [0, 1, 2]:
         return None
-    t = [Fraction(r[3], r[c]) for r, c in zip(rows, pivots)]
-    return tuple(x + sum(d[i] * y for d, y in zip(disc, t))
-                 for i, x in enumerate(start))
+    # row i of the echelon form is p_i t_i = r_i: m t_i is an integer
+    m = lcm(*(r[c] for r, c in zip(rows, pivots)))
+    mt = [r[3] * (m // r[c]) for r, c in zip(rows, pivots)]
+    return tuple(m * x + sum(d[i] * y for d, y in zip(disc, mt))
+                 for i, x in enumerate(start)), m
 
 
 def decompose_broken_class(poset: IntersectionPoset, zz: ZZBasis,
@@ -497,30 +517,31 @@ def decompose_broken_class(poset: IntersectionPoset, zz: ZZBasis,
                            ) -> list[PointTerm]:
     """Split a broken point class on a wall into ordinary point classes by
     moving its disc by a generic shift and re-intersecting every sheet.
+    The point classes carry the integer moved points and disc frame.
 
     Raises ValueError on a degenerate shift (caller retries with the next
     deterministic one).
     """
     n = poset.arrangement.ambient_dim
     wall = zz.wall_by_node[wall_node]
+    start, frame = _moved_disc(point, disc, shift)
     terms = []
     for e in wall.elements:
         elem = poset.nodes[e].subspace
-        q = _moved_point(elem, point, disc, shift)
-        if q is None:
+        moved = _moved_point(elem, start, frame)
+        if moved is None:
             raise ValueError("shift is degenerate for a sheet")
-        phi_val = dot(wall.functionals[e], q)
-        if phi_val == 0:
+        q, _ = moved
+        if integer_dot(wall.functionals[e], q) == 0:
             raise ValueError("shifted disc hit the wall")
-        vals = [dot(qf, q) for qf in elem.inequalities]
+        vals = [integer_dot(qf, q) for qf in elem.inequalities]
         if any(x == 0 for x in vals):
             raise ValueError("shifted disc hit a boundary wall")
         if all(x > 0 for x in vals):
-            s = sign(ambient_orientation_det(
-                list(disc) + elem.carrier_basis(), n))
+            s = sign(ambient_orientation_det(frame + elem.carrier_basis(), n))
             if s == 0:
                 raise ValueError("degenerate orientation determinant")
-            terms.append(PointTerm(e, q, disc, s))
+            terms.append(PointTerm(e, q, tuple(frame), s))
     return terms
 
 
@@ -554,7 +575,7 @@ def pair_point_class(poset: IntersectionPoset, zz: ZZBasis,
     for w in zz.walls:
         if x not in w.elements:
             continue
-        side = sign(dot(w.functionals[x], term.point))
+        side = sign(integer_dot(w.functionals[x], term.point))
         if side == 0:
             raise GeneralPositionError("point lies on a wall")
         if side != w.rep_side[x]:
@@ -728,13 +749,14 @@ def check_membership_equivalences(poset: IntersectionPoset, zz: ZZBasis,
             used.update((e, partner))
     if len(pairs) != 2:
         return None
+    start, frame = _moved_disc(point, disc, shift)
     realized = {}
     for e in halves:
         elem = poset.nodes[e].subspace
-        q = _moved_point(elem, point, disc, shift)
-        if q is None:
+        moved = _moved_point(elem, start, frame)
+        if moved is None:
             return None
-        vals = [dot(qf, q) for qf in elem.inequalities]
+        vals = [integer_dot(qf, moved[0]) for qf in elem.inequalities]
         if any(x == 0 for x in vals):
             return None
         realized[e] = all(x > 0 for x in vals)
@@ -747,7 +769,9 @@ def proportionality_chain(poset: IntersectionPoset, zz: ZZBasis,
                           group: ActionGroup) -> Optional[dict]:
     """Evaluations of the four half-space forms at the moved candidate
     points: the opposite pairs negate each other exactly, and the two pairs
-    are proportional with weights (n+1) and (n-1)."""
+    are proportional with weights (n+1) and (n-1).  The evaluations are
+    exact, all four times the one positive factor of the integer start
+    point (`_moved_disc`)."""
     wall = zz.wall_by_node[wall_node]
     eab = group.by_word(a + b)
     eaj = group.mul(group.by_word(a), group.by_word(0, 1))
@@ -762,12 +786,14 @@ def proportionality_chain(poset: IntersectionPoset, zz: ZZBasis,
     ordered = [sheets.get(transform(group, g, l1).key()) for g in movers]
     if None in ordered:
         return None
+    start, frame = _moved_disc(point, disc, shift)
     evals = []
     for e, form in zip(ordered, targets):
-        q = _moved_point(poset.nodes[e].subspace, point, disc, shift)
-        if q is None:
+        moved = _moved_point(poset.nodes[e].subspace, start, frame)
+        if moved is None:
             return None
-        evals.append(dot(form, q))
+        q, m = moved
+        evals.append(Fraction(integer_dot(form, q), m))
     c = a + b
     chain = [(n + 1) * evals[0], -(n + 1) * evals[1],
              (n - 1) * evals[2], -(n - 1) * evals[3]]
@@ -782,12 +808,14 @@ def proportionality_chain(poset: IntersectionPoset, zz: ZZBasis,
 
 
 class _Context(NamedTuple):
-    """What Steps 7-8 read of Steps 1-6."""
-    group: ActionGroup
-    h: GeneralPositionMap
-    poset: IntersectionPoset
-    zz: ZZBasis
+    """What the sign flips re-weigh: the coinvariants of Step 6, the
+    pairing vector of each cocycle term at weight 1 (none when the cocycle
+    is not formed), and the reduced representative (None when v is on no
+    wall) with the checks it records, in order."""
     dg: CoinvariantGroup
+    term_vectors: list[list[int]]
+    reduced: Optional[list[int]]
+    reduced_checks: dict
 
 
 def _one_slot(build):
@@ -809,11 +837,13 @@ def _one_slot(build):
 @_one_slot
 def _prepare(n: int, a: int, b: int
              ) -> tuple[ObstructionCertificate, Optional[_Context]]:
-    """Steps 1-6, which read only (n, a, b): the certificate fields and
-    checks recorded so far, and the context of Steps 7-8, None when the
-    verdict is already reached.  Memoised for the last (n, a, b) only, so
-    the sign flips of one case rebuild none of it; callers copy the
-    certificate and leave the context unchanged."""
+    """Steps 1-6 and the part of Step 7 that reads no sign flip
+    (`_flip_free_pairing`), all of which read only (n, a, b): the
+    certificate fields and checks recorded so far, and the context of the
+    weighted sum and Step 8, None when Steps 1-6 reach the verdict.
+    Memoised for the last (n, a, b) only, so the sign flips of one case
+    rebuild none of it; callers copy the certificate and leave the context
+    unchanged."""
     cert = ObstructionCertificate(n=n, a=a, b=b)
     checks = cert.checks
     if n < 6:
@@ -913,32 +943,80 @@ def _prepare(n: int, a: int, b: int
     cert.coinvariant_factors = list(dg.invariant_factors)
     cert.coinvariant_rank = dg.rank
 
-    return cert, _Context(group, h, poset, zz, dg)
+    return cert, _flip_free_pairing(cert, group, h, poset, zz, dg)
+
+
+def _flip_free_pairing(cert: ObstructionCertificate, group: ActionGroup,
+                       h: GeneralPositionMap, poset: IntersectionPoset,
+                       zz: ZZBasis, dg: CoinvariantGroup) -> _Context:
+    """Step 7 up to the sign flips, recorded on `cert`: the cocycle, the
+    decomposition and pairing vector of each of its terms, and the reduced
+    representative with its checks.  A flip only re-weighs the pairing
+    vectors, since the pairing is linear.  No terms when the broken
+    classes are not located on walls."""
+    n, a, b = cert.n, cert.a, cert.b
+    cert.steps.append("Step 7: pairing of the cocycle against the basis")
+    terms = assemble_cocycle(poset, zz, h, n, a, b, cert.checks)
+    if not terms:
+        return _Context(dg, [], None, {})
+    vectors = []
+    shift_used = 0
+    for term in terms:
+        pieces, shift_used = decompose_with_retries(
+            poset, zz, term.wall_node, term.point, term.disc,
+            start=shift_used)
+        vectors.append(_paired_sum(poset, zz, pieces, 1))
+
+    # the reduced representative: twice the broken class of v on its wall
+    v = v_point(n, a, b)
+    disc_v = v_disc(n, a, b)
+    wall_v = wall_node_of_point(poset, zz, v)
+    if wall_v is None:
+        return _Context(dg, vectors, None, {})
+    checks = {}
+    pieces, k_used = decompose_with_retries(poset, zz, wall_v, v, disc_v)
+    F_red = _paired_sum(poset, zz, pieces, 2)
+    cert.tau_signs = [p.sign for p in pieces]
+    shifted = generic_shift(n, k_used)
+    checks["opposite-pair memberships split"] = bool(
+        check_membership_equivalences(poset, zz, wall_v, v, disc_v, shifted,
+                                      n, a, b, group))
+    chain = proportionality_chain(
+        poset, zz, wall_v, v, disc_v, shifted, n, a, b, group)
+    checks["opposite form evaluations negate"] = \
+        chain is not None and chain["pairs_negate"]
+    checks["form evaluations proportional (weights n-1, n+1)"] = \
+        chain is not None and chain["chain"]
+    neg = tuple(-x for x in shifted)
+    try:
+        pieces_m = decompose_broken_class(poset, zz, wall_v, v, disc_v, neg)
+        cert.mu_signs = [p.sign for p in pieces_m]
+        F_mu = _paired_sum(poset, zz, pieces_m, 2)
+        checks["both decompositions give the same class"] = \
+            dg.project(F_mu) == dg.project(F_red)
+    except ValueError:
+        checks["both decompositions give the same class"] = False
+    return _Context(dg, vectors, F_red, checks)
 
 
 def _class_of_cocycle(cert: ObstructionCertificate, ctx: _Context,
                       term_flips: Optional[Sequence[int]],
                       global_flip: bool) -> None:
-    """Steps 7-8 on the context of `_prepare`, recorded on `cert`: the
-    only stage that reads the sign flips."""
-    n, a, b = cert.n, cert.a, cert.b
-    group, h, poset, zz, dg = ctx
-    checks = cert.checks
-    cert.steps.append("Step 7: pairing of the cocycle against the basis")
-    terms = assemble_cocycle(poset, zz, h, n, a, b, checks)
-    if not terms:
+    """The flip-weighted sum of the pairing vectors and Step 8 on the
+    context of `_prepare`, recorded on `cert`: the only stage that reads
+    the sign flips."""
+    if not ctx.term_vectors:
         cert.verdict = "inconclusive: broken classes not located on walls"
         return
-    F_total = [0] * zz.rank
-    shift_used = 0
-    for t_i, term in enumerate(terms):
-        pieces, shift_used = decompose_with_retries(
-            poset, zz, term.wall_node, term.point, term.disc,
-            start=shift_used)
+    n, a, b = cert.n, cert.a, cert.b
+    dg = ctx.dg
+    checks = cert.checks
+    weights = []
+    for t_i in range(len(ctx.term_vectors)):
         flip = term_flips[t_i] if term_flips and t_i < len(term_flips) else 1
-        flip = -flip if global_flip else flip
-        F_total = [x + y for x, y in
-                   zip(F_total, _paired_sum(poset, zz, pieces, flip))]
+        weights.append(-flip if global_flip else flip)
+    F_total = [sum(w * x for w, x in zip(weights, col))
+               for col in zip(*ctx.term_vectors)]
     cert.class_basis_coords = F_total
 
     cert.steps.append("Step 8: class of the cocycle in the coinvariants")
@@ -948,40 +1026,11 @@ def _class_of_cocycle(cert: ObstructionCertificate, ctx: _Context,
     cert.class_order = order
     cert.class_nonzero = not dg.is_zero(F_total)
     checks["class is torsion"] = order is not None
-
-    # the reduced representative: twice the broken class of v on its wall
-    v = v_point(n, a, b)
-    disc_v = v_disc(n, a, b)
-    wall_v = wall_node_of_point(poset, zz, v)
-    if wall_v is not None:
-        pieces, k_used = decompose_with_retries(poset, zz, wall_v, v, disc_v)
-        F_red = _paired_sum(poset, zz, pieces, 2)
-        checks["reduced and direct classes agree"] = \
-            dg.project(F_red) == dg.project(F_total) or dg.is_zero(
-                [x - y for x, y in zip(F_red, F_total)])
-        cert.tau_signs = [p.sign for p in pieces]
-        shifted = generic_shift(n, k_used)
-        eq12 = check_membership_equivalences(
-            poset, zz, wall_v, v, disc_v, shifted, n, a, b, group)
-        checks["opposite-pair memberships split"] = bool(eq12) \
-            if eq12 is not None else False
-        chain = proportionality_chain(
-            poset, zz, wall_v, v, disc_v, shifted, n, a, b, group)
-        checks["opposite form evaluations negate"] = \
-            chain is not None and chain["pairs_negate"]
-        checks["form evaluations proportional (weights n-1, n+1)"] = \
-            chain is not None and chain["chain"]
-        neg = tuple(-x for x in shifted)
-        try:
-            pieces_m = decompose_broken_class(poset, zz, wall_v, v, disc_v, neg)
-            cert.mu_signs = [p.sign for p in pieces_m]
-            F_mu = _paired_sum(poset, zz, pieces_m, 2)
-            checks["both decompositions give the same class"] = \
-                dg.project(F_mu) == dg.project(F_red)
-        except ValueError:
-            checks["both decompositions give the same class"] = False
-    else:
-        checks["reduced and direct classes agree"] = False
+    F_red = ctx.reduced
+    checks["reduced and direct classes agree"] = F_red is not None and (
+        dg.project(F_red) == (tors, free)
+        or dg.is_zero([x - y for x, y in zip(F_red, F_total)]))
+    checks.update(ctx.reduced_checks)
 
     if cert.class_nonzero and order is not None and cert.all_checks_ok():
         cert.verdict = (f"partition exists for ({a}/{n}, {a + b}/{n}, "
@@ -1001,9 +1050,11 @@ def obstruction_class(n: int, a: int, b: int,
     """Run the full pipeline and certify the class of the obstruction
     cocycle in the coinvariants of the dual module.
 
-    Steps 1-6 (`_prepare`) depend on (n, a, b) alone and are kept for the
-    last case; only Steps 7-8 (`_class_of_cocycle`) read `term_flips` and
-    `global_flip`.  Each call returns a certificate of its own."""
+    Steps 1-6 and the flip-free part of Step 7 (`_prepare`) depend on
+    (n, a, b) alone and are kept for the last case; a call only weighs the
+    pairing vectors of the cocycle terms by `term_flips` and `global_flip`
+    and runs Step 8 on their sum (`_class_of_cocycle`).  Each call returns
+    a certificate of its own."""
     _check_params(n, a, b)
     prepared, ctx = _prepare(n, a, b)
     cert = deepcopy(prepared)

@@ -5,16 +5,20 @@ of the group action.
 carrier through its orthogonal complement; `join_sphere_sign` reads the
 sign a wall sphere picks up under an element that maps its pair of sheets
 to itself, from `page_image_by_frame`: the full (spine, ray) frame of one
-sheet against the target page, one `frame_det` per sheet.  Only used in
-tests.
+sheet against the target page, one `frame_det` per sheet.
+`moved_point_by_fractions` and `orientation_det_by_fractions` are the
+crossing points and orientation determinants of Steps 7-8 on Fraction
+points, as the integer route reads them up to positive factors.  Only
+used in tests.
 """
 
 from __future__ import annotations
 
 from fanpart.arrangement import HalfOpenSubspace
 from fanpart.coinvariants import transport_sign
-from fanpart.exactlin import (Matrix, dot, frame_det, integer_dot,
-                              kernel_basis, sign)
+from fanpart.exactlin import (Matrix, Vec, determinant, dot, frame_det,
+                              from_columns, integer_dot, kernel_basis, rref,
+                              sign, solve_affine, vec)
 from fanpart.groups import ActionGroup, GroupElement, act, det_character
 from fanpart.homology import WallNode, ZZBasis
 
@@ -74,3 +78,22 @@ def join_sphere_sign(group: ActionGroup, zz: ZZBasis, g: GroupElement,
     if images[e0][1] != images[e1][1]:
         raise ValueError("inconsistent sheet orientation signs")
     return -images[e0][1]
+
+
+def moved_point_by_fractions(elem: HalfOpenSubspace, point: Vec, disc,
+                             shift: Vec):
+    """Where the disc, moved from `point` by `shift`, crosses the element's
+    carrier: p + s + D t with E (p + s + D t) = 0, t solved over Fraction.
+    None unless t exists and is unique."""
+    start = tuple(p + s for p, s in zip(point, shift))
+    ED = Matrix([[dot(r, d) for d in disc] for r in elem.rows])
+    t = solve_affine(ED, tuple(-dot(r, start) for r in elem.rows))
+    if t is None or rref(ED)[1] != len(disc):
+        return None
+    return tuple(x + sum(d[i] * y for d, y in zip(disc, t))
+                 for i, x in enumerate(start))
+
+
+def orientation_det_by_fractions(columns, n: int):
+    """Determinant of the columns together with the all-ones vector."""
+    return determinant(from_columns(list(columns) + [vec([1] * n)]))

@@ -5,14 +5,14 @@ import pytest
 from fanpart.arrangement import (HalfOpenSubspace, intersection_poset,
                                  make_J_pieces, make_subspace, orbit_closure,
                                  transform)
-from fanpart.coinvariants import (_wall_pages, dual_coinvariants,
-                                  induced_action, modified_coinvariants,
-                                  transport_sign)
+from fanpart.coinvariants import (_coinvariants_of, _wall_pages,
+                                  dual_coinvariants, induced_action,
+                                  modified_coinvariants, transport_sign)
 from fanpart.exactlin import (Matrix, determinant, dot, from_columns,
                               integer_dot, kernel_basis, sign, solve_affine,
                               vec)
-from fanpart.groups import act, cyclic_shift_group, det_character, \
-    quaternion_on_Wn
+from fanpart.groups import (ActionGroup, act, cyclic_shift_group,
+                            det_character, distinct_actions, quaternion_on_Wn)
 from fanpart.homology import UnsupportedArrangement, zz_basis
 from orientation_signs import (join_sphere_sign, orientation_sign,
                                page_image_by_frame)
@@ -149,8 +149,9 @@ def test_wall_signs_equal_the_full_frame_per_sheet(fixture_data, main_data,
 
 def test_induced_action_takes_one_frame_det_per_wall_and_top_node(
         main_data, monkeypatch):
-    # |G| x (walls + top nodes) frame determinants; one per sheet took
-    # 24 x 18 = 432 at (6, 1, 2)
+    # one frame determinant per distinct permutation and per wall or top
+    # node: 12 x 6 = 72 at (6, 1, 2); one per element took 24 x 6 = 144,
+    # and one per element and sheet 24 x 18 = 432
     import fanpart.coinvariants as co
     data = main_data(6, 1, 2)
     group, zz = data["group"], data["zz"]
@@ -162,8 +163,38 @@ def test_induced_action_takes_one_frame_det_per_wall_and_top_node(
         return frame_det(*args)
     monkeypatch.setattr(co, "frame_det", counting)
     assert induced_action(group, zz).matrices == data["action"].matrices
-    assert len(calls) == group.order * (len(zz.walls) + len(zz.top_nodes)) \
-        == 144
+    assert len(calls) == len(distinct_actions(group)) * (
+        len(zz.walls) + len(zz.top_nodes)) == 72
+
+
+@pytest.mark.parametrize("case", [(6, 1, 2), (8, 1, 3)])
+def test_shared_matrix_equals_one_computed_alone(main_data, case):
+    # one matrix per distinct permutation, shared by g and g eps^n: each
+    # element that shares a matrix gets the one computed for it alone, from
+    # a group listing that element only
+    data = main_data(*case)
+    group, zz, action = data["group"], data["zz"], data["action"]
+    firsts = {g.word for g in distinct_actions(group)}
+    shared = [g for g in group.elements if g.word not in firsts]
+    assert len(shared) == len(firsts) == group.order // 2
+    for g in shared:
+        alone = ActionGroup([g], group.ambient_dim, [], group.law,
+                            group.modulus)
+        assert induced_action(alone, zz).matrices == {g.word: action.matrix(g)}
+
+
+@pytest.mark.parametrize("case", ["z4", (6, 1, 2), (8, 1, 3)])
+def test_coinvariants_over_distinct_actions_equal_all_elements(
+        fixture_data, main_data, case):
+    # the relation list, the Smith form and U are those of every element
+    data = fixture_data(case) if isinstance(case, str) else main_data(*case)
+    group, action = data["group"], data["action"]
+    r = action.basis.rank
+    assert modified_coinvariants(action, group) == _coinvariants_of(
+        (action.modified_matrix(g) for g in group.elements), r)
+    assert dual_coinvariants(action, group) == _coinvariants_of(
+        (action.modified_matrix(group.inv(g)).transpose()
+         for g in group.elements), r)
 
 
 def test_wall_pages_check_each_ray(main_data):

@@ -363,6 +363,27 @@ def test_mul_matches_fraction_product():
         draw(2, 3).mul(draw(2, 3))
 
 
+def test_int_product_has_int_entries():
+    # two factors of int entries multiply on the ints; one Fraction entry
+    # anywhere gives the Fraction product of the same values
+    rng = random.Random(17)
+    for _ in range(50):
+        r, k, c = (rng.randrange(1, 6) for _ in range(3))
+        a = Matrix([[rng.randrange(-9, 10) for _ in range(k)]
+                    for _ in range(r)])
+        b = Matrix([[rng.randrange(-9, 10) for _ in range(c)]
+                    for _ in range(k)])
+        p = a.mul(b)
+        assert all(type(x) is int for row in p.entries for x in row)
+        assert p.entries == tuple(
+            tuple(sum(a.entries[i][t] * b.entries[t][j] for t in range(k))
+                  for j in range(c)) for i in range(r))
+        mixed = Matrix([[Fraction(x) for x in row] for row in a.entries])
+        q = mixed.mul(b)
+        assert q == p
+        assert all(type(x) is Fraction for row in q.entries for x in row)
+
+
 def test_matrix_keeps_int_entries(fixture_data):
     # int entries stay int and Fraction entries stay Fraction; an integer
     # matrix equals, and hashes like, the Fraction matrix of the same values

@@ -5,8 +5,8 @@ import pytest
 from fanpart.arrangement import (Arrangement, intersection_poset,
                                  make_J_pieces, make_subspace, transform)
 from fanpart.coinvariants import dual_coinvariants
-from fanpart.exactlin import (Matrix, dot, from_columns, kernel_basis,
-                              scaled_points, sign, vec)
+from fanpart.exactlin import (Matrix, dot, from_columns, integer_dot,
+                              kernel_basis, scaled_points, sign, vec)
 from fanpart.groups import act, cyclic_shift_group, quaternion_on_Wn
 from fanpart.obstruction import (CocycleTerm, GeneralPositionError,
                                  GeneralPositionMap,
@@ -19,8 +19,8 @@ from fanpart.obstruction import (CocycleTerm, GeneralPositionError,
                                  obstruction_class, pair_point_class,
                                  preimage_simplices, proportionality_chain,
                                  meeting_locus, rho_cells, _prepare,
-                                 simplex_direction_frame, u_vector, v_point,
-                                 vstar_barycentric, w_point,
+                                 simplex_direction_frame, u_vector, v_disc,
+                                 v_point, vstar_barycentric, w_point,
                                  wall_node_of_point, PointTerm)
 
 
@@ -619,9 +619,9 @@ def test_warm_certificate_equals_cold(flips, gf):
 def _count_calls(monkeypatch, module, names):
     counts = dict.fromkeys(names, 0)
     for name in names:
-        def counting(*args, _name=name, _fn=getattr(module, name)):
+        def counting(*args, _name=name, _fn=getattr(module, name), **kw):
             counts[_name] += 1
-            return _fn(*args)
+            return _fn(*args, **kw)
         monkeypatch.setattr(module, name, counting)
     return counts
 
@@ -634,6 +634,40 @@ def test_flip_sweep_builds_steps_1_to_6_once(monkeypatch):
         obstruction_class(6, 1, 2, term_flips=flips, global_flip=gf)
     assert counts == {"intersection_poset": 1, "zz_basis": 1,
                       "induced_action": 1}
+
+
+def test_flip_sweep_pairs_the_cocycle_once(monkeypatch):
+    # a flip only re-weighs the pairing vectors: the cocycle, its
+    # decompositions and their pairings run once for the 8 flips (the
+    # counts of one call)
+    import fanpart.obstruction as ob
+    counts = _count_calls(monkeypatch, ob, ("assemble_cocycle",
+                                            "decompose_with_retries",
+                                            "pair_point_class"))
+    for flips, gf in FLIP_CASES:
+        obstruction_class(6, 1, 2, term_flips=flips, global_flip=gf)
+    assert counts == {"assemble_cocycle": 1, "decompose_with_retries": 3,
+                      "pair_point_class": 12}
+
+
+def test_flip_free_failure_leaves_the_slot_empty(monkeypatch):
+    # a GeneralPositionError in the flip-free part of Step 7 keeps nothing
+    # of the case: the next call builds Steps 1-6 again and raises again
+    import fanpart.obstruction as ob
+    real = ob.decompose_with_retries
+
+    def no_shift(*args, **kwargs):
+        raise GeneralPositionError("no usable generic shift found")
+    monkeypatch.setattr(ob, "decompose_with_retries", no_shift)
+    counts = _count_calls(monkeypatch, ob, ("intersection_poset",))
+    for builds in (1, 2):
+        with pytest.raises(GeneralPositionError):
+            obstruction_class(6, 1, 2, term_flips=(1, -1))
+        assert counts["intersection_poset"] == builds
+    monkeypatch.setattr(ob, "decompose_with_retries", real)
+    cert = obstruction_class(6, 1, 2)
+    assert counts["intersection_poset"] == 3
+    assert cert.all_checks_ok(), cert.failing_checks()
 
 
 def test_next_case_evicts_the_last(monkeypatch):
@@ -677,3 +711,73 @@ def test_bad_params_raise_on_every_call():
         with pytest.raises(ValueError):
             obstruction_class(6, 0, 3)
         obstruction_class(6, 1, 2)
+
+
+# --- Steps 7-8 on integer points against the Fraction route -----------------
+
+
+def _walls_used(poset, zz, n, a, b):
+    """(wall node, point, disc) of the two cocycle terms and of v."""
+    terms = assemble_cocycle(poset, zz, define_h(n), n, a, b, {})
+    v = v_point(n, a, b)
+    used = [(t.wall_node, t.point, t.disc) for t in terms]
+    used.append((wall_node_of_point(poset, zz, v), v, v_disc(n, a, b)))
+    assert len(terms) == 2 and used[-1][0] is not None
+    return used
+
+
+def _positive_factor(q, ref):
+    """c > 0 with q = c ref, or None."""
+    i = next(i for i, x in enumerate(ref) if x)
+    c = Fraction(q[i]) / ref[i]
+    return c if c > 0 and all(x == c * y for x, y in zip(q, ref)) else None
+
+
+@pytest.mark.parametrize("n,a,b", [
+    (6, 1, 2), (8, 2, 2), (8, 1, 3),
+    pytest.param(10, 2, 3, marks=pytest.mark.slow)])
+def test_integer_moved_points_match_fraction_oracle(main_data, n, a, b):
+    # every sheet of the walls the cocycle and v lie on, shifts k = 0..3:
+    # the integer crossing point is the Fraction one times one positive
+    # factor per (point, shift), so the four proportionality evaluations
+    # compare as before, and the wall, inequality and orientation signs
+    # agree
+    from fanpart.obstruction import _moved_disc, _moved_point
+    from orientation_signs import (moved_point_by_fractions,
+                                   orientation_det_by_fractions)
+    data = main_data(n, a, b)
+    poset, zz = data["poset"], data["zz"]
+    compared = 0
+    for wall_node, point, disc in _walls_used(poset, zz, n, a, b):
+        wall = zz.wall_by_node[wall_node]
+        for k in range(4):
+            shift = generic_shift(n, k)
+            start, frame = _moved_disc(point, disc, shift)
+            factors = set()
+            for e in wall.elements:
+                elem = poset.nodes[e].subspace
+                moved = _moved_point(elem, start, frame)
+                ref = moved_point_by_fractions(elem, point, disc, shift)
+                assert (moved is None) == (ref is None)
+                if ref is None:
+                    continue
+                q, m = moved
+                c = _positive_factor(q, ref)
+                assert c is not None, (e, k)
+                factors.add(c / m)
+                assert sign(integer_dot(wall.functionals[e], q)) == \
+                    sign(dot(wall.functionals[e], ref))
+                assert [sign(integer_dot(f, q)) for f in elem.inequalities] \
+                    == [sign(dot(f, ref)) for f in elem.inequalities]
+                frames = [elem.carrier_basis()]
+                if ("top", e) in zz.index:
+                    frames.append(zz.top_basis[e])
+                frames += [wall.spine_basis + [ray] for (x, _), ray in
+                           wall.rays.items() if x == e]
+                for cols in frames:
+                    assert sign(ambient_orientation_det(frame + cols, n)) \
+                        == sign(orientation_det_by_fractions(
+                            list(disc) + cols, n))
+                compared += 1
+            assert len(factors) <= 1
+    assert compared > 0
