@@ -365,14 +365,14 @@ class IntersectionPoset:
 
     `above[i]` lists nodes whose set strictly contains node i (these are the
     elements of the lower cone in the reverse-inclusion order used for order
-    complexes).  Hasse edges are (lower, upper) pairs by inclusion.
+    complexes).  `covers[i]` lists the minimal ones, in increasing order.
     """
 
     nodes: list[PosetNode]
     maximal_node_ids: list[int]
     support: list[int]                 # bitmask over maximal_node_ids
     above: list[list[int]]             # strict supersets, by node index
-    hasse_edges: list[tuple[int, int]]
+    covers: list[list[int]]            # minimal strict supersets
     arrangement: Arrangement
     # g.perm -> pi_g, the permutation of the maximal elements by g
     _moves: dict = field(default_factory=dict, repr=False)
@@ -405,12 +405,9 @@ class IntersectionPoset:
         return counts
 
     def debug_lines(self) -> list[str]:
-        covers: dict[int, list[int]] = {i: [] for i in range(len(self.nodes))}
-        for lo, up in self.hasse_edges:
-            covers[lo].append(up)
         lines = []
         for nd in sorted(self.nodes, key=lambda n: (-n.dim, n.index)):
-            ups = ",".join(str(u) for u in sorted(covers[nd.index])) or "-"
+            ups = ",".join(str(u) for u in self.covers[nd.index]) or "-"
             lines.append(f"node {nd.index:3d} dim {nd.dim} covers-> {ups}  {nd.label}")
         return lines
 
@@ -561,17 +558,17 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
     # the covers of i are the members of above[i] with inclusion-maximal
     # support; in order of decreasing support size, every member whose
     # support lies in a larger one is dominated by a cover already found
-    hasse = []
+    covers = []
     for i in range(n):
-        covers: list[int] = []
+        cs: list[int] = []
         for j in sorted(above[i], key=lambda j: -support[j].bit_count()):
-            if all(support[j] & ~support[c] for c in covers):
-                covers.append(j)
-        hasse.extend((i, j) for j in covers)
+            if all(support[j] & ~support[c] for c in cs):
+                cs.append(j)
+        covers.append(sorted(cs))
     poset_nodes = []
     for i, j in enumerate(bfs):
         s = sets[j] if j < nmax else sets[j].relabel(f"meet{i}")
         poset_nodes.append(PosetNode(i, s, s.dim, s.label or f"node{i}"))
     return IntersectionPoset(
-        poset_nodes, list(range(nmax)), support, above, sorted(hasse), arr,
+        poset_nodes, list(range(nmax)), support, above, covers, arr,
         _moves=moves, _by_support={s: i for i, s in enumerate(support)})

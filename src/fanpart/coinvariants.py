@@ -7,7 +7,10 @@ image of a wall cone is transported by the determinant of its (spine, ray)
 frame against the canonical frame of the target page.  When a group element
 throws a cone across to the non-canonical page of a full subspace, the
 rewrite C(anti) = C(rep) - s * [sphere] converts it back to basis form; this
-is where the boundary-wall correction terms come from.
+is where the boundary-wall correction terms come from.  So a wall generator
+C(e) - C(base) has one image: sgn (C'(g e) - C'(g base)), C'(x) the
+generator of sheet x on the image wall (none for its base sheet), plus
+-sgn s [sphere of x] for each sheet x that lands on the non-canonical page.
 """
 
 from __future__ import annotations
@@ -93,37 +96,19 @@ def _wall_pages(zz: ZZBasis, g: GroupElement, wall: WallNode) -> dict:
 
 def _wall_gen_image(zz: ZZBasis, wall: WallNode, elem: int,
                     pages: dict) -> dict:
-    """Image of the generator C(elem) - C(base) as basis coordinates;
-    `pages` maps each sheet of the wall to its image (`_wall_pages`)."""
-    base = wall.elements[0]
-    cone_coeff: dict[int, int] = {}
-    top_coeff: dict[int, int] = {}
-    v2_seen = None
-    for e, c in ((elem, 1), (base, -1)):
-        v2, e2, side2, sgn = pages[e]
-        v2_seen = v2
-        wall2 = zz.wall_by_node[v2]
-        coeff = c * sgn
-        if side2 != wall2.rep_side[e2]:
-            # C(anti) = C(rep) - s * [sphere of e2]
-            s = wall2.rewrite_sign[e2]
-            top_coeff[e2] = top_coeff.get(e2, 0) - coeff * s
-        cone_coeff[e2] = cone_coeff.get(e2, 0) + coeff
-    if sum(cone_coeff.values()) != 0:
-        raise UnsupportedArrangement("cone image lost augmentation zero")
-    wall2 = zz.wall_by_node[v2_seen]
+    """Image of the generator C(elem) - C(base) as basis coordinates, by
+    the formula of the module docstring, with sgn the spine sign and s the
+    image wall's rewrite sign; `pages` maps each sheet of the wall to its
+    image (`_wall_pages`).  g moves distinct sheets to distinct sheets, so
+    no coordinate is written twice."""
     out: dict[int, int] = {}
-    base2 = wall2.elements[0]
-    for e2, c in cone_coeff.items():
-        if c == 0 or e2 == base2:
-            continue
-        out[zz.wall_index(v2_seen, e2)] = out.get(
-            zz.wall_index(v2_seen, e2), 0) + c
-    for e2, c in top_coeff.items():
-        if c == 0:
-            continue
-        idx = zz.top_index(e2)
-        out[idx] = out.get(idx, 0) + c
+    for e, c in ((elem, 1), (wall.elements[0], -1)):
+        v2, e2, side2, sgn = pages[e]
+        wall2 = zz.wall_by_node[v2]
+        if e2 != wall2.elements[0]:
+            out[zz.wall_index(v2, e2)] = c * sgn
+        if side2 != wall2.rep_side[e2]:
+            out[zz.top_index(e2)] = -c * sgn * wall2.rewrite_sign[e2]
     return out
 
 

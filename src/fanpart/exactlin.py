@@ -572,31 +572,30 @@ def sparse_rank_and_factors(cols: dict) -> tuple[int, list[int]]:
         if best is None:
             break
         _, pr, pc, pv = best
-        pivot_col = cols[pc]
-        # clear column pc with integer row operations
-        for r in [x for x in pivot_col if x != pr]:
-            f = pivot_col[r] * pv          # pv in {1,-1}: f = entry / pivot
-            for c2, v2 in list(rows[pr].items()):
-                if c2 == pc:
-                    continue
-                cur = rows[r].get(c2, 0) - f * v2
+        # clear column pc with integer row operations; entries that cancel
+        # are deleted in place, and no column empties while row pr holds it
+        pivot_row = rows.pop(pr)
+        del pivot_row[pc]
+        for r, x in cols.pop(pc).items():
+            if r == pr:
+                continue
+            f = x * pv                     # pv in {1,-1}: f = entry / pivot
+            row = rows[r]
+            for c2, v2 in pivot_row.items():
+                cur = row.get(c2, 0) - f * v2
                 if cur == 0:
-                    rows[r].pop(c2, None)
-                    cols[c2].pop(r, None)
+                    del row[c2], cols[c2][r]
                 else:
-                    rows[r][c2] = cur
-                    cols[c2][r] = cur
-            rows[r].pop(pc, None)
-        # row pr and column pc are now isolated
-        for c2 in list(rows[pr]):
-            cols[c2].pop(pr, None)
+                    row[c2] = cols[c2][r] = cur
+            del row[pc]
+            if not row:
+                del rows[r]
+        # row pr is now isolated: drop it, and each column it empties
+        for c2 in pivot_row:
+            del cols[c2][pr]
             if not cols[c2]:
                 del cols[c2]
-        del rows[pr]
-        cols.pop(pc, None)
         rank += 1
-        cols = {c: col for c, col in cols.items() if col}
-        rows = {r: row for r, row in rows.items() if row}
     if not cols:
         return rank, []
     row_ids = sorted({r for col in cols.values() for r in col})

@@ -13,12 +13,14 @@ rewrite rule connecting the two kinds of generators.
 All other poset nodes are required to contribute nothing; this is verified
 by computing the reduced homology of their lower order complexes in the
 relevant degree.  The order complex is replaced by the crosscut complex on
-the maximal elements (crosscut theorem), and that by the nerve of its
-facets: every nonempty intersection of facets is a face, hence contractible,
-so the nerve has the same integer homology, torsion included (nerve theorem;
-A. Bjorner, Topological methods, Handbook of Combinatorics, 1995, Sec. 10).
-The nerve has one vertex per facet, far fewer faces than the crosscut
-complex on deep nodes.  Each (node, degree) is computed once per poset.
+the maximal elements (crosscut theorem), whose facets are the supports of
+the node's covers, and that by the nerve of its facets: every nonempty
+intersection of facets is a face, hence contractible, so the nerve has the
+same integer homology, torsion included (nerve theorem; A. Bjorner,
+Topological methods, Handbook of Combinatorics, 1995, Sec. 10).  The nerve
+has one vertex per facet, far fewer faces than the crosscut complex on deep
+nodes.  Each (node, degree) is computed once per poset, and the degree
+above the top only where the table of chain heights allows a class.
 Homology itself is one route for every complex: each boundary map is
 reduced by sparse unimodular elimination on unit pivots, and whatever is
 left without a unit entry gets a dense Smith normal form finish.
@@ -166,12 +168,12 @@ def crosscut_complex(poset: IntersectionPoset, node: int) -> SimplicialComplex:
 
     Homotopy equivalent to the order complex because the poset is closed
     under intersections, so every bounded subset of the crosscut has a meet.
+    A support shrinks as the node grows, so the facets are the supports of
+    the minimal nodes above, the covers.
     """
-    ups = poset.above[node]
-    if not ups:
-        return SimplicialComplex((), ())
-    # the maximal elements containing w are its support
-    return complex_from_facets(poset.support_ids(w) for w in ups)
+    facets = sorted(tuple(poset.support_ids(c)) for c in poset.covers[node])
+    return SimplicialComplex(tuple(sorted({v for f in facets for v in f})),
+                             tuple(facets))
 
 
 def nerve(cx: SimplicialComplex) -> SimplicialComplex:
@@ -369,27 +371,25 @@ def verify_lemma16(poset: IntersectionPoset, n: int) -> bool:
     return True
 
 
-def max_chain_length_above(poset: IntersectionPoset, node: int) -> int:
-    ups = sorted(poset.above[node])
-    upset = set(ups)
-    memo: dict[int, int] = {}
-
-    def depth(u: int) -> int:
-        if u not in memo:
-            nxt = [w for w in poset.above[u] if w in upset]
-            memo[u] = 1 + max((depth(w) for w in nxt), default=0)
-        return memo[u]
-
-    return max((depth(u) for u in ups), default=0)
+def chain_heights(poset: IntersectionPoset) -> list[int]:
+    """The number of nodes in a longest chain strictly above each node: a
+    longest chain steps up by covers, which have fewer support bits, so one
+    pass in order of support size reads each cover's height first."""
+    height = [0] * len(poset.support)
+    for i in sorted(range(len(height)),
+                    key=lambda i: poset.support[i].bit_count()):
+        height[i] = max((1 + height[c] for c in poset.covers[i]), default=0)
+    return height
 
 
 def verify_no_homology_above_top(poset: IntersectionPoset) -> bool:
     """Degree top+1 of the union vanishes: chains above any node are too
     short to carry classes one degree higher."""
     top_dim = max(poset.nodes[m].dim for m in poset.maximal_node_ids)
+    height = chain_heights(poset)
     for nd in poset.nodes:
         deg = top_dim - nd.dim          # needed H~ degree at this node + 1
-        if max_chain_length_above(poset, nd.index) - 1 >= deg and deg >= 0:
+        if height[nd.index] - 1 >= deg and deg >= 0:
             if not node_homology(poset, nd.index, deg).is_zero():
                 return False
     return True

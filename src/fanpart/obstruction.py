@@ -32,7 +32,7 @@ from __future__ import annotations
 from copy import deepcopy
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import wraps
+from functools import lru_cache
 from math import lcm
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
@@ -818,23 +818,7 @@ class _Context(NamedTuple):
     reduced_checks: dict
 
 
-def _one_slot(build):
-    """Memoise `build` for its last arguments only.  The slot is emptied
-    before a new build, so two cases are never held at once; an exception
-    leaves it empty."""
-    slot: dict = {}
-
-    @wraps(build)
-    def cached(*key):
-        if key not in slot:
-            slot.clear()
-            slot[key] = build(*key)
-        return slot[key]
-    cached.cache_clear = slot.clear
-    return cached
-
-
-@_one_slot
+@lru_cache(maxsize=1)
 def _prepare(n: int, a: int, b: int
              ) -> tuple[ObstructionCertificate, Optional[_Context]]:
     """Steps 1-6 and the part of Step 7 that reads no sign flip
@@ -842,8 +826,8 @@ def _prepare(n: int, a: int, b: int
     certificate fields and checks recorded so far, and the context of the
     weighted sum and Step 8, None when Steps 1-6 reach the verdict.
     Memoised for the last (n, a, b) only, so the sign flips of one case
-    rebuild none of it; callers copy the certificate and leave the context
-    unchanged."""
+    rebuild none of it (an exception caches nothing); callers copy the
+    certificate and leave the context unchanged."""
     cert = ObstructionCertificate(n=n, a=a, b=b)
     checks = cert.checks
     if n < 6:

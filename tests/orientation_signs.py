@@ -6,6 +6,9 @@ carrier through its orthogonal complement; `join_sphere_sign` reads the
 sign a wall sphere picks up under an element that maps its pair of sheets
 to itself, from `page_image_by_frame`: the full (spine, ray) frame of one
 sheet against the target page, one `frame_det` per sheet.
+`action_matrix_by_cone_sums` builds each action matrix with the image of
+a wall generator summed sheet by sheet over the cone coefficients, with a
+check that they sum to zero (`wall_gen_image_by_cone_sums`).
 `moved_point_by_fractions` and `orientation_det_by_fractions` are the
 crossing points and orientation determinants of Steps 7-8 on Fraction
 points, as the integer route reads them up to positive factors.  Only
@@ -15,7 +18,8 @@ used in tests.
 from __future__ import annotations
 
 from fanpart.arrangement import HalfOpenSubspace
-from fanpart.coinvariants import transport_sign
+from fanpart.coinvariants import (_top_gen_image, _wall_pages,
+                                  transport_sign)
 from fanpart.exactlin import (Matrix, Vec, determinant, dot, frame_det,
                               from_columns, integer_dot, kernel_basis, rref,
                               sign, solve_affine, vec)
@@ -78,6 +82,58 @@ def join_sphere_sign(group: ActionGroup, zz: ZZBasis, g: GroupElement,
     if images[e0][1] != images[e1][1]:
         raise ValueError("inconsistent sheet orientation signs")
     return -images[e0][1]
+
+
+def wall_gen_image_by_cone_sums(zz: ZZBasis, wall: WallNode, elem: int,
+                                pages: dict) -> dict:
+    """Image of the generator C(elem) - C(base) as basis coordinates, from
+    the cone and sphere coefficients of both sheets; `pages` maps each
+    sheet of the wall to its image (`_wall_pages`)."""
+    base = wall.elements[0]
+    cone_coeff: dict[int, int] = {}
+    top_coeff: dict[int, int] = {}
+    v2_seen = None
+    for e, c in ((elem, 1), (base, -1)):
+        v2, e2, side2, sgn = pages[e]
+        v2_seen = v2
+        wall2 = zz.wall_by_node[v2]
+        coeff = c * sgn
+        if side2 != wall2.rep_side[e2]:
+            # C(anti) = C(rep) - s * [sphere of e2]
+            s = wall2.rewrite_sign[e2]
+            top_coeff[e2] = top_coeff.get(e2, 0) - coeff * s
+        cone_coeff[e2] = cone_coeff.get(e2, 0) + coeff
+    if sum(cone_coeff.values()) != 0:
+        raise ValueError("cone image lost augmentation zero")
+    wall2 = zz.wall_by_node[v2_seen]
+    out: dict[int, int] = {}
+    base2 = wall2.elements[0]
+    for e2, c in cone_coeff.items():
+        if c == 0 or e2 == base2:
+            continue
+        out[zz.wall_index(v2_seen, e2)] = out.get(
+            zz.wall_index(v2_seen, e2), 0) + c
+    for e2, c in top_coeff.items():
+        if c == 0:
+            continue
+        idx = zz.top_index(e2)
+        out[idx] = out.get(idx, 0) + c
+    return out
+
+
+def action_matrix_by_cone_sums(zz: ZZBasis, g: GroupElement) -> Matrix:
+    """The plain-action matrix of g on the basis, column j the image of
+    generator j."""
+    pages = {w.node: _wall_pages(zz, g, w) for w in zz.walls}
+    cols = []
+    for gen in zz.generators:
+        if gen.kind == "top":
+            img = _top_gen_image(zz, g, gen.node)
+        else:
+            img = wall_gen_image_by_cone_sums(
+                zz, zz.wall_by_node[gen.node], gen.element, pages[gen.node])
+        cols.append([img.get(i, 0) for i in range(zz.rank)])
+    return Matrix([list(row) for row in zip(*cols)])
 
 
 def moved_point_by_fractions(elem: HalfOpenSubspace, point: Vec, disc,

@@ -12,6 +12,8 @@ closure loop the package ran when it keyed meets by rational forms; it
 is the oracle for the node order, labels and supports of the poset.
 `moved_nodes` is the route `act_node` took before it moved support masks:
 the node's rows moved by the group element and looked up by key.
+`max_chain_length_above` walks the up-set of one node, the route the
+degree-above-top check took before it read `homology.chain_heights`.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ def containment_above(poset) -> list[list[int]]:
             for i, small in enumerate(sets)]
 
 
-def covers(above: list[list[int]]) -> list[tuple[int, int]]:
-    """(i, j) with j above i and no node strictly between them."""
+def covers(above: list[list[int]]) -> list[list[int]]:
+    """covers[i]: the j above i with no node strictly between them, in
+    increasing order."""
     up = [set(a) for a in above]
-    return sorted((i, j) for i, a in enumerate(above) for j in a
-                  if not any(j in up[k] for k in a if k != j))
+    return [sorted(j for j in a if not any(j in up[k] for k in a if k != j))
+            for a in above]
 
 
 def supports(poset) -> list[int]:
@@ -51,6 +54,22 @@ def moved_nodes(poset, g) -> list[int]:
     moved by g (`arrangement._moved_form`), looked up among the node keys."""
     index = {nd.subspace.key(): nd.index for nd in poset.nodes}
     return [index[_moved_form(g, nd.subspace)] for nd in poset.nodes]
+
+
+def max_chain_length_above(poset, node: int) -> int:
+    """The number of nodes in a longest chain strictly above `node`, by a
+    memoised walk of its up-set that steps along `above`."""
+    ups = sorted(poset.above[node])
+    upset = set(ups)
+    memo: dict[int, int] = {}
+
+    def depth(u: int) -> int:
+        if u not in memo:
+            nxt = [w for w in poset.above[u] if w in upset]
+            memo[u] = 1 + max((depth(w) for w in nxt), default=0)
+        return memo[u]
+
+    return max((depth(u) for u in ups), default=0)
 
 
 def equal_dimension_pairs(poset, above) -> list[tuple[int, int]]:

@@ -305,8 +305,8 @@ def test_intersection_dims_monotone():
     for nd in poset.nodes:
         for up in poset.above[nd.index]:
             assert poset.nodes[up].dim >= nd.dim
-    for lo, up in poset.hasse_edges:
-        assert poset.nodes[lo].dim < poset.nodes[up].dim
+    for lo, ups in enumerate(poset.covers):
+        assert all(poset.nodes[lo].dim < poset.nodes[up].dim for up in ups)
 
 
 def _assert_order_matches_oracle(poset):
@@ -316,7 +316,7 @@ def _assert_order_matches_oracle(poset):
     # that appears
     assert not same_dim, f"containment at equal dimension: {same_dim}"
     assert poset.above == above
-    assert poset.hasse_edges == poset_oracle.covers(above)
+    assert poset.covers == poset_oracle.covers(above)
     assert poset.support == poset_oracle.supports(poset)
 
 
@@ -686,12 +686,12 @@ def _count_poset_work(monkeypatch, arr):
 
 
 def _assert_poset_matches_rational_closure(arr, poset):
-    keys, labels, support, hasse = poset_oracle.rational_closure(arr)
+    keys, labels, support, covers = poset_oracle.rational_closure(arr)
     assert [canonical_oracle.rational_key(nd.subspace)
             for nd in poset.nodes] == keys
     assert [nd.label for nd in poset.nodes] == labels
     assert poset.support == support
-    assert poset.hasse_edges == hasse
+    assert poset.covers == covers
 
 
 @pytest.mark.parametrize("case", POSET_CASES)

@@ -14,8 +14,8 @@ from fanpart.exactlin import (Matrix, determinant, dot, from_columns,
 from fanpart.groups import (ActionGroup, act, cyclic_shift_group,
                             det_character, distinct_actions, quaternion_on_Wn)
 from fanpart.homology import UnsupportedArrangement, zz_basis
-from orientation_signs import (join_sphere_sign, orientation_sign,
-                               page_image_by_frame)
+from orientation_signs import (action_matrix_by_cone_sums, join_sphere_sign,
+                               orientation_sign, page_image_by_frame)
 
 
 # --- orientation signs, anchored to the worked examples ---------------------
@@ -130,10 +130,11 @@ def test_induced_action_is_representation(fixture_data, main_data):
                     action.matrix(group.mul(g, h))
 
 
-@pytest.mark.parametrize("case", ["z4", "z8", (6, 1, 2), (8, 2, 2),
-                                  (8, 1, 3),
-                                  pytest.param((10, 2, 3),
-                                               marks=pytest.mark.slow)])
+WALL_CASES = ["z4", (6, 1, 2), (8, 2, 2), (8, 1, 3),
+              pytest.param((10, 2, 3), marks=pytest.mark.slow)]
+
+
+@pytest.mark.parametrize("case", ["z8"] + WALL_CASES)
 def test_wall_signs_equal_the_full_frame_per_sheet(fixture_data, main_data,
                                                    case):
     # one spine sign per (element, wall), shared by the sheets, against
@@ -145,6 +146,17 @@ def test_wall_signs_equal_the_full_frame_per_sheet(fixture_data, main_data,
         for wall in zz.walls:
             assert _wall_pages(zz, g, wall) == {
                 e: page_image_by_frame(zz, g, wall, e) for e in wall.elements}
+
+
+@pytest.mark.parametrize("case", WALL_CASES)
+def test_action_matrices_equal_the_cone_sums(fixture_data, main_data, case):
+    # one formula per wall generator against the image summed over the cone
+    # and sphere coefficients of both sheets
+    data = fixture_data(case) if isinstance(case, str) else main_data(*case)
+    zz, action = data["zz"], data["action"]
+    assert zz.walls
+    for g in data["group"].elements:
+        assert action.matrix(g) == action_matrix_by_cone_sums(zz, g)
 
 
 def test_induced_action_takes_one_frame_det_per_wall_and_top_node(

@@ -7,7 +7,8 @@ import sympy
 from fanpart.exactlin import (Matrix, SmithForm, change_of_basis_det,
                               determinant, from_columns, integer_form,
                               kernel_basis, primitive_row, rref,
-                              smith_normal_form, solve_affine, vec)
+                              smith_normal_form, solve_affine,
+                              sparse_rank_and_factors, vec)
 
 
 def frac_matrix(rows):
@@ -496,3 +497,37 @@ def test_snf_of_integer_rows_matches_matrix():
     for bad in ([[1, Fraction(1, 2)]], Matrix([[Fraction(3, 2)]])):
         with pytest.raises(ValueError, match="integer entries"):
             smith_normal_form(bad)
+
+
+def _sympy_rank_and_factors(rows):
+    """(rank, invariant factors above 1) from sympy's Smith form."""
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    diag = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ).diagonal()
+    expect = sorted(abs(int(d)) for d in diag if d != 0)
+    return len(expect), [d for d in expect if d > 1]
+
+
+def _sparse_columns(rows):
+    return {j: {i: row[j] for i, row in enumerate(rows) if row[j]}
+            for j in range(len(rows[0]))}
+
+
+def test_sparse_rank_and_factors_matches_sympy_snf():
+    # a column that is a multiple of another is emptied by the row
+    # operations once the other is pivoted; a doubled matrix has no unit
+    # entry, so the dense finish does all of it
+    assert sparse_rank_and_factors(_sparse_columns([[1, 2], [1, 2]])) == (1, [])
+    assert sparse_rank_and_factors(_sparse_columns([[2, 4], [4, 2]])) == \
+        (2, [2, 6])
+    rng = random.Random(18)
+    for trial in range(150):
+        nr, nc = rng.randrange(1, 9), rng.randrange(1, 9)
+        rows = [[rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < 0.35
+                 else 0 for _ in range(nc)] for _ in range(nr)]
+        if trial % 3 == 1:
+            for row in rows:
+                row.extend([row[0], -2 * row[-1]])
+        elif trial % 3 == 2:
+            rows = [[2 * x for x in row] for row in rows]
+        rank, factors = sparse_rank_and_factors(_sparse_columns(rows))
+        assert (rank, sorted(factors)) == _sympy_rank_and_factors(rows), rows

@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from fanpart.arrangement import make_subspace
+from fanpart.arrangement import (intersection_poset, make_J_pieces,
+                                 make_subspace, orbit_closure)
 from fanpart.exactlin import Matrix, kernel_basis, solve_affine, vec
+from fanpart.groups import quaternion_on_Wn
 from fanpart.homology import (SimplicialComplex, UnsupportedArrangement,
-                              boundary_matrix, complex_from_facets,
-                              crosscut_complex, max_chain_length_above, nerve,
+                              boundary_matrix, chain_heights,
+                              complex_from_facets, crosscut_complex, nerve,
                               node_homology, order_complex,
                               reduced_homology, verify_lemma16,
                               verify_no_homology_above_top, zz_basis)
@@ -16,6 +18,7 @@ from fanpart.homology import (SimplicialComplex, UnsupportedArrangement,
 from canonical_oracle import positive_multiple, rational_key
 from homology_oracle import dense_homology
 from link_oracle import union_homology_rank
+import poset_oracle
 
 
 def two_points():
@@ -306,6 +309,7 @@ def _checked_degrees(poset, n=None):
     node, whether or not they stop early."""
     tops = set(poset.maximal_node_ids)
     top = max(poset.nodes[m].dim for m in tops)
+    height = chain_heights(poset)
     out = set()
     for nd in poset.nodes:
         if nd.index in tops:
@@ -315,7 +319,7 @@ def _checked_degrees(poset, n=None):
         if n is not None and nd.dim <= n - 6:
             out.add((nd.index, n - 5 - nd.dim))
         deg = top - nd.dim
-        if deg >= 0 and max_chain_length_above(poset, nd.index) - 1 >= deg:
+        if deg >= 0 and height[nd.index] - 1 >= deg:
             out.add((nd.index, deg))
     return sorted(out)
 
@@ -344,13 +348,22 @@ def _crosscut_from_above(poset, node):
         for w in poset.above[node])
 
 
-def _assert_crosscut_reads_support(poset, n=None):
+def _assert_poset_tables_read_support(poset):
+    """The crosscut complexes against the maximal facets among the supports
+    above, and the chain heights against a walk of each up-set."""
     tops = set(poset.maximal_node_ids)
     for nd in poset.nodes:
-        assert crosscut_complex(poset, nd.index).facets == \
-            _crosscut_from_above(poset, nd.index).facets
+        assert crosscut_complex(poset, nd.index) == \
+            _crosscut_from_above(poset, nd.index)
         assert poset.elements_above(nd.index) == [
             m for m in poset.above[nd.index] if m in tops]
+    assert chain_heights(poset) == [
+        poset_oracle.max_chain_length_above(poset, i)
+        for i in range(len(poset.nodes))]
+
+
+def _assert_crosscut_reads_support(poset, n=None):
+    _assert_poset_tables_read_support(poset)
     for node, deg in _checked_degrees(poset, n):
         h = reduced_homology(nerve(_crosscut_from_above(poset, node)), deg)
         memo = node_homology(poset, node, deg)
@@ -362,9 +375,19 @@ def test_crosscut_reads_support_fixtures(fixture_data, name):
     _assert_crosscut_reads_support(fixture_data(name)["poset"])
 
 
-@pytest.mark.parametrize("n,a,b", [(6, 1, 2), (8, 2, 2), (8, 1, 3), (8, 3, 1)])
+@pytest.mark.parametrize("n,a,b", [(6, 1, 2), (8, 2, 2), (8, 1, 3), (8, 3, 1),
+                                   (10, 2, 3)])
 def test_crosscut_reads_support_main_cases(main_data, n, a, b):
     _assert_crosscut_reads_support(main_data(n, a, b)["poset"], n)
+
+
+@pytest.mark.slow
+def test_poset_tables_read_support_n12():
+    # the poset of (1, 5) only: its deep-node homology is too slow for a test
+    group = quaternion_on_Wn(12)
+    poset = intersection_poset(orbit_closure(group, make_J_pieces(12, 1, 5)))
+    assert len(poset.nodes) == 876
+    _assert_poset_tables_read_support(poset)
 
 
 @pytest.mark.parametrize("name", ["z8", "z4"])
