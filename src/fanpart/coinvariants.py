@@ -49,7 +49,8 @@ class OrientedGeneratorAction:
         m = self.matrices[g.word]
         if d == 1:
             return m
-        return Matrix([[-x for x in row] for row in m.entries])
+        return Matrix._wrap(tuple(tuple(-x for x in row) for row in m.entries),
+                            m.cols)
 
 
 def _wall_pages(zz: ZZBasis, g: GroupElement, wall: WallNode) -> dict:
@@ -148,8 +149,7 @@ def induced_action(group: ActionGroup, zz: ZZBasis) -> OrientedGeneratorAction:
             for idx, c in img.items():
                 col[idx] = c
             cols.append(col)
-        by_perm[g.perm] = Matrix([[cols[j][i] for j in range(r)]
-                                  for i in range(r)])
+        by_perm[g.perm] = Matrix._wrap(tuple(zip(*cols)), r)
     return OrientedGeneratorAction(
         group, zz, {g.word: by_perm[g.perm] for g in group.elements})
 
@@ -214,9 +214,10 @@ def _coinvariants_of(matrices: Iterable[Matrix], r: int) -> CoinvariantGroup:
     rels: dict = {}
     for m in matrices:
         for j, col in enumerate(zip(*m.entries)):
-            rel = tuple(x - (i == j) for i, x in enumerate(col))
+            rel = list(col)
+            rel[j] -= 1
             if any(rel):
-                rels[rel] = None
+                rels[tuple(rel)] = None
     return coinvariants_from_relations(list(rels), r)
 
 

@@ -18,6 +18,8 @@ from bisect import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import count
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -115,8 +117,8 @@ class Matrix:
         return f"Matrix[{self.rows}x{self.cols}: {body}]"
 
     def transpose(self) -> "Matrix":
-        return Matrix([[self.entries[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)])
+        cols = list(zip(*self.entries)) if self.rows else [()] * self.cols
+        return Matrix._wrap(tuple(cols), self.rows if cols else 0)
 
     def mul(self, other: "Matrix") -> "Matrix":
         """Fraction-free product.  Two factors that have entries, all of
@@ -309,6 +311,14 @@ def scaled_points(points: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
                  for p in points]
 
 
+def point_key(p: Sequence) -> tuple[int, tuple[int, ...]]:
+    """A rational point as (D, D p), D the least common denominator of its
+    entries: equal points, and only they, have equal keys, and a coordinate
+    permutation of p permutes D p alone."""
+    den, (ints,) = scaled_points([p])
+    return den, tuple(ints)
+
+
 def determinant(m: Matrix) -> Fraction:
     """Determinant by fraction-free (Bareiss) elimination of the rows
     scaled to integers; the row scales are divided out once, at the end."""
@@ -457,7 +467,15 @@ def smith_normal_form(m) -> SmithForm:
     a list of integer rows.
 
     Pivot choice: smallest nonzero absolute value in the remaining block,
-    which keeps coefficient growth down on the small matrices seen here.
+    the first in row-major order on ties, which keeps coefficient growth
+    down on the small matrices seen here.  The scan stops at the first
+    entry of absolute value 1, which nothing undercuts, and a pivot of 1
+    divides every entry, so it skips the divisibility rescan.  A finished
+    pivot leaves its row and column zero off the diagonal, so the rows
+    above the block are zero in its columns, its rows are zero in the
+    columns before it, and every operation on A is confined to the block.
+    The operations, and so U, D and the recorded column operations, are
+    those of a scan of the whole matrix.
     The column operations are recorded, not applied to V; see SmithForm.
     """
     if isinstance(m, Matrix):
@@ -476,27 +494,26 @@ def smith_normal_form(m) -> SmithForm:
         u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
-        for row in a:
+        for k in range(t, nr):
+            row = a[k]
             row[i], row[j] = row[j], row[i]
         col_ops.append((i, j, 0))
 
     def add_row(src, dst, f):
-        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
+        a[dst][t:] = [x + f * y for x, y in zip(a[dst][t:], a[src][t:])]
         u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, f):
-        for row in a:
-            row[dst] += f * row[src]
-        if f:
-            col_ops.append((src, dst, f))
 
     t = 0
     while True:
         best = None
         for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best[0]):
-                    best = (abs(a[i][j]), i, j)
+            block = a[i][t:]
+            least = min(map(abs, filter(None, block)), default=0)
+            if least and (best is None or least < best[0]):
+                best = (least, i, t + min(block.index(x) for x in
+                                          (least, -least) if x in block))
+                if least == 1:
+                    break
         if best is None:
             break
         _, bi, bj = best
@@ -515,12 +532,18 @@ def smith_normal_form(m) -> SmithForm:
                     if a[i][t] != 0:
                         swap_rows(t, i)
                         dirty = True
+            # a column operation only changes the rows nonzero in column t
+            live = [row for row in a[t:] if row[t]]
             for j in range(t + 1, nc):
                 if a[t][j] != 0:
                     q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
+                    if q:
+                        for row in live:
+                            row[j] -= q * row[t]
+                        col_ops.append((t, j, -q))
                     if a[t][j] != 0:
                         swap_cols(t, j)
+                        live = [row for row in a[t:] if row[t]]
                         dirty = True
             if not dirty:
                 break
@@ -528,20 +551,18 @@ def smith_normal_form(m) -> SmithForm:
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
         # divisibility: pivot must divide every later entry
-        bad = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % a[t][t] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
+        p = a[t][t]
+        bad = None if p == 1 else next(
+            (i for i in range(t + 1, nr) if any(x % p for x in a[i][t + 1:])),
+            None)
         if bad is not None:
             add_row(bad, t, 1)
             continue
         t += 1
-    return SmithForm(U=Matrix(u), D=Matrix(a), rank=t,
-                      col_ops=tuple(col_ops))
+    # Matrix([]) has no columns, so neither has the D of a matrix without rows
+    return SmithForm(U=Matrix._wrap(tuple(map(tuple, u)), nr),
+                     D=Matrix._wrap(tuple(map(tuple, a)), nc if nr else 0),
+                     rank=t, col_ops=tuple(col_ops))
 
 
 def sparse_rank_and_factors(cols: dict) -> tuple[int, list[int]]:
@@ -550,32 +571,41 @@ def sparse_rank_and_factors(cols: dict) -> tuple[int, list[int]]:
     `cols` maps column id -> {row id: nonzero int}.  Unit pivots are
     eliminated by unimodular operations (exact); whatever remains without a
     unit entry is finished by dense Smith normal form.
+
+    The pivots come from a heap of unit entries keyed by fill, (entries in
+    the column - 1) * (entries in the row - 1), as it was when the entry
+    was pushed.  Every entry that is a unit when the matrix is read, or
+    that an elimination writes as a unit, is pushed; a popped entry is
+    dropped when it is gone or no longer a unit, and pushed again when its
+    fill has grown.  So no unit entry is left when the heap is empty.
     """
     cols = {c: dict(col) for c, col in cols.items() if col}
     rows: dict = {}
     for c, col in cols.items():
         for r, v in col.items():
             rows.setdefault(r, {})[c] = v
+    tie = count()                     # ids need not be comparable
+
+    def fill(r, c):
+        return (len(cols[c]) - 1) * (len(rows[r]) - 1)
+
+    heap = [(fill(r, c), next(tie), r, c) for c, col in cols.items()
+            for r, v in col.items() if v in (1, -1)]
+    heapify(heap)
     rank = 0
-    while True:
-        best = None
-        for c, col in cols.items():
-            for r, v in col.items():
-                if v in (1, -1):
-                    fill = (len(col) - 1) * (len(rows[r]) - 1)
-                    if best is None or fill < best[0]:
-                        best = (fill, r, c, v)
-                        if fill == 0:
-                            break
-            if best and best[0] == 0:
-                break
-        if best is None:
-            break
-        _, pr, pc, pv = best
+    while heap:
+        old, _, pr, pc = heappop(heap)
+        pv = cols[pc].get(pr) if pc in cols else None
+        if pv not in (1, -1):
+            continue
+        if fill(pr, pc) > old:
+            heappush(heap, (fill(pr, pc), next(tie), pr, pc))
+            continue
         # clear column pc with integer row operations; entries that cancel
         # are deleted in place, and no column empties while row pr holds it
         pivot_row = rows.pop(pr)
         del pivot_row[pc]
+        units = []
         for r, x in cols.pop(pc).items():
             if r == pr:
                 continue
@@ -587,6 +617,8 @@ def sparse_rank_and_factors(cols: dict) -> tuple[int, list[int]]:
                     del row[c2], cols[c2][r]
                 else:
                     row[c2] = cols[c2][r] = cur
+                    if cur in (1, -1):
+                        units.append((r, c2))
             del row[pc]
             if not row:
                 del rows[r]
@@ -595,6 +627,8 @@ def sparse_rank_and_factors(cols: dict) -> tuple[int, list[int]]:
             del cols[c2][pr]
             if not cols[c2]:
                 del cols[c2]
+        for r, c2 in units:
+            heappush(heap, (fill(r, c2), next(tie), r, c2))
         rank += 1
     if not cols:
         return rank, []

@@ -38,7 +38,8 @@ from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .exactlin import (Vec, echelon, frame_det, from_columns, integer_dot,
-                       integer_kernel, scaled_det, scaled_points, sign, vec)
+                       integer_kernel, point_key, scaled_det, scaled_points,
+                       sign, vec)
 from .groups import (ActionGroup, GroupElement, act, distinct_actions,
                      quaternion_on_Wn)
 from .arrangement import (HalfOpenSubspace, IntersectionPoset, _check_params,
@@ -864,10 +865,10 @@ def _prepare(n: int, a: int, b: int
     cert.steps.append("Step 3: preimage cells and the two special points")
     try:
         jhits = intersect_with_Jpieces(h, l1, l2, n, a, b)
-        vw = {tuple(v_point(n, a, b)), tuple(w_point(n, a, b))}
+        vw = {point_key(v_point(n, a, b)), point_key(w_point(n, a, b))}
         checks["both pieces meet the image in exactly {v, w}"] = (
-            {tuple(p) for _, p in jhits["l1_hits"]} == vw
-            and {tuple(p) for _, p in jhits["l2_hits"]} == vw)
+            {point_key(p) for _, p in jhits["l1_hits"]} == vw
+            and {point_key(p) for _, p in jhits["l2_hits"]} == vw)
         rho3 = rho_cells(n, a, b)["rho3"]
         checks["third candidate simplex contributes no hit"] = all(
             arcs != (min(rho3), max(rho3)) for arcs, _ in jhits["l1_hits"])
@@ -876,17 +877,15 @@ def _prepare(n: int, a: int, b: int
         checks["sixteen preimage cells"] = len(special) == 16
         checks["preimage cells in one orbit"] = all(
             rec.orbit_words for rec in special)
-        special_pts = {tuple(hit[2]) for rec in special for hit in rec.hits}
-        checks["v and w appear on the special cells"] = vw <= special_pts
-        orbit_pts = {tuple(act(g, vec(p))) for g in group.elements
-                     for p in vw}
+        hits = [(rec, point_key(hit[2])) for rec in pre for hit in rec.hits]
+        checks["v and w appear on the special cells"] = vw <= {
+            key for rec, key in hits if rec.special}
+        orbit = {(den, act(g, p)) for g in group.elements for den, p in vw}
         checks["all hits in the orbit of {v, w}"] = all(
-            tuple(hit[2]) in orbit_pts for rec in pre for hit in rec.hits)
+            key in orbit for _, key in hits)
         fe = set(h.sphere.fundamental_cells())
-        pts = {tuple(hit[2]) for rec in pre if rec.cell in fe
-               for hit in rec.hits}
-        checks["fundamental cell carries two intersection points"] = \
-            len(pts) == 2
+        checks["fundamental cell carries two intersection points"] = len(
+            {key for rec, key in hits if rec.cell in fe}) == 2
     except GeneralPositionError as e:
         checks["general position"] = False
         cert.verdict = f"inconclusive: general position failed ({e})"

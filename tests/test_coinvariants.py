@@ -568,3 +568,30 @@ def test_coinvariants_match_every_relation_column(main_data, n, a, b):
         assert (full.invariant_factors, full.rank) == (cg.invariant_factors,
                                                        cg.rank)
         assert full.U == cg.U
+
+
+@pytest.mark.parametrize("case", ["z8", "z4", (6, 1, 2), (8, 2, 2),
+                                  (8, 1, 3)])
+def test_relation_smith_forms_keep_the_full_scan_operations(
+        fixture_data, main_data, monkeypatch, case):
+    # the dual form's U fixes the class coordinates of a certificate, so
+    # the cut scans must perform the operations of the full scan: the same
+    # U, D, rank and column operations on every relation matrix
+    import fanpart.coinvariants as coinvariants
+    from fanpart.exactlin import smith_normal_form
+    from rescan_oracle import full_scan_smith_form
+    data = fixture_data(case) if isinstance(case, str) else main_data(*case)
+    action, group = data["action"], data["group"]
+    seen = []
+
+    def recording(m):
+        seen.append(m)
+        return smith_normal_form(m)
+    monkeypatch.setattr(coinvariants, "smith_normal_form", recording)
+    modified_coinvariants(action, group)
+    modified_coinvariants(action, group, generators_only=True)
+    dual_coinvariants(action, group)
+    assert len(seen) == 3
+    for m in seen:
+        a, b = smith_normal_form(m), full_scan_smith_form(m)
+        assert (a.U, a.D, a.rank, a.col_ops) == (b.U, b.D, b.rank, b.col_ops)

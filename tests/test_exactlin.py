@@ -531,3 +531,29 @@ def test_sparse_rank_and_factors_matches_sympy_snf():
             rows = [[2 * x for x in row] for row in rows]
         rank, factors = sparse_rank_and_factors(_sparse_columns(rows))
         assert (rank, sorted(factors)) == _sympy_rank_and_factors(rows), rows
+
+
+def test_snf_keeps_the_full_scan_operations():
+    # the least entry is often 2 or more, so the scan runs to the end and
+    # the clearing and divisibility retries run; [[2, 0], [0, 3]] reaches
+    # its factors (1, 6) by the divisibility retry alone.  U, D, rank and
+    # the recorded column operations are those of the full scan.
+    from rescan_oracle import full_scan_smith_form
+    rng = random.Random(20261019)
+    pool = (0, 0, 0, 2, -2, 3, -3, 4, -4, 6, 9, -10)
+    cases = [[[2, 0], [0, 3]], [[0, 0]], Matrix.zeros(0, 3), Matrix([[5]])]
+    for trial in range(200):
+        r, c = rng.randrange(1, 5), rng.randrange(1, 7)
+        units = (1, -1) if trial % 4 == 0 else ()
+        cases.append([[rng.choice(pool + units) for _ in range(c)]
+                      for _ in range(r)])
+    no_unit = retried = 0
+    for m in cases:
+        a, b = smith_normal_form(m), full_scan_smith_form(m)
+        assert (a.U, a.D, a.rank, a.col_ops) == (b.U, b.D, b.rank, b.col_ops)
+        rows = m.entries if isinstance(m, Matrix) else m
+        least = min((abs(x) for row in rows for x in row if x), default=0)
+        no_unit += least >= 2
+        retried += a.rank > 0 and a.invariant_factors[0] < least
+    assert smith_normal_form([[2, 0], [0, 3]]).invariant_factors == (1, 6)
+    assert no_unit >= 150 and retried >= 100, (no_unit, retried)

@@ -401,3 +401,29 @@ def test_nerve_matches_crosscut_main_cases(main_data, n, a, b):
     # (3, 1) has deep nodes with homology: the comparison is not vacuous,
     # and the failure of Lemma 16 there is the crosscut complex's own
     assert bool(nonzero) == ((a, b) == (3, 1))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("a,b", [(2, 3), (4, 1)])
+def test_pivot_heap_equals_the_rescan_route(monkeypatch, a, b):
+    # every boundary matrix that the basis and the two deep-node checks
+    # eliminate at n = 10 (452 at (2, 3), 512 at (4, 1)): rank and
+    # invariant factors do not depend on the order of the unit pivots
+    import fanpart.homology as homology
+    from fanpart.exactlin import sparse_rank_and_factors
+    from rescan_oracle import rescan_rank_and_factors
+    seen = []
+
+    def recording(cols):
+        seen.append(cols)
+        return sparse_rank_and_factors(cols)
+    monkeypatch.setattr(homology, "sparse_rank_and_factors", recording)
+    n = 2 * (a + b)
+    poset = intersection_poset(orbit_closure(quaternion_on_Wn(n),
+                                             make_J_pieces(n, a, b)))
+    zz_basis(poset)
+    verify_lemma16(poset, n)
+    verify_no_homology_above_top(poset)
+    assert len(seen) > 400
+    for cols in seen:
+        assert sparse_rank_and_factors(cols) == rescan_rank_and_factors(cols)

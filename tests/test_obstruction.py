@@ -781,3 +781,65 @@ def test_integer_moved_points_match_fraction_oracle(main_data, n, a, b):
                 compared += 1
             assert len(factors) <= 1
     assert compared > 0
+
+
+# --- the Step 3 point checks on integer keys ----------------------------------
+
+STEP3_POINT_CHECKS = ("both pieces meet the image in exactly {v, w}",
+                      "v and w appear on the special cells",
+                      "all hits in the orbit of {v, w}",
+                      "fundamental cell carries two intersection points")
+
+
+def _step3_on_fraction_tuples(n, a, b, poset):
+    """The Step 3 point checks on sets of Fraction tuples, the route they
+    took before points were compared as integer keys."""
+    h = define_h(n)
+    jhits = intersect_with_Jpieces(h, *make_J_pieces(n, a, b), n, a, b)
+    pre = preimage_simplices(h, poset, n, a, b)
+    vw = {tuple(v_point(n, a, b)), tuple(w_point(n, a, b))}
+    orbit = {tuple(act(g, vec(p))) for g in quaternion_on_Wn(n).elements
+             for p in vw}
+    fe = set(h.sphere.fundamental_cells())
+    return dict(zip(STEP3_POINT_CHECKS, (
+        {tuple(p) for _, p in jhits["l1_hits"]} == vw
+        and {tuple(p) for _, p in jhits["l2_hits"]} == vw,
+        vw <= {tuple(hit[2]) for rec in pre if rec.special
+               for hit in rec.hits},
+        all(tuple(hit[2]) in orbit for rec in pre for hit in rec.hits),
+        len({tuple(hit[2]) for rec in pre if rec.cell in fe
+             for hit in rec.hits}) == 2)))
+
+
+@pytest.mark.parametrize("n,a,b", [(6, 1, 2), (6, 2, 1), (8, 2, 2),
+                                   (8, 1, 3), (8, 3, 1)])
+def test_step3_integer_keys_match_fraction_tuples(main_data, n, a, b):
+    checks = _prepare(n, a, b)[0].checks
+    assert {k: checks[k] for k in STEP3_POINT_CHECKS} == \
+        _step3_on_fraction_tuples(n, a, b, main_data(n, a, b)["poset"])
+
+
+def test_step3_hit_off_the_orbit_fails_only_the_orbit_check(monkeypatch):
+    # one hit on a cell that is neither special nor fundamental is moved
+    # off the orbit of {v, w} in an edited copy of the preimage cells
+    import copy
+
+    import fanpart.obstruction as ob
+    n, a, b = 6, 1, 2
+    real = ob.preimage_simplices
+    fe = set(define_h(n).sphere.fundamental_cells())
+
+    def moved(*args):
+        pre = copy.deepcopy(real(*args))
+        rec = next(r for r in pre if not r.special and r.cell not in fe)
+        m, lam, pt = rec.hits[0]
+        rec.hits[0] = (m, lam, (pt[0] + Fraction(1, 7),) + tuple(pt[1:]))
+        return pre
+    before = dict(_prepare(n, a, b)[0].checks)
+    _prepare.cache_clear()
+    monkeypatch.setattr(ob, "preimage_simplices", moved)
+    after = _prepare(n, a, b)[0].checks
+    key = "all hits in the orbit of {v, w}"
+    assert before[key] is True and after[key] is False
+    assert {k: v for k, v in after.items() if k != key} == \
+        {k: v for k, v in before.items() if k != key}
