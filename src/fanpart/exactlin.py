@@ -18,8 +18,6 @@ from bisect import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
-from itertools import count
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -572,40 +570,28 @@ def sparse_rank_and_factors(cols: dict) -> tuple[int, list[int]]:
     eliminated by unimodular operations (exact); whatever remains without a
     unit entry is finished by dense Smith normal form.
 
-    The pivots come from a heap of unit entries keyed by fill, (entries in
-    the column - 1) * (entries in the row - 1), as it was when the entry
-    was pushed.  Every entry that is a unit when the matrix is read, or
-    that an elimination writes as a unit, is pushed; a popped entry is
-    dropped when it is gone or no longer a unit, and pushed again when its
-    fill has grown.  So no unit entry is left when the heap is empty.
+    One sweep over the columns in their given order: each column pivots on
+    its first unit entry, and a column with no unit is passed over and left
+    to the dense finish, even if a later pivot writes a unit into it.  The
+    order does not matter: unimodular row and column operations change
+    neither the rank nor the invariant factors, whichever pivots they use.
     """
     cols = {c: dict(col) for c, col in cols.items() if col}
     rows: dict = {}
     for c, col in cols.items():
         for r, v in col.items():
             rows.setdefault(r, {})[c] = v
-    tie = count()                     # ids need not be comparable
-
-    def fill(r, c):
-        return (len(cols[c]) - 1) * (len(rows[r]) - 1)
-
-    heap = [(fill(r, c), next(tie), r, c) for c, col in cols.items()
-            for r, v in col.items() if v in (1, -1)]
-    heapify(heap)
     rank = 0
-    while heap:
-        old, _, pr, pc = heappop(heap)
-        pv = cols[pc].get(pr) if pc in cols else None
-        if pv not in (1, -1):
+    for pc in list(cols):
+        col = cols.get(pc, {})        # a column that emptied is gone
+        pr = next((r for r, v in col.items() if v in (1, -1)), None)
+        if pr is None:
             continue
-        if fill(pr, pc) > old:
-            heappush(heap, (fill(pr, pc), next(tie), pr, pc))
-            continue
+        pv = col[pr]
         # clear column pc with integer row operations; entries that cancel
         # are deleted in place, and no column empties while row pr holds it
         pivot_row = rows.pop(pr)
         del pivot_row[pc]
-        units = []
         for r, x in cols.pop(pc).items():
             if r == pr:
                 continue
@@ -617,8 +603,6 @@ def sparse_rank_and_factors(cols: dict) -> tuple[int, list[int]]:
                     del row[c2], cols[c2][r]
                 else:
                     row[c2] = cols[c2][r] = cur
-                    if cur in (1, -1):
-                        units.append((r, c2))
             del row[pc]
             if not row:
                 del rows[r]
@@ -627,8 +611,6 @@ def sparse_rank_and_factors(cols: dict) -> tuple[int, list[int]]:
             del cols[c2][pr]
             if not cols[c2]:
                 del cols[c2]
-        for r, c2 in units:
-            heappush(heap, (fill(r, c2), next(tie), r, c2))
         rank += 1
     if not cols:
         return rank, []

@@ -118,12 +118,13 @@ def reduced_homology(cx: SimplicialComplex, d: int) -> HomologyGroup:
     boundaries out of degrees d and d + 1: one sparse unimodular
     elimination each, with a dense Smith finish on what has no unit pivot.
     The chain complex is augmented (the empty face in degree -1), so no
-    degree needs a case of its own.
+    degree needs a case of its own; the boundary out of degree d has one
+    column per d-face, the empty face included at d = -1.
     """
-    n_d = len(cx.faces(d))
-    rank_d, _ = sparse_rank_and_factors(_sparse_boundary(cx, d))
+    boundary_d = _sparse_boundary(cx, d)
+    rank_d, _ = sparse_rank_and_factors(boundary_d)
     rank_up, torsion = sparse_rank_and_factors(_sparse_boundary(cx, d + 1))
-    return HomologyGroup(n_d - rank_d - rank_up, torsion)
+    return HomologyGroup(len(boundary_d) - rank_d - rank_up, torsion)
 
 
 # ---------------------------------------------------------------------------

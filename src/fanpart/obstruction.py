@@ -486,9 +486,9 @@ def ambient_orientation_det(columns: Sequence[Vec], n: int) -> int:
 def _moved_disc(point: Vec, disc: Sequence[Vec], shift: Vec
                 ) -> tuple[list[int], list[tuple[int, ...]]]:
     """The disc moved from `point` by `shift`: its start point + shift and
-    its frame, each scaled to integers by a positive factor of its own.  A
-    crossing point (`_moved_point`) scales with the start, and no sign read
-    off the disc changes."""
+    its frame, scaled to integers by a positive factor for the start and
+    one common to all frame vectors.  A crossing point (`_moved_point`)
+    scales with the start, and no sign read off the disc changes."""
     _, (start,) = scaled_points([[p + s for p, s in zip(point, shift)]])
     _, frame = scaled_points(disc)
     return start, list(map(tuple, frame))
@@ -1037,8 +1037,14 @@ def obstruction_class(n: int, a: int, b: int,
     (n, a, b) alone and are kept for the last case; a call only weighs the
     pairing vectors of the cocycle terms by `term_flips` and `global_flip`
     and runs Step 8 on their sum (`_class_of_cocycle`).  Each call returns
-    a certificate of its own."""
+    a certificate of its own.  `term_flips` holds one sign, +1 or -1, for
+    each of the two cocycle terms (a missing one is +1); anything else is
+    refused with a ValueError before any step runs."""
     _check_params(n, a, b)
+    if term_flips is not None and (
+            len(term_flips) > 2 or any(f not in (1, -1) for f in term_flips)):
+        raise ValueError("term_flips takes a sign +1 or -1 for each of the "
+                         f"two cocycle terms, got {term_flips!r}")
     prepared, ctx = _prepare(n, a, b)
     cert = deepcopy(prepared)
     if ctx is not None:

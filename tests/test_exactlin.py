@@ -515,8 +515,11 @@ def _sparse_columns(rows):
 def test_sparse_rank_and_factors_matches_sympy_snf():
     # a column that is a multiple of another is emptied by the row
     # operations once the other is pivoted; a doubled matrix has no unit
-    # entry, so the dense finish does all of it
+    # entry, so the dense finish does all of it; the sweep passes column 0
+    # of [[2, 1], [3, 1]], and pivoting column 1 writes a unit into it that
+    # the dense finish completes
     assert sparse_rank_and_factors(_sparse_columns([[1, 2], [1, 2]])) == (1, [])
+    assert sparse_rank_and_factors(_sparse_columns([[2, 1], [3, 1]])) == (2, [])
     assert sparse_rank_and_factors(_sparse_columns([[2, 4], [4, 2]])) == \
         (2, [2, 6])
     rng = random.Random(18)

@@ -405,10 +405,11 @@ def test_nerve_matches_crosscut_main_cases(main_data, n, a, b):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("a,b", [(2, 3), (4, 1)])
-def test_pivot_heap_equals_the_rescan_route(monkeypatch, a, b):
+def test_unit_sweep_equals_the_rescan_route(monkeypatch, a, b):
     # every boundary matrix that the basis and the two deep-node checks
-    # eliminate at n = 10 (452 at (2, 3), 512 at (4, 1)): rank and
-    # invariant factors do not depend on the order of the unit pivots
+    # eliminate at n = 10 (452 at (2, 3), 512 at (4, 1)): the sweep takes
+    # the unit pivots in column order, the rescan by least fill, and rank
+    # and invariant factors do not depend on that order
     import fanpart.homology as homology
     from fanpart.exactlin import sparse_rank_and_factors
     from rescan_oracle import rescan_rank_and_factors

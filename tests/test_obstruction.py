@@ -503,15 +503,16 @@ def test_certificate_json_deterministic():
 
 
 @pytest.mark.slow
-def test_certificate_n10_23_laws():
+@pytest.mark.parametrize("n,a,b", [(10, 2, 3), (12, 2, 4)])
+def test_certificate_laws(n, a, b):
     # laws of the decomposition only; the coinvariants and the verdict are
     # pinned by the acceptance tests, not here
-    cert = obstruction_class(10, 2, 3)
+    cert = obstruction_class(n, a, b)
     for name in ("decomposition supported", "homology rank is 5(a+b)",
                  "deep nodes contribute nothing",
                  "no homology above the top degree"):
         assert cert.checks[name], name
-    assert cert.homology_rank == 25
+    assert cert.homology_rank == 5 * (a + b)
 
 
 @pytest.mark.parametrize("n,a,b", [(6, 1, 2), (8, 2, 2), (8, 1, 3)])
@@ -678,6 +679,19 @@ def test_next_case_evicts_the_last(monkeypatch):
                          ((6, 1, 2), 3)):
         obstruction_class(*case)
         assert counts["intersection_poset"] == builds
+
+
+@pytest.mark.parametrize("flips", [(2, 1), (0, 1), (1, -1, 1),
+                                   (Fraction(1, 2),)])
+def test_bad_term_flips_are_refused_before_any_step(monkeypatch, flips):
+    # a flip other than +-1, or one for a third term, would weigh the
+    # pairing vectors into a meaningless class
+    import fanpart.obstruction as ob
+    _prepare.cache_clear()
+    counts = _count_calls(monkeypatch, ob, ("intersection_poset",))
+    with pytest.raises(ValueError, match="term_flips"):
+        obstruction_class(6, 1, 2, term_flips=flips)
+    assert counts["intersection_poset"] == 0
 
 
 def test_returned_certificate_is_a_copy():
