@@ -366,6 +366,10 @@ class IntersectionPoset:
     `above[i]` lists nodes whose set strictly contains node i (these are the
     elements of the lower cone in the reverse-inclusion order used for order
     complexes).  `covers[i]` lists the minimal ones, in increasing order.
+
+    `orbit[i]` is the node of i's group orbit that met the maximal elements
+    when the poset was built (see `intersection_poset`): the one orbit
+    representative of every node.
     """
 
     nodes: list[PosetNode]
@@ -373,13 +377,14 @@ class IntersectionPoset:
     support: list[int]                 # bitmask over maximal_node_ids
     above: list[list[int]]             # strict supersets, by node index
     covers: list[list[int]]            # minimal strict supersets
+    orbit: list[int]                   # the orbit representative
     arrangement: Arrangement
     # g.perm -> pi_g, the permutation of the maximal elements by g
     _moves: dict = field(default_factory=dict, repr=False)
     # support mask -> node index
     _by_support: dict = field(default_factory=dict, repr=False)
-    # (node, degree) -> reduced homology below the node; filled by
-    # homology.node_homology
+    # (orbit representative, degree) -> reduced homology below the node;
+    # filled by homology.node_homology
     _homology_memo: dict = field(default_factory=dict, repr=False)
 
     def support_ids(self, i: int) -> list[int]:
@@ -461,7 +466,8 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
     the integer stage-one form of the meet, and only a form not seen yet
     gets the cone work of stage two.  The meets that give the node itself
     make its exact support; the rest of its orbit is one node per distinct
-    pi_g(support), moved from it by g (stage one only).  Then the closure
+    pi_g(support), moved from it by g (stage one only), and the node that
+    met the elements is the orbit's entry in `orbit`.  Then the closure
     from the maximal elements is replayed on masks to number the nodes:
     the meet of node i and element m is the node of fewest support bits
     among those whose support holds support[i] | m (the intersection of
@@ -479,10 +485,12 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
     moves = _element_moves(arr, known)
     actions = distinct_actions(arr.group)
     sets, support = list(elems), [1 << k for k in range(nmax)]
+    rep = list(range(nmax))  # node -> the node of its orbit settled
     by_support: dict = {}  # exact support -> node
 
     def add(s: HalfOpenSubspace, mask: int) -> int:
         known[s.key()] = len(sets)
+        rep.append(len(sets))
         sets.append(s)
         support.append(mask)
         return len(sets) - 1
@@ -513,7 +521,7 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
             if mask not in by_support:
                 j = pi[r] if r < nmax else add(HalfOpenSubspace(
                     *_moved_form(g, a), dim), mask)
-                support[j] = mask
+                support[j], rep[j] = mask, r
                 by_support[mask] = j
 
     for k in range(nmax):  # one element per orbit of elements
@@ -542,6 +550,8 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
                 numbered.add(j)
                 bfs.append(j)
     support = [support[j] for j in bfs]
+    position = {j: i for i, j in enumerate(bfs)}
+    orbit = [position[rep[j]] for j in bfs]
     # i <= j exactly when support[j] <= support[i]: j lies in no element
     # outside support[i].  Distinct nodes have distinct supports, so this
     # is strict containment once i itself is taken out
@@ -570,5 +580,5 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
         s = sets[j] if j < nmax else sets[j].relabel(f"meet{i}")
         poset_nodes.append(PosetNode(i, s, s.dim, s.label or f"node{i}"))
     return IntersectionPoset(
-        poset_nodes, list(range(nmax)), support, above, covers, arr,
+        poset_nodes, list(range(nmax)), support, above, covers, orbit, arr,
         _moves=moves, _by_support={s: i for i, s in enumerate(support)})

@@ -19,11 +19,13 @@ intersection of facets is a face, hence contractible, so the nerve has the
 same integer homology, torsion included (nerve theorem; A. Bjorner,
 Topological methods, Handbook of Combinatorics, 1995, Sec. 10).  The nerve
 has one vertex per facet, far fewer faces than the crosscut complex on deep
-nodes.  Each (node, degree) is computed once per poset, and the degree
-above the top only where the table of chain heights allows a class.
-Homology itself is one route for every complex: each boundary map is
-reduced by sparse unimodular elimination on unit pivots, and whatever is
-left without a unit entry gets a dense Smith normal form finish.
+nodes.  The group permutes the poset, so nodes of one orbit have
+isomorphic lower intervals: each degree is computed once per node orbit,
+on the orbit representative the poset keeps, and the degree above the top
+only where the table of chain heights allows a class.  Homology itself is
+one route for every complex: each boundary map is built on face positions
+and reduced by sparse unimodular elimination on unit pivots, and whatever
+is left without a unit entry gets a dense Smith normal form finish.
 """
 
 from __future__ import annotations
@@ -89,26 +91,25 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def _sparse_boundary(cx: SimplicialComplex, d: int) -> dict:
-    """Columns of the boundary map from d-chains, as sparse integer dicts;
-    d = 0 gives the augmentation."""
-    cols = {}
-    for f in cx.faces(d):
-        col = {}
-        for omit in range(len(f)):
-            col[f[:omit] + f[omit + 1:]] = (-1) ** omit
-        cols[f] = col
-    return cols
+def _boundary(lower: list[tuple], faces: list[tuple]) -> dict:
+    """The boundary map from `faces` to `lower`, the faces one degree
+    down, on positions: column j -> {i: +-1} over the faces lower[i] of
+    faces[j].  A vertex maps to the empty face, the augmentation."""
+    position = {f: i for i, f in enumerate(lower)}
+    return {j: {position[f[:k] + f[k + 1:]]: -1 if k & 1 else 1
+                for k in range(len(f))}
+            for j, f in enumerate(faces)}
 
 
 def boundary_matrix(cx: SimplicialComplex, d: int) -> Matrix:
     """Boundary from d-chains to (d-1)-chains as a dense matrix, rows and
     columns in the order of `faces`."""
     rows_faces = cx.faces(d - 1)
-    cols = list(_sparse_boundary(cx, d).values())
+    cols = _boundary(rows_faces, cx.faces(d))
     if not rows_faces or not cols:
         return Matrix.zeros(len(rows_faces), len(cols))
-    return Matrix([[col.get(r, 0) for col in cols] for r in rows_faces])
+    return Matrix([[col.get(i, 0) for col in cols.values()]
+                   for i in range(len(rows_faces))])
 
 
 def reduced_homology(cx: SimplicialComplex, d: int) -> HomologyGroup:
@@ -117,14 +118,15 @@ def reduced_homology(cx: SimplicialComplex, d: int) -> HomologyGroup:
     Rank and torsion come from the ranks and invariant factors of the
     boundaries out of degrees d and d + 1: one sparse unimodular
     elimination each, with a dense Smith finish on what has no unit pivot.
-    The chain complex is augmented (the empty face in degree -1), so no
-    degree needs a case of its own; the boundary out of degree d has one
-    column per d-face, the empty face included at d = -1.
+    The faces of degrees d - 1, d and d + 1 are listed once, and both
+    boundaries are built on their positions.  The chain complex is
+    augmented (the empty face in degree -1), so no degree needs a case of
+    its own.
     """
-    boundary_d = _sparse_boundary(cx, d)
-    rank_d, _ = sparse_rank_and_factors(boundary_d)
-    rank_up, torsion = sparse_rank_and_factors(_sparse_boundary(cx, d + 1))
-    return HomologyGroup(len(boundary_d) - rank_d - rank_up, torsion)
+    down, mid, up = (cx.faces(k) for k in (d - 1, d, d + 1))
+    rank_d, _ = sparse_rank_and_factors(_boundary(down, mid))
+    rank_up, torsion = sparse_rank_and_factors(_boundary(mid, up))
+    return HomologyGroup(len(mid) - rank_d - rank_up, torsion)
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +194,15 @@ def nerve(cx: SimplicialComplex) -> SimplicialComplex:
 
 def node_homology(poset: IntersectionPoset, node: int, d: int) -> HomologyGroup:
     """Reduced homology in degree d of the lower order complex of `node`,
-    computed on the nerve of its crosscut complex, once per poset."""
-    key = (node, d)
+    computed on the nerve of its crosscut complex, once per node orbit: a
+    group element is a poset automorphism, so the lower intervals of a
+    node and of its orbit representative `poset.orbit[node]` are
+    isomorphic and have the same homology."""
+    r = poset.orbit[node]
     memo = poset._homology_memo
-    if key not in memo:
-        memo[key] = reduced_homology(nerve(crosscut_complex(poset, node)), d)
-    return memo[key]
+    if (r, d) not in memo:
+        memo[r, d] = reduced_homology(nerve(crosscut_complex(poset, r)), d)
+    return memo[r, d]
 
 
 # ---------------------------------------------------------------------------

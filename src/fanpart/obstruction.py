@@ -259,13 +259,13 @@ def arc_census(n: int, elements: Sequence[HalfOpenSubspace]
 
 def orbit_census(n: int, poset: IntersectionPoset
                  ) -> dict[tuple[int, int], list]:
-    """arc_census of the poset's maximal elements, decided on one element
-    r per group orbit: conv(P) meets g . r where g moves the meeting of
-    conv(g^-1 P) and r, and g^-1 moves the point ids by `g.source`
-    (g n u_k = n u_perm[k])."""
+    """arc_census of the poset's maximal elements, decided on the orbit
+    representative r of each (`poset.orbit`): conv(P) meets g . r where g
+    moves the meeting of conv(g^-1 P) and r, and g^-1 moves the point ids
+    by `g.source` (g n u_k = n u_perm[k])."""
     movers, reps, columns = distinct_actions(poset.arrangement.group), [], {}
     for m in poset.maximal_node_ids:
-        if m not in columns:
+        if poset.orbit[m] == m:
             reps.append(poset.nodes[m].subspace)
             for g in movers:
                 columns.setdefault(poset.act_node(g, m),

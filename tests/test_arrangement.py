@@ -11,7 +11,8 @@ from fanpart.arrangement import (Arrangement, HalfOpenSubspace, cached_kernel,
                                  make_L_alpha, make_subspace, ones_form,
                                  orbit_closure, transform)
 from fanpart.exactlin import Matrix, integer_kernel, kernel_basis, vec
-from fanpart.groups import cyclic_shift_group, quaternion_on_Wn
+from fanpart.groups import (cyclic_shift_group, distinct_actions,
+                            quaternion_on_Wn)
 
 import canonical_oracle
 import poset_oracle
@@ -522,6 +523,29 @@ def test_act_node_matches_key_route(fixture_data, main_data, case):
 def test_act_node_matches_key_route_n10_23(main_data):
     data = main_data(10, 2, 3)
     _assert_act_node_matches_key_route(data["group"], data["poset"])
+
+
+@pytest.mark.parametrize("case,nodes,orbits", [
+    ("z8", 3, 2), ("z4", 11, 4), ((1, 2), 19, 4), ((2, 2), 25, 5),
+    ((1, 3), 59, 9), ((3, 1), 83, 12), ((2, 3), 256, 24),
+    pytest.param((1, 5), 876, 59, marks=pytest.mark.slow)],
+    ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v))
+def test_poset_keeps_one_representative_per_orbit(fixture_data, main_data,
+                                                  case, nodes, orbits):
+    # orbit[i] is a node of i's orbit and its own representative, and there
+    # is one per orbit counted by the least image under the group; on the
+    # maximal elements it is the first of the orbit in element order
+    group, poset = _case_poset(fixture_data, main_data, case)
+    assert len(poset.nodes) == nodes
+    movers = distinct_actions(group)
+    least = [min(poset.act_node(g, nd.index) for g in movers)
+             for nd in poset.nodes]
+    for i, r in enumerate(poset.orbit):
+        assert poset.orbit[r] == r
+        assert any(poset.act_node(g, r) == i for g in movers), (i, r)
+    assert len(set(poset.orbit)) == len(set(least)) == orbits
+    assert [poset.orbit[m] for m in poset.maximal_node_ids] == \
+        [least[m] for m in poset.maximal_node_ids]
 
 
 def test_act_node_makes_no_elimination(main_data, monkeypatch):
