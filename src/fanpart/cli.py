@@ -90,7 +90,7 @@ def run_example(args) -> int:
     return 0 if rep.matches else 2
 
 
-def selftest_checks(fault_sign: int = 1) -> list[str]:
+def selftest_checks() -> list[str]:
     """Small invariant suites; returns a list of failure descriptions."""
     import random
     failures = []
@@ -110,8 +110,7 @@ def selftest_checks(fault_sign: int = 1) -> list[str]:
             if x.matrix.mul(y.matrix) != g.mul(x, y).matrix:
                 failures.append("group matrices are not a homomorphism")
                 break
-    # the z8 fixture quotient and its action representation, with an
-    # optional injected sign fault (test hook: must be caught)
+    # the z8 fixture quotient and its action representation
     from .fixtures import z8_fixture
     group, seed = z8_fixture()
     poset = intersection_poset(orbit_closure(group, [seed]))
@@ -119,10 +118,7 @@ def selftest_checks(fault_sign: int = 1) -> list[str]:
     action = induced_action(group, zz)
     eps = group.generators[0]
     m_eps = action.matrix(eps)
-    if fault_sign != 1:
-        m_eps = Matrix([[fault_sign * x for x in row]
-                        for row in m_eps.entries])
-    if m_eps.mul(action.matrix(eps)) != action.matrix(group.mul(eps, eps)):
+    if m_eps.mul(m_eps) != action.matrix(group.mul(eps, eps)):
         failures.append("action matrices are not a representation")
     cg = modified_coinvariants(action, group)
     if (list(cg.invariant_factors), cg.rank) != ([2], 0):
@@ -136,8 +132,8 @@ def selftest_checks(fault_sign: int = 1) -> list[str]:
     return failures
 
 
-def run_selftest(args) -> int:
-    failures = selftest_checks(fault_sign=-1 if args.inject_sign_fault else 1)
+def run_selftest() -> int:
+    failures = selftest_checks()
     if failures:
         for f in failures:
             print("FAIL:", f)
@@ -160,16 +156,14 @@ def main(argv=None) -> int:
     pe = sub.add_parser("example", help="run a recorded fixture")
     pe.add_argument("name", choices=["z8", "z4"])
     pe.add_argument("--json", type=str, default=None)
-    ps = sub.add_parser("selftest", help="run the invariant suites")
-    ps.add_argument("--inject-sign-fault", action="store_true",
-                    help="test hook: corrupt one sign and expect failure")
+    sub.add_parser("selftest", help="run the invariant suites")
     args = parser.parse_args(argv)
     if args.command == "compute":
         return run_compute(args)
     if args.command == "example":
         return run_example(args)
     if args.command == "selftest":
-        return run_selftest(args)
+        return run_selftest()
     parser.print_usage()
     return 1
 

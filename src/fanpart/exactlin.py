@@ -568,7 +568,9 @@ def sparse_rank_and_factors(cols: dict) -> tuple[int, list[int]]:
 
     `cols` maps column id -> {row id: nonzero int}.  Unit pivots are
     eliminated by unimodular operations (exact); whatever remains without a
-    unit entry is finished by dense Smith normal form.
+    unit entry is finished by dense Smith normal form.  The elimination
+    owns its input: it works on the column dicts in place, so a caller that
+    reads them again passes a copy.
 
     One sweep over the columns in their given order: each column pivots on
     its first unit entry, and a column with no unit is passed over and left
@@ -576,7 +578,7 @@ def sparse_rank_and_factors(cols: dict) -> tuple[int, list[int]]:
     order does not matter: unimodular row and column operations change
     neither the rank nor the invariant factors, whichever pivots they use.
     """
-    cols = {c: dict(col) for c, col in cols.items() if col}
+    cols = {c: col for c, col in cols.items() if col}
     rows: dict = {}
     for c, col in cols.items():
         for r, v in col.items():

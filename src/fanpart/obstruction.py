@@ -22,9 +22,8 @@ checks); all of it reads only (n, a, b) and is memoised for one (n, a, b),
 the last one asked for.  `_class_of_cocycle`, the only stage that reads
 the sign flips, weighs the pairing vectors by them and runs Step 8 on the
 sum, so a flip of one case costs one weighted sum and one projection.
-Steps 7-8 run on integer points: each moved disc is scaled to integers
-once (`_moved_disc`), and every sign is read off integer points and
-integer determinants (`_moved_point`, `ambient_orientation_det`).
+Steps 7-8 run on integer points: one routine moves a disc and crosses the
+sheets (`_crossings`), and every sign is read off integer determinants.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from .groups import (ActionGroup, GroupElement, act, distinct_actions,
 from .arrangement import (HalfOpenSubspace, IntersectionPoset, _check_params,
                           _fm_feasible, _restrict, implicit_equalities,
                           intersection_poset, k_form, make_J_pieces,
-                          make_L_alpha, orbit_closure, transform)
+                          make_L_alpha, orbit_closure)
 from .homology import (UnsupportedArrangement, ZZBasis, verify_lemma16,
                        verify_no_homology_above_top, zz_basis)
 from .coinvariants import (CoinvariantGroup, dual_coinvariants,
@@ -512,24 +511,34 @@ def _moved_point(elem: HalfOpenSubspace, start: Sequence[int],
                  for i, x in enumerate(start)), m
 
 
+def _crossings(poset: IntersectionPoset, sheets: Sequence[int], point: Vec,
+               disc: Sequence[Vec], shift: Vec
+               ) -> tuple[list[tuple[int, ...]], list]:
+    """The integer frame of the disc at `point` moved by `shift`, and
+    where it crosses each sheet's carrier (`_moved_point`), in order."""
+    start, frame = _moved_disc(point, disc, shift)
+    return frame, [_moved_point(poset.nodes[e].subspace, start, frame)
+                   for e in sheets]
+
+
 def decompose_broken_class(poset: IntersectionPoset, zz: ZZBasis,
                            wall_node: int, point: Vec,
                            disc: tuple[Vec, Vec, Vec], shift: Vec
                            ) -> list[PointTerm]:
     """Split a broken point class on a wall into ordinary point classes by
-    moving its disc by a generic shift and re-intersecting every sheet.
-    The point classes carry the integer moved points and disc frame.
+    moving its disc by a generic shift and re-intersecting every sheet:
+    one for each sheet whose half-space holds the crossing, carrying the
+    integer moved point and disc frame.
 
     Raises ValueError on a degenerate shift (caller retries with the next
     deterministic one).
     """
     n = poset.arrangement.ambient_dim
     wall = zz.wall_by_node[wall_node]
-    start, frame = _moved_disc(point, disc, shift)
+    frame, crossings = _crossings(poset, wall.elements, point, disc, shift)
     terms = []
-    for e in wall.elements:
+    for e, moved in zip(wall.elements, crossings):
         elem = poset.nodes[e].subspace
-        moved = _moved_point(elem, start, frame)
         if moved is None:
             raise ValueError("shift is degenerate for a sheet")
         q, _ = moved
@@ -728,19 +737,19 @@ def assemble_cocycle(poset: IntersectionPoset, zz: ZZBasis,
 
 
 def check_membership_equivalences(poset: IntersectionPoset, zz: ZZBasis,
-                                  wall_node: int, point: Vec,
-                                  disc, shift: Vec, n, a, b,
+                                  wall_node: int,
+                                  pieces: Sequence[PointTerm], a: int, b: int,
                                   group: ActionGroup) -> Optional[bool]:
-    """The half-subspace membership pattern of the four moved candidate
-    points: exactly one of each opposite pair must be realized."""
+    """Exactly one of each opposite pair (under eps^{a+b}) of the wall's
+    four half sheets holds the moved disc's crossing, that is, a point
+    class of its decomposition `pieces`; None unless there are two pairs."""
     wall = zz.wall_by_node[wall_node]
     halves = [e for e in wall.elements
               if poset.nodes[e].subspace.inequalities]
     if len(halves) != 4:
         return None
     eab = group.by_word(a + b)
-    pairs = []
-    used = set()
+    pairs, used = [], set()
     for e in halves:
         if e in used:
             continue
@@ -750,18 +759,8 @@ def check_membership_equivalences(poset: IntersectionPoset, zz: ZZBasis,
             used.update((e, partner))
     if len(pairs) != 2:
         return None
-    start, frame = _moved_disc(point, disc, shift)
-    realized = {}
-    for e in halves:
-        elem = poset.nodes[e].subspace
-        moved = _moved_point(elem, start, frame)
-        if moved is None:
-            return None
-        vals = [integer_dot(qf, moved[0]) for qf in elem.inequalities]
-        if any(x == 0 for x in vals):
-            return None
-        realized[e] = all(x > 0 for x in vals)
-    return all(realized[e] != realized[p] for e, p in pairs)
+    realized = {p.element for p in pieces}
+    return all((e in realized) != (p in realized) for e, p in pairs)
 
 
 def proportionality_chain(poset: IntersectionPoset, zz: ZZBasis,
@@ -770,9 +769,10 @@ def proportionality_chain(poset: IntersectionPoset, zz: ZZBasis,
                           group: ActionGroup) -> Optional[dict]:
     """Evaluations of the four half-space forms at the moved candidate
     points: the opposite pairs negate each other exactly, and the two pairs
-    are proportional with weights (n+1) and (n-1).  The evaluations are
-    exact, all four times the one positive factor of the integer start
-    point (`_moved_disc`)."""
+    are proportional with weights (n+1) and (n-1).  The half sheets are
+    g . L1* (`act_node`) for g in 1, eps^{a+b}, eps^a j, eps^{2a+b} j; None
+    unless all four are on the wall and crossed in one point.  The exact
+    evaluations are all four times one positive factor (`_moved_disc`)."""
     wall = zz.wall_by_node[wall_node]
     eab = group.by_word(a + b)
     eaj = group.mul(group.by_word(a), group.by_word(0, 1))
@@ -780,31 +780,24 @@ def proportionality_chain(poset: IntersectionPoset, zz: ZZBasis,
     movers = (group.identity(), eab, eaj, e2abj)
     kf = k_form(n, a, b)
     targets = [act(g, kf) for g in movers]  # pullback along g^-1: (g^-1)^T = g
-    # order the four half elements as L1*, eps^{a+b}L1*, eps^a j L1*,
-    # eps^{2a+b} j L1* by transporting the seed
-    l1, _ = make_J_pieces(n, a, b)
-    sheets = {poset.nodes[e].subspace.key(): e for e in wall.elements}
-    ordered = [sheets.get(transform(group, g, l1).key()) for g in movers]
-    if None in ordered:
+    # the images of the one maximal node (if any) that is L1*
+    seed = make_J_pieces(n, a, b)[0].key()
+    ordered = [poset.act_node(g, s) for s in poset.maximal_node_ids
+               if poset.nodes[s].subspace.key() == seed for g in movers]
+    if not ordered or not set(ordered) <= set(wall.elements):
         return None
-    start, frame = _moved_disc(point, disc, shift)
-    evals = []
-    for e, form in zip(ordered, targets):
-        moved = _moved_point(poset.nodes[e].subspace, start, frame)
-        if moved is None:
-            return None
-        q, m = moved
-        evals.append(Fraction(integer_dot(form, q), m))
-    c = a + b
-    chain = [(n + 1) * evals[0], -(n + 1) * evals[1],
-             (n - 1) * evals[2], -(n - 1) * evals[3]]
-    stated = [(c + 1) * evals[0], -(c + 1) * evals[1],
-              (c - 1) * evals[2], -(c - 1) * evals[3]]
+    _, crossings = _crossings(poset, ordered, point, disc, shift)
+    if None in crossings:
+        return None
+    evals = [Fraction(integer_dot(form, q), m)
+             for form, (q, m) in zip(targets, crossings)]
+
+    def chain(c: int) -> bool:      # weights c + 1, c - 1
+        x = [c + 1, -c - 1, c - 1, 1 - c]
+        return len({w * e for w, e in zip(x, evals)}) == 1
     return {
         "pairs_negate": evals[0] == -evals[1] and evals[2] == -evals[3],
-        "chain": all(x == chain[0] for x in chain[1:]),
-        "stated_chain": all(x == stated[0] for x in stated[1:]),
-        "evals": evals,
+        "chain": chain(n), "stated_chain": chain(a + b), "evals": evals,
     }
 
 
@@ -962,8 +955,7 @@ def _flip_free_pairing(cert: ObstructionCertificate, group: ActionGroup,
     cert.tau_signs = [p.sign for p in pieces]
     shifted = generic_shift(n, k_used)
     checks["opposite-pair memberships split"] = bool(
-        check_membership_equivalences(poset, zz, wall_v, v, disc_v, shifted,
-                                      n, a, b, group))
+        check_membership_equivalences(poset, zz, wall_v, pieces, a, b, group))
     chain = proportionality_chain(
         poset, zz, wall_v, v, disc_v, shifted, n, a, b, group)
     checks["opposite form evaluations negate"] = \
@@ -994,11 +986,9 @@ def _class_of_cocycle(cert: ObstructionCertificate, ctx: _Context,
     n, a, b = cert.n, cert.a, cert.b
     dg = ctx.dg
     checks = cert.checks
-    weights = []
-    for t_i in range(len(ctx.term_vectors)):
-        flip = term_flips[t_i] if term_flips and t_i < len(term_flips) else 1
-        weights.append(-flip if global_flip else flip)
-    F_total = [sum(w * x for w, x in zip(weights, col))
+    # a missing term flip is +1; zip stops at the last term
+    flips = [-f if global_flip else f for f in [*(term_flips or ()), 1, 1]]
+    F_total = [sum(f * x for f, x in zip(flips, col))
                for col in zip(*ctx.term_vectors)]
     cert.class_basis_coords = F_total
 

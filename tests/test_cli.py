@@ -3,6 +3,8 @@ import json
 import pytest
 
 from fanpart.cli import main
+from fanpart.coinvariants import induced_action
+from fanpart.exactlin import Matrix
 
 
 def test_compute_usage_error(capsys):
@@ -113,9 +115,22 @@ def test_selftest_ok():
     assert main(["selftest"]) == 0
 
 
-def test_selftest_fault_injection(capsys):
-    assert main(["selftest", "--inject-sign-fault"]) == 1
-    assert "FAIL" in capsys.readouterr().out
+def test_selftest_fault_injection(monkeypatch, capsys):
+    # one entry of the z8 action matrix of eps negated: eps . eps no longer
+    # acts as eps^2, so the selftest must fail
+    def faulty_action(group, zz):
+        action = induced_action(group, zz)
+        word = group.generators[0].word
+        rows = [list(row) for row in action.matrices[word].entries]
+        i, j = next((i, j) for i, row in enumerate(rows)
+                    for j, x in enumerate(row) if x)
+        rows[i][j] = -rows[i][j]
+        action.matrices[word] = Matrix(rows)
+        return action
+    monkeypatch.setattr("fanpart.cli.induced_action", faulty_action)
+    assert main(["selftest"]) == 1
+    assert "FAIL: action matrices are not a representation" in \
+        capsys.readouterr().out
 
 
 def test_poset_debug_listing(main_data):

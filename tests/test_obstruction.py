@@ -326,8 +326,13 @@ def test_membership_split_and_chain_twenty_shifts(main_data):
     while done < 20 and k < 28:
         shift = generic_shift(n, k)
         k += 1
+        try:
+            pieces = decompose_broken_class(data["poset"], data["zz"], wall,
+                                            v, disc, shift)
+        except ValueError:
+            continue
         eq = check_membership_equivalences(
-            data["poset"], data["zz"], wall, v, disc, shift, n, a, b, group)
+            data["poset"], data["zz"], wall, pieces, a, b, group)
         if eq is None:
             continue
         assert eq
@@ -339,6 +344,42 @@ def test_membership_split_and_chain_twenty_shifts(main_data):
         assert not chain["stated_chain"]   # the a+b±1 weights do not hold
         done += 1
     assert done >= 20
+
+
+def test_chain_at_a_equals_b_lies_on_the_second_wall(main_data):
+    # at a = b, v lies on two walls and the certificate reads the first;
+    # L1* and its images eps^{a+b}, eps^a j, eps^{2a+b} j are the half
+    # sheets of the second, where the pairs negate and e0/e2 is
+    # (a+b-1)/(a+b+1), so the stated a+b±1 chain holds there
+    n, a, b = 8, 2, 2
+    data = main_data(n, a, b)
+    poset, zz, group = data["poset"], data["zz"], data["group"]
+    v, disc = v_point(n, a, b), v_disc(n, a, b)
+    walls = [w.node for w in zz.walls
+             if poset.nodes[w.node].subspace.contains_point(v)]
+    assert walls == [19, 24]
+    assert wall_node_of_point(poset, zz, v) == 19
+    (seed,) = [m for m in poset.maximal_node_ids
+               if poset.nodes[m].subspace.key() == data["l1"].key()]
+    eaj = group.mul(group.by_word(a), group.by_word(0, 1))
+    e2abj = group.mul(group.by_word(2 * a + b), group.by_word(0, 1))
+    quadruple = {poset.act_node(g, seed) for g in
+                 (group.identity(), group.by_word(a + b), eaj, e2abj)}
+    halves = {e for e in zz.wall_by_node[24].elements
+              if poset.nodes[e].subspace.inequalities}
+    assert quadruple == halves
+    assert not quadruple & set(zz.wall_by_node[19].elements)
+    _, k = decompose_with_retries(poset, zz, 19, v, disc)
+    shift = generic_shift(n, k)
+    assert proportionality_chain(poset, zz, 19, v, disc, shift, n, a, b,
+                                 group) is None
+    chain = proportionality_chain(poset, zz, 24, v, disc, shift, n, a, b,
+                                  group)
+    assert chain["evals"] == [48, -48, 80, -80]
+    assert chain["pairs_negate"]
+    assert chain["evals"][0] / chain["evals"][2] == \
+        Fraction(a + b - 1, a + b + 1)
+    assert chain["stated_chain"] and not chain["chain"]
 
 
 def test_both_directions_same_class_twenty_shifts(main_data):
