@@ -9,11 +9,12 @@ The canonical form has two stages: `_reduce` is integer elimination only,
 and `_settle_cone` promotes the implicit equalities and drops the redundant
 inequalities.  A group element permutes coordinates, which keeps every
 facet and creates no implicit equality, so `transform` runs stage one
-only.  The intersection poset meets one node per group orbit with the
-maximal elements, keys each meet by its integer stage-one form and does
-the cone work only for a form it has not seen; it moves the other nodes
-of an orbit by the group.  A subspace holds its equalities as those
-integer rows only.
+only.  The intersection poset meets one node per group orbit with one
+maximal element per orbit of that node's stabiliser, keys each meet by its
+integer stage-one form and does the cone work only for a form it has not
+seen; every other node of an orbit keeps the group element that moves the
+representative onto it and builds its form when it is first read.  A
+subspace holds its equalities as those integer rows only.
 """
 
 from __future__ import annotations
@@ -322,23 +323,29 @@ def orbit_closure(group: ActionGroup,
     """Minimal group-invariant arrangement containing the seeds, with
     containment-redundant images pruned.  Each seed is moved once per
     distinct permutation, by the first element that acts by it, which
-    names the image."""
+    names the image.  g . s lies in an image t exactly when s lies in the
+    image g^-1 . t, so an image is redundant exactly when the first image
+    of its seed is: each seed orbit is kept or dropped whole, by one
+    containment test against every other image."""
+    movers = distinct_actions(group)
     images: dict = {}
+    orbits = []
     for s in seeds:
         if s.ambient_dim != group.ambient_dim:
             raise ValueError("seed does not live in the group's ambient space")
-        for g in distinct_actions(group):
-            form = _moved_form(g, s)
+        forms = [_moved_form(g, s) for g in movers]
+        for g, form in zip(movers, forms):
             if form not in images:
                 images[form] = HalfOpenSubspace(*form, s.ambient_dim,
                                                 f"{s.label}.{g!r}")
-    elems = list(images.values())
-    keep = []
-    for i, s in enumerate(elems):
-        covered = any(j != i and contains_set(t, s)
-                      for j, t in enumerate(elems))
-        if not covered:
-            keep.append(s)
+        orbits.append(forms)
+    kept: dict = {}
+    for forms in orbits:
+        s = images[forms[0]]
+        if not any(t is not s and contains_set(t, s)
+                   for t in images.values()):
+            kept.update((f, images[f]) for f in forms)
+    keep = list(kept.values())
     # the order of the RREF over Fraction, not of the integer rows: the two
     # differ at (1, 2), and the node numbers and basis coordinates of every
     # certificate follow this order
@@ -346,12 +353,29 @@ def orbit_closure(group: ActionGroup,
     return Arrangement(keep, group, group.ambient_dim)
 
 
-@dataclass
 class PosetNode:
-    index: int
-    subspace: HalfOpenSubspace
-    dim: int
-    label: str
+    """A node of the intersection poset.  The node of an orbit that met the
+    maximal elements (see `intersection_poset`) holds its subspace from the
+    start.  Every other node holds only the group element g that moved it
+    there and the representative's subspace s, and builds its integer form
+    g . s by `_moved_form` the first time `subspace` is read.  A move keeps
+    the dimension and linearity, so `dim` is set either way, and a reader
+    of linearity alone can read the representative (`poset.orbit`)."""
+
+    __slots__ = ("index", "dim", "label", "_subspace", "_move")
+
+    def __init__(self, index: int, subspace: HalfOpenSubspace | None,
+                 dim: int, label: str, move: tuple | None = None):
+        self.index, self.dim, self.label = index, dim, label
+        self._subspace, self._move = subspace, move
+
+    @property
+    def subspace(self) -> HalfOpenSubspace:
+        if self._subspace is None:
+            g, s = self._move
+            self._subspace = HalfOpenSubspace(*_moved_form(g, s),
+                                              s.ambient_dim, self.label)
+        return self._subspace
 
 
 @dataclass
@@ -432,6 +456,29 @@ def _bit_list(mask: int) -> list[int]:
     return out
 
 
+def _orbits_outside(perms: Sequence[Sequence[int]],
+                    mask: int) -> list[tuple[int, int]]:
+    """The orbits of the maximal elements outside a support mask under H,
+    the permutations among perms that fix the mask: (least element, orbit
+    as a mask) for each, in order of least element.
+
+    Every h in H fixes the node r that is the intersection of the mask, and
+    r meets element pi_h(m) in h . (r meet m): in r when r lies in m, and
+    else in a node of the orbit of r meet m.  So r meets one element per
+    orbit, and when that meet is r the whole orbit holds r."""
+    bits = _bit_list(mask)
+    stab = [pi for pi in perms if all(mask >> pi[k] & 1 for k in bits)]
+    out = []
+    for m in range(len(perms[0])):
+        if not mask >> m & 1:
+            orb = 0
+            for pi in stab:
+                orb |= 1 << pi[m]
+            mask |= orb
+            out.append((m, orb))
+    return out
+
+
 def _element_moves(arr: Arrangement, index: dict) -> dict:
     """g.perm -> pi_g for every g of the group, pi_g[k] the maximal element
     g . (element k): the generators' moves, looked up by stage-one form in
@@ -462,12 +509,17 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
 
     g permutes the maximal elements by pi_g (`_element_moves`), and a node
     is the intersection of its support, so g . node is the node with
-    support pi_g(support).  So one node per orbit meets the elements, by
-    the integer stage-one form of the meet, and only a form not seen yet
-    gets the cone work of stage two.  The meets that give the node itself
-    make its exact support; the rest of its orbit is one node per distinct
-    pi_g(support), moved from it by g (stage one only), and the node that
-    met the elements is the orbit's entry in `orbit`.  Then the closure
+    support pi_g(support).  So one node per orbit meets the elements, and
+    it meets one element per orbit of the permutations that fix the mask
+    it was made from (`_orbits_outside`).  A meet is keyed by its integer
+    stage-one form.  A form not seen yet is compared with the one node
+    other than the meeting node that the meet can be, the node of fewest
+    support bits whose support holds the meet's mask: as it is, and after
+    the cone work of stage two only on a mismatch.  The meets that give
+    the meeting node itself make its exact support.  The rest of its orbit
+    is one node per distinct pi_g(support), which keeps g and builds its
+    form (stage one only) when it is first read (`PosetNode`); the node
+    that met the elements is the orbit's entry in `orbit`.  Then the closure
     from the maximal elements is replayed on masks to number the nodes:
     the meet of node i and element m is the node of fewest support bits
     among those whose support holds support[i] | m (the intersection of
@@ -476,7 +528,7 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
     """
     elems = arr.maximal_elements
     nmax, dim = len(elems), arr.ambient_dim
-    # stage-one key of every node and of every meet seen -> node
+    # stage-one key of every representative and of every meet made -> node
     known: dict = {}
     for k, s in enumerate(elems):
         if known.setdefault(s.key(), k) != k:
@@ -484,44 +536,65 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
                              "are the same set")
     moves = _element_moves(arr, known)
     actions = distinct_actions(arr.group)
-    sets, support = list(elems), [1 << k for k in range(nmax)]
+    perms = [moves[g.perm] for g in actions]
+    nodes = [PosetNode(k, s, s.dim, s.label) for k, s in enumerate(elems)]
+    support = [1 << k for k in range(nmax)]
+    members = list(support)  # bit j of members[m]: element m holds node j
     rep = list(range(nmax))  # node -> the node of its orbit settled
     by_support: dict = {}  # exact support -> node
 
-    def add(s: HalfOpenSubspace, mask: int) -> int:
-        known[s.key()] = len(sets)
-        rep.append(len(sets))
-        sets.append(s)
-        support.append(mask)
-        return len(sets) - 1
+    def grow(j: int, bits: int) -> None:
+        support[j] |= bits
+        for k in _bit_list(bits):
+            members[k] |= 1 << j
+
+    def add(nd: PosetNode, mask: int) -> int:
+        rep.append(len(nodes))
+        nodes.append(nd)
+        support.append(0)
+        grow(len(nodes) - 1, mask)
+        return len(nodes) - 1
 
     def settle(r: int) -> None:
         # a new meet is settled at once (depth first): the only orbits not
         # complete meanwhile are those of the nodes being settled, which lie
         # strictly above the meet, and no node lies strictly below a node
-        # of its own orbit; so a meet not found by key is a new node
-        a = sets[r]
-        for m, b in enumerate(elems):
-            if not support[r] >> m & 1:
-                raw = _reduce(b.rows, a.inequalities + b.inequalities, a.rows)
-                j = known.get(raw)
-                if j is None:
+        # of its own orbit.  So every other node has its exact support, and
+        # a meet made already is r itself or the node of fewest support
+        # bits whose support holds support[r] | m
+        a = nodes[r].subspace
+        for m, orb in _orbits_outside(perms, support[r]):
+            raw = _reduce(elems[m].rows,
+                          a.inequalities + elems[m].inequalities, a.rows)
+            j = known.get(raw)
+            if j is None:
+                mask = support[r] | 1 << m
+                below = -1
+                for k in _bit_list(mask):
+                    below &= members[k]
+                c = min(_bit_list(below), default=None,
+                        key=lambda i: support[i].bit_count())
+                seen = nodes[c].subspace.key() if c is not None else None
+                if seen == raw:
+                    j = c
+                else:
                     s = _settle_cone(HalfOpenSubspace(*raw, dim))
-                    j = known.get(s.key())
+                    # known has r's key: the meet is r when r lies in m
+                    j = c if seen == s.key() else known.get(s.key())
                     if j is None:
-                        j = add(s, support[r] | 1 << m)
+                        j = known[s.key()] = add(PosetNode(-1, s, s.dim, ""),
+                                                 mask)
                         settle(j)
-                    known[raw] = j
-                if j == r:
-                    support[r] |= 1 << m
+                known[raw] = j
+            if j == r:
+                grow(r, orb)
         by_support[support[r]] = r
-        for g in actions:
-            pi = moves[g.perm]
+        for g, pi in zip(actions, perms):
             mask = _move_mask(pi, support[r])
             if mask not in by_support:
-                j = pi[r] if r < nmax else add(HalfOpenSubspace(
-                    *_moved_form(g, a), dim), mask)
-                support[j], rep[j] = mask, r
+                j = pi[r] if r < nmax else add(
+                    PosetNode(-1, None, a.dim, "", (g, a)), mask)
+                rep[j] = r
                 by_support[mask] = j
 
     for k in range(nmax):  # one element per orbit of elements
@@ -533,7 +606,7 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
     # in order of support size, the lowest bit of a set of nodes is the
     # node of fewest support bits; holds[m] has bit p when element m
     # contains node order[p]
-    order = sorted(range(len(sets)), key=lambda i: support[i].bit_count())
+    order = sorted(range(len(nodes)), key=lambda i: support[i].bit_count())
     holds = [sum(1 << p for p, i in enumerate(order) if support[i] >> m & 1)
              for m in range(nmax)]
     bfs = list(range(nmax))
@@ -575,10 +648,15 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
             if all(support[j] & ~support[c] for c in cs):
                 cs.append(j)
         covers.append(sorted(cs))
-    poset_nodes = []
-    for i, j in enumerate(bfs):
-        s = sets[j] if j < nmax else sets[j].relabel(f"meet{i}")
-        poset_nodes.append(PosetNode(i, s, s.dim, s.label or f"node{i}"))
+    nodes = [nodes[j] for j in bfs]
+    for i, nd in enumerate(nodes):
+        nd.index = i
+        if i < nmax:
+            nd.label = nd.label or f"node{i}"
+        else:
+            nd.label = f"meet{i}"
+            if nd._subspace is not None:
+                nd._subspace = nd._subspace.relabel(nd.label)
     return IntersectionPoset(
-        poset_nodes, list(range(nmax)), support, above, covers, orbit, arr,
+        nodes, list(range(nmax)), support, above, covers, orbit, arr,
         _moves=moves, _by_support={s: i for i, s in enumerate(support)})

@@ -329,15 +329,18 @@ def zz_basis(poset: IntersectionPoset) -> ZZBasis:
             f"maximal elements of mixed dimensions {sorted(set(dims))}")
     top_nodes = [m for m in sorted(poset.maximal_node_ids)
                  if poset.nodes[m].subspace.is_linear]
+    # a move keeps linearity: read it off the orbit representative, whose
+    # form the poset holds, and build no moved node's form for it
+    linear = [poset.nodes[r].subspace.is_linear for r in poset.orbit]
     walls = []
     for nd in poset.nodes:
-        if nd.dim == top_dim - 1 and nd.subspace.is_linear \
+        if nd.dim == top_dim - 1 and linear[nd.index] \
                 and nd.index not in poset.maximal_node_ids:
             walls.append(_build_wall(poset, nd.index))
     walls.sort(key=lambda w: w.node)
     # every other node must contribute nothing in the top degree
     for nd in poset.nodes:
-        if nd.index in poset.maximal_node_ids or not nd.subspace.is_linear:
+        if nd.index in poset.maximal_node_ids or not linear[nd.index]:
             continue
         if nd.dim == top_dim - 1:
             continue

@@ -12,6 +12,8 @@ closure loop the package ran when it keyed meets by rational forms; it
 is the oracle for the node order, labels and supports of the poset.
 `moved_nodes` is the route `act_node` took before it moved support masks:
 the node's rows moved by the group element and looked up by key.
+`pruned_images` is the pruning `orbit_closure` did before it tested one
+image per seed orbit: every image against every other.
 `max_chain_length_above` walks the up-set of one node, the route the
 degree-above-top check took before it read `homology.chain_heights`.
 """
@@ -20,7 +22,9 @@ from __future__ import annotations
 
 from collections import deque
 
-from fanpart.arrangement import _moved_form, contains_set
+from fanpart.arrangement import HalfOpenSubspace, _moved_form, contains_set
+from fanpart.exactlin import echelon_rationals
+from fanpart.groups import distinct_actions
 
 import canonical_oracle
 
@@ -54,6 +58,26 @@ def moved_nodes(poset, g) -> list[int]:
     moved by g (`arrangement._moved_form`), looked up among the node keys."""
     index = {nd.subspace.key(): nd.index for nd in poset.nodes}
     return [index[_moved_form(g, nd.subspace)] for nd in poset.nodes]
+
+
+def pruned_images(group, seeds) -> list:
+    """The maximal elements of `arrangement.orbit_closure`, pruned pair by
+    pair: each seed moved once per distinct permutation and named by the
+    first element that acts by it, an image dropped when any other image
+    contains it, the rest sorted by the RREF over Fraction."""
+    images: dict = {}
+    for s in seeds:
+        for g in distinct_actions(group):
+            form = _moved_form(g, s)
+            if form not in images:
+                images[form] = HalfOpenSubspace(*form, s.ambient_dim,
+                                                f"{s.label}.{g!r}")
+    elems = list(images.values())
+    keep = [s for i, s in enumerate(elems)
+            if not any(j != i and contains_set(t, s)
+                       for j, t in enumerate(elems))]
+    return sorted(keep, key=lambda s: (echelon_rationals(s.rows),
+                                       s.inequalities))
 
 
 def max_chain_length_above(poset, node: int) -> int:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fanpart import obstruction
 from fanpart.arrangement import (Arrangement, HalfOpenSubspace, cached_kernel,
                                  cone_feasible, cone_implies,
                                  contains_set, h1_form, h2_form,
@@ -13,6 +14,7 @@ from fanpart.arrangement import (Arrangement, HalfOpenSubspace, cached_kernel,
 from fanpart.exactlin import Matrix, integer_kernel, kernel_basis, vec
 from fanpart.groups import (cyclic_shift_group, distinct_actions,
                             quaternion_on_Wn)
+from fanpart.homology import zz_basis
 
 import canonical_oracle
 import poset_oracle
@@ -356,6 +358,40 @@ def test_orbit_closure_moves_each_seed_once_per_permutation(n, a, b,
         [first[e.key()] for e in arr.maximal_elements]
 
 
+def _group_and_seeds(case):
+    if case == "z8":
+        group, seed = z8_fixture()
+        return group, [seed]
+    if case == "z4":
+        group, seed = z4_fixture()
+        return group, [seed]
+    n = 2 * sum(case)
+    return quaternion_on_Wn(n), list(make_J_pieces(n, *case))
+
+
+@pytest.mark.parametrize("case", ["z8", "z4", (1, 2), (2, 2), (1, 3), (2, 3)],
+                         ids=str)
+def test_orbit_closure_matches_pairwise_pruning(case, monkeypatch):
+    # one containment test per seed orbit and image keeps the elements,
+    # their labels and their order of the test of every pair of images
+    import fanpart.arrangement as arrangement
+    group, seeds = _group_and_seeds(case)
+    calls = []
+
+    def counted(big, small):
+        calls.append(1)
+        return contains_set(big, small)
+
+    monkeypatch.setattr(arrangement, "contains_set", counted)
+    arr = orbit_closure(group, seeds)
+    monkeypatch.undo()
+    assert [(s.key(), s.label) for s in arr.maximal_elements] == \
+        [(s.key(), s.label) for s in poset_oracle.pruned_images(group, seeds)]
+    images = {transform(group, g, s).key()
+              for s in seeds for g in group.elements}
+    assert len(calls) <= len(seeds) * len(images)
+
+
 @pytest.mark.slow
 def test_poset_order_matches_containment_n10_23():
     group = quaternion_on_Wn(10)
@@ -525,6 +561,31 @@ def test_act_node_matches_key_route_n10_23(main_data):
     _assert_act_node_matches_key_route(data["group"], data["poset"])
 
 
+def _assert_read_forms_match_key_route(group, poset):
+    # every form read first, each moved node's form built on its first
+    # read: g moves the representative's form onto the node's key
+    keys = [nd.subspace.key() for nd in poset.nodes]
+    assert len(set(keys)) == len(keys)
+    for g in distinct_actions(group):
+        route = poset_oracle.moved_nodes(poset, g)
+        for i, r in enumerate(poset.orbit):
+            if poset.act_node(g, r) == i:
+                assert route[r] == i, (g, r, i)
+
+
+@pytest.mark.parametrize("case", POSET_CASES)
+def test_read_forms_match_key_route(fixture_data, main_data, case):
+    _assert_read_forms_match_key_route(
+        *_case_poset(fixture_data, main_data, case))
+
+
+@pytest.mark.slow
+def test_read_forms_match_key_route_n10_23():
+    group = quaternion_on_Wn(10)
+    poset = intersection_poset(orbit_closure(group, make_J_pieces(10, 2, 3)))
+    _assert_read_forms_match_key_route(group, poset)
+
+
 @pytest.mark.parametrize("case,nodes,orbits", [
     ("z8", 3, 2), ("z4", 11, 4), ((1, 2), 19, 4), ((2, 2), 25, 5),
     ((1, 3), 59, 9), ((3, 1), 83, 12), ((2, 3), 256, 24),
@@ -672,13 +733,44 @@ def test_implicit_equalities_tests_an_opposite_pair_once(monkeypatch):
     assert s.key() == make_subspace(list(L.rows) + [k], [], n).key()
 
 
+def _record_forms(monkeypatch):
+    """Count the calls of `_moved_form` and record the poset nodes whose
+    `subspace` is read, by identity."""
+    import fanpart.arrangement as arrangement
+    calls, read = [], set()
+    moved, subspace = arrangement._moved_form, arrangement.PosetNode.subspace
+
+    def counted(g, s):
+        calls.append(g)
+        return moved(g, s)
+
+    def reading(nd):
+        read.add(id(nd))
+        return subspace.fget(nd)
+
+    monkeypatch.setattr(arrangement, "_moved_form", counted)
+    monkeypatch.setattr(arrangement.PosetNode, "subspace", property(reading))
+    return calls, read
+
+
+def _moved_nodes_read(poset, read) -> set:
+    """The nodes among `read` that are neither a maximal element nor an
+    orbit representative: those whose form is built when read."""
+    return {nd.index for nd in poset.nodes if id(nd) in read
+            and nd.index not in poset.maximal_node_ids
+            and poset.orbit[nd.index] != nd.index}
+
+
 def _count_poset_work(monkeypatch, arr):
     """Run intersection_poset with no Fraction RREF allowed, counting the
     stage-one reductions, the moves of a subspace by a group element
-    among them, the settled forms and the promotions among those."""
+    among them, the settled forms and the promotions among those.  Also
+    returns the masks whose stabiliser orbits a node met the elements by,
+    and the moved nodes whose form was read."""
     import fanpart.arrangement as arrangement
     import fanpart.exactlin as exactlin
-    count = dict.fromkeys(("reduce", "moved", "settle", "promoted"), 0)
+    count = dict.fromkeys(("reduce", "settle", "promoted"), 0)
+    masks = []
 
     def counted(key, fn):
         def run(*args):
@@ -687,12 +779,17 @@ def _count_poset_work(monkeypatch, arr):
         return run
 
     settle = arrangement._settle_cone
+    orbits_outside = arrangement._orbits_outside
 
     def counted_settle(s):
         count["settle"] += 1
         out = settle(s)
         count["promoted"] += len(out.rows) > len(s.rows)
         return out
+
+    def recorded(perms, mask):
+        masks.append(mask)
+        return orbits_outside(perms, mask)
 
     def refuse(*args):
         raise AssertionError("the poset ran a Fraction elimination")
@@ -702,11 +799,12 @@ def _count_poset_work(monkeypatch, arr):
     monkeypatch.setattr(arrangement, "_reduce",
                         counted("reduce", arrangement._reduce))
     monkeypatch.setattr(arrangement, "_settle_cone", counted_settle)
-    monkeypatch.setattr(arrangement, "_moved_form",
-                        counted("moved", arrangement._moved_form))
+    monkeypatch.setattr(arrangement, "_orbits_outside", recorded)
+    calls, read = _record_forms(monkeypatch)
     poset = intersection_poset(arr)
     monkeypatch.undo()
-    return poset, count
+    count["moved"] = len(calls)
+    return poset, count, masks, _moved_nodes_read(poset, read)
 
 
 def _assert_poset_matches_rational_closure(arr, poset):
@@ -722,25 +820,72 @@ def _assert_poset_matches_rational_closure(arr, poset):
 def test_poset_matches_rational_closure(fixture_data, main_data, case,
                                         monkeypatch):
     arr = _case_poset(fixture_data, main_data, case)[1].arrangement
-    poset, count = _count_poset_work(monkeypatch, arr)
-    _assert_poset_matches_rational_closure(arr, poset)
+    _assert_poset_matches_rational_closure(
+        arr, _count_poset_work(monkeypatch, arr)[0])
 
 
 @pytest.mark.slow
 def test_poset_matches_rational_closure_n10_23(main_data, monkeypatch):
     data = main_data(10, 2, 3)
     arr = data["poset"].arrangement
-    poset, count = _count_poset_work(monkeypatch, arr)
+    poset, count, masks, formed = _count_poset_work(monkeypatch, arr)
     _assert_poset_matches_rational_closure(arr, poset)
-    # only one node of each of the 24 orbits meets the 25 elements, 518
-    # meets in all; 30 of their stage-one forms are new, 8 of those promote
-    # an equality.  The moves are the 2 x 25 of the generators on the
-    # elements and one per node of an orbit other than its representative
-    # (209 of the 231 that are no element)
-    orbits = {min(poset.act_node(g, nd.index) for g in data["group"].elements)
-              for nd in poset.nodes}
+    # only one node of each of the 24 orbits meets the 25 elements, one
+    # element per orbit of H outside the mask the node was made from, H the
+    # permutations of the elements that fix that mask (364 meets); at most
+    # 30 of their stage-one forms are new.  The moves are the 2 x 25 of the
+    # generators on the elements and one per moved node whose form was read
+    group, nmax = data["group"], len(arr.maximal_elements)
+
+    def orbits_outside(mask):
+        inside = {k for k in range(nmax) if mask >> k & 1}
+        stab = [g for g in distinct_actions(group)
+                if {poset.act_node(g, k) for k in inside} == inside]
+        return {frozenset(poset.act_node(g, m) for g in stab)
+                for m in range(nmax) if m not in inside}
+
     meets = count["reduce"] - count["moved"] - count["promoted"]
-    assert len(orbits) == 24 and len(arr.maximal_elements) == 25
-    assert meets == 518 <= len(orbits) * len(arr.maximal_elements)
-    assert count == {"reduce": 518 + 259 + 8, "moved": 2 * 25 + 209,
-                     "settle": 30, "promoted": 8}
+    assert len(set(poset.orbit)) == len(masks) == 24 and nmax == 25
+    assert meets <= sum(len(orbits_outside(mask)) for mask in masks)
+    assert count["settle"] <= 30
+    assert count["moved"] == 2 * 25 + len(formed)
+
+
+def test_steps_1_to_3_form_only_the_moved_nodes_they_read(monkeypatch):
+    # Steps 1-3 of the pipeline at (2, 3): the nodes compared while the
+    # poset is built are the only moved nodes formed; the census reads the
+    # representatives only
+    n, a, b = 10, 2, 3
+    group = quaternion_on_Wn(n)
+    l1, l2 = make_J_pieces(n, a, b)
+    h = obstruction.define_h(n)
+    obstruction.check_equivariance(h, group)
+    obstruction.enumerate_L_intersections(h, n, a, b)
+    arr = orbit_closure(group, [l1, l2])
+    calls, read = _record_forms(monkeypatch)
+    poset = intersection_poset(arr)
+    poset.level_counts()
+    poset.debug_lines()
+    obstruction.intersect_with_Jpieces(h, l1, l2, n, a, b)
+    obstruction.preimage_simplices(h, poset, n, a, b)
+    monkeypatch.undo()
+    formed = _moved_nodes_read(poset, read)
+    assert len(calls) == 2 * len(arr.maximal_elements) + len(formed)
+
+
+def test_zz_basis_forms_only_its_walls(main_data, monkeypatch):
+    # the node scan reads linearity off the representatives, so the moved
+    # nodes zz_basis forms are its walls not compared while the poset was
+    # built
+    arr = main_data(8, 1, 3)["poset"].arrangement
+    calls, read = _record_forms(monkeypatch)
+    poset = intersection_poset(arr)
+    compared = _moved_nodes_read(poset, read)
+    before = len(calls)
+    read.clear()
+    zz = zz_basis(poset)
+    monkeypatch.undo()
+    walls = {w.node for w in zz.walls}
+    moved_walls = {w for w in walls if poset.orbit[w] != w}
+    assert _moved_nodes_read(poset, read) == moved_walls
+    assert len(calls) - before == len(moved_walls - compared) > 0
