@@ -337,7 +337,6 @@ def zz_basis(poset: IntersectionPoset) -> ZZBasis:
         if nd.dim == top_dim - 1 and linear[nd.index] \
                 and nd.index not in poset.maximal_node_ids:
             walls.append(_build_wall(poset, nd.index))
-    walls.sort(key=lambda w: w.node)
     # every other node must contribute nothing in the top degree
     for nd in poset.nodes:
         if nd.index in poset.maximal_node_ids or not linear[nd.index]:

@@ -10,8 +10,8 @@ failed identity downgrades the verdict to inconclusive and names the check.
 Where an image simplex meets an element, the dimension of the meeting locus
 is decided exactly, by elimination and Fourier-Motzkin (`meeting_locus`).
 Steps 2-3 read one census core (`_census`): each distinct image simplex
-is decided once against each seed piece (`arc_census`), and once per
-group orbit of (simplex, maximal element) pairs (`orbit_census`).
+is decided once against each seed piece (`arc_census`), and once against
+the representative of each orbit of maximal elements (`orbit_census`).
 
 The certificate is built in two stages.  `_prepare` runs Steps 1-6 (group,
 pieces, vertex map, censuses, arrangement, poset, preimage cells, homology
@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .exactlin import (Vec, echelon, frame_det, from_columns, integer_dot,
@@ -194,6 +193,10 @@ def meeting_locus(points: Sequence[Vec], element: HalfOpenSubspace
     constraints hold with equality on all of it; those implicit equalities
     fix its dimension, which is one more than the locus's.
     """
+    for p in points:
+        if len(p) != element.ambient_dim:
+            raise ValueError(f"a point of length {len(p)} against an element "
+                             f"of ambient dimension {element.ambient_dim}")
     den, P = scaled_points(points)
     return _scaled_locus(den, P, element, [[integer_dot(r, p) for r in
                                             element.rows] for p in P])
@@ -253,34 +256,38 @@ def arc_census(n: int, elements: Sequence[HalfOpenSubspace]
     """meeting_locus of each distinct image simplex with each element:
     (i, j) -> one result per element, for the u-arcs 1 <= i <= j <= n, with
     the points in the order of arc_points(i, j, n), duplicates included."""
-    return _census(n, elements, [(k, [None]) for k in range(len(elements))])
+    one = GroupElement((0, 0), tuple(range(n)))
+    return _census(n, elements, [(k, one) for k in range(len(elements))])
 
 
 def orbit_census(n: int, poset: IntersectionPoset
                  ) -> dict[tuple[int, int], list]:
-    """arc_census of the poset's maximal elements, decided on the orbit
-    representative r of each (`poset.orbit`): conv(P) meets g . r where g
-    moves the meeting of conv(g^-1 P) and r, and g^-1 moves the point ids
-    by `g.source` (g n u_k = n u_perm[k])."""
-    movers, reps, columns = distinct_actions(poset.arrangement.group), [], {}
+    """arc_census of the poset's maximal elements, decided on their orbit
+    representatives r (`poset.orbit`): element m is the column (r, g) of
+    the first distinct action g with g . r = m, so each orbit of elements
+    decides each of the n(n+1)/2 simplices once (see `_census`)."""
+    actions, reps, columns = distinct_actions(poset.arrangement.group), [], {}
     for m in poset.maximal_node_ids:
         if poset.orbit[m] == m:
             reps.append(poset.nodes[m].subspace)
-            for g in movers:
-                columns.setdefault(poset.act_node(g, m),
-                                   (len(reps) - 1, []))[1].append(g)
+            for g in actions:
+                columns.setdefault(poset.act_node(g, m), (len(reps) - 1, g))
     return _census(n, reps, [columns[m] for m in poset.maximal_node_ids])
 
 
 def _census(n: int, reps: Sequence[HalfOpenSubspace], columns: list
             ) -> dict[tuple[int, int], list]:
-    """The census of the columns (r, movers), each element g . reps[r] for
-    every g in movers (None: the identity).  A simplex is decided against
-    reps[r] as its point ids moved by the g^-1 that gives the least ids,
-    in order; so lam is unchanged, g moves the point back, and each group
-    orbit of (simplex, element) pairs is decided once.  The points go in
-    as n u_k = n e_k - 1 over n, with E (n u_k) = n E e_k - E 1 formed
-    once per distinct rows E."""
+    """The census of the columns (r, g), the elements g . reps[r]: conv(P)
+    meets g . r in g of where conv(g^-1 P) meets r, and g^-1 moves the
+    point ids by `g.source`.  A simplex is decided once per (r, sorted ids),
+    lam read back in the column's order: a hit and its dimension do not
+    depend on the order, and in a point hit a repeated point has weight 0
+    in both copies (else weight could move between them, dimension >= 1).
+    Points go in as n u_k = n e_k - 1 over n; E (n u_k) = n E e_k - E 1."""
+    for e in reps:
+        if e.ambient_dim != n:
+            raise ValueError(f"an element of ambient dimension "
+                             f"{e.ambient_dim} in a census of dimension {n}")
     nus = [[n * (c == k) - 1 for c in range(n)] for k in range(n)]
     products = {e.rows: [[n * r[k] - sum(r) for r in e.rows]
                          for k in range(n)] for e in reps}
@@ -290,18 +297,17 @@ def _census(n: int, reps: Sequence[HalfOpenSubspace], columns: list
         for j in range(i, n + 1):
             ids = _arc_ids(i, j, n)
             census[i, j] = row = []
-            for r, movers in columns:
-                pulled, g = min(((tuple(ids if g is None else
-                                        map(g.source.__getitem__, ids)), g)
-                                 for g in movers), key=itemgetter(0))
-                if (r, pulled) not in memo:
-                    img = products[reps[r].rows]
-                    memo[r, pulled] = _scaled_locus(
-                        n, [nus[k] for k in pulled], reps[r],
-                        [img[k] for k in pulled])
-                hit = memo[r, pulled]
-                if g is not None and hit is not None and hit[0] == 0:
-                    hit = (0, hit[1], act(g, hit[2]))
+            for r, g in columns:
+                pulled = [g.source[k] for k in ids]
+                key = tuple(sorted(pulled))
+                if (r, key) not in memo:
+                    memo[r, key] = _scaled_locus(
+                        n, [nus[k] for k in key], reps[r],
+                        [products[reps[r].rows][k] for k in key])
+                hit = memo[r, key]
+                if hit is not None and hit[0] == 0:
+                    lam = tuple(hit[1][key.index(k)] for k in pulled)
+                    hit = (0, lam, act(g, hit[2]))
                 row.append(hit)
     return census
 

@@ -1,5 +1,5 @@
-"""The certificates of the n = 6, 8 and 10 cases and the two fixture reports
-against a recorded snapshot.
+"""The certificates of the n = 6, 8 and 10 cases, of two n = 12 cases and
+the two fixture reports against a recorded snapshot.
 
 A change that should leave every certificate as it is (a refactor, a
 speed-up) is checked here: per case the JSON certificate (it holds the
@@ -23,7 +23,8 @@ from fanpart.obstruction import obstruction_class
 
 SNAPSHOT = Path(__file__).parent / "certificate_snapshot.json"
 CASES = [(1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 2), (1, 4),
-         (4, 1)]
+         (4, 1), (1, 5), (2, 4)]
+SLOW = {(1, 5), (2, 4)}          # n = 12, about 0.3 s each with both flips
 FIXTURES = ["z8", "z4"]
 FLIPS = {"no flip": {}, "flips (1, -1) and global":
          {"term_flips": (1, -1), "global_flip": True}}
@@ -47,7 +48,10 @@ def _recorded():
     return json.loads(SNAPSHOT.read_text())
 
 
-@pytest.mark.parametrize("a,b", CASES, ids=[f"{a},{b}" for a, b in CASES])
+@pytest.mark.parametrize("a,b", [
+    pytest.param(a, b, id=f"{a},{b}",
+                 marks=[pytest.mark.slow] if (a, b) in SLOW else [])
+    for a, b in CASES])
 def test_certificate_matches_snapshot(a, b):
     assert certificate_record(a, b) == _recorded()["cases"][f"{a},{b}"]
 

@@ -36,6 +36,13 @@ def test_short_segment_is_a_segment():
     assert meeting_locus([E1, E2], thin) == (1, None, None)
 
 
+def test_point_of_another_length_is_refused():
+    wedge = make_subspace([], [(-1, 2, 0), (2, -1, 0)], 3)
+    with pytest.raises(ValueError, match="length 2 against an element of "
+                                         "ambient dimension 3"):
+        meeting_locus([E1, (Fraction(1), Fraction(0))], wedge)
+
+
 def _random_case(rng):
     d = rng.choice((3, 4))
     m = rng.randint(1, 4)

@@ -170,34 +170,13 @@ def test_vstar_and_wstar(main_data):
     assert pts_on_e == {tuple(hv), tuple(hw)}
 
 
-def _pair_orbits(n, group, poset):
-    """The group orbits of the pairs (point ids of a census simplex, in
-    their order; maximal element): g moves u_k to g u_k and an element to
-    the one with the key of its transform."""
-    us = [u_vector(k + 1, n) for k in range(n)]
-    index = {u: k for k, u in enumerate(us)}
-    tops = poset.maximal_node_ids
-    keys = {poset.nodes[m].subspace.key(): m for m in tops}
-    moves = [([index[act(g, u)] for u in us],
-              {m: keys[transform(group, g, poset.nodes[m].subspace).key()]
-               for m in tops}) for g in group.elements]
-    orbits = set()
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            ids = [(i - 1) % n, i % n, (j - 1) % n, j % n]
-            for m in tops:
-                orbits.add(frozenset((tuple(s[k] for k in ids), mv[m])
-                                     for s, mv in moves))
-    return orbits
-
-
 def test_census_decides_each_image_simplex_once(main_data, monkeypatch):
-    # the preimage census decides each group orbit of pairs (simplex,
-    # maximal element) once, of the n(n+1)/2 distinct image simplices
-    # times the elements; the seed pieces are not invariant under the
-    # group and are decided once per simplex and piece.  The census hands
-    # its points over already scaled, so its decisions are counted on the
-    # routine under meeting_locus
+    # the preimage census decides each of the n(n+1)/2 distinct image
+    # simplices once per orbit of maximal elements, on its representative;
+    # the seed pieces are not invariant under the group and are decided
+    # once per simplex and piece.  The census hands its points over
+    # already scaled, so its decisions are counted on the routine under
+    # meeting_locus
     import fanpart.obstruction as ob
     calls = []
     locus = ob._scaled_locus
@@ -206,15 +185,16 @@ def test_census_decides_each_image_simplex_once(main_data, monkeypatch):
         calls.append(args)
         return locus(*args, **kwargs)
     monkeypatch.setattr(ob, "_scaled_locus", counting)
-    for n, a, b, decided in ((6, 1, 2, 90), (8, 1, 3, 160)):
+    for n, a, b, decided in ((6, 1, 2, 42), (8, 2, 2, 72), (8, 1, 3, 72)):
         data = main_data(n, a, b)
         poset = data["poset"]
+        tops = poset.maximal_node_ids
         h = define_h(n)
         calls.clear()
         preimage_simplices(h, poset, n, a, b)
-        assert len(calls) == len(_pair_orbits(n, data["group"], poset)) \
-            == decided
-        assert decided < n * (n + 1) // 2 * len(poset.maximal_node_ids)
+        orbits = len({poset.orbit[m] for m in tops})
+        assert len(calls) == orbits * n * (n + 1) // 2 == decided
+        assert decided < n * (n + 1) // 2 * len(tops)
         calls.clear()
         intersect_with_Jpieces(h, data["l1"], data["l2"], n, a, b)
         assert len(calls) == 3 * n * (n + 1) // 2
@@ -232,6 +212,40 @@ def test_orbit_census_equals_arc_census(main_data, n, a, b):
                             for m in poset.maximal_node_ids])
     assert orbit_census(n, poset) == direct
     assert any(hit is not None for hits in direct.values() for hit in hits)
+
+
+def test_census_column_reads_lam_in_its_own_point_order():
+    # the ray through u_1 moved by eps j, which fixes u_1 and reverses the
+    # other points: the column (0, eps j) decides each simplex on its
+    # pulled-back ids in sorted order and must give back meeting_locus on
+    # the simplex's own points.  (1, 2) has the points u_1, u_2, u_2, u_3
+    # and meets in lam = (1, 0, 0, 0); (1, 1) meets in a segment of lam;
+    # (i, n) has u_1 last, but first among the sorted pulled-back ids
+    from fanpart.obstruction import _census
+    n = 6
+    group = quaternion_on_Wn(n)
+    g = group.by_word(1, 1)
+    # sum x = 0, x_2 = x_3 = ... = x_n and x_1 >= x_2
+    ray = make_subspace([(1,) * n] + [tuple((c == 1) - (c == k)
+                                            for c in range(n))
+                                      for k in range(2, n)],
+                        [(1, -1) + (0,) * (n - 2)], n)
+    moved = transform(group, g, ray)
+    census = _census(n, [ray], [(0, g)])
+    assert len(census) == n * (n + 1) // 2
+    for (i, j), (hit,) in census.items():
+        assert hit == meeting_locus(arc_points(i, j, n), moved)
+    assert census[1, 2][0][:2] == (0, (1, 0, 0, 0))
+    assert census[1, 1][0] == (1, None, None)
+    assert census[2, n][0][:2] == (0, (0, 0, 0, 1))
+
+
+def test_census_refuses_an_element_of_another_dimension():
+    l1, _ = make_J_pieces(8, 1, 3)
+    from fanpart.obstruction import arc_census
+    with pytest.raises(ValueError, match="dimension 8 in a census of "
+                                         "dimension 6"):
+        arc_census(6, [l1])
 
 
 @pytest.mark.parametrize("n,a,b", [(6, 1, 2), (8, 2, 2), (8, 1, 3)])
