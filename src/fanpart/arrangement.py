@@ -387,9 +387,9 @@ class IntersectionPoset:
     intersection of its support, so node i lies in node j exactly when
     support[j] is a subset of support[i].
 
-    `above[i]` lists nodes whose set strictly contains node i (these are the
-    elements of the lower cone in the reverse-inclusion order used for order
-    complexes).  `covers[i]` lists the minimal ones, in increasing order.
+    `covers[i]` lists the minimal nodes whose set strictly contains node i,
+    the nodes of inclusion-maximal support among those whose support lies
+    strictly inside support[i], in increasing order.
 
     `orbit[i]` is the node of i's group orbit that met the maximal elements
     when the poset was built (see `intersection_poset`): the one orbit
@@ -399,7 +399,6 @@ class IntersectionPoset:
     nodes: list[PosetNode]
     maximal_node_ids: list[int]
     support: list[int]                 # bitmask over maximal_node_ids
-    above: list[list[int]]             # strict supersets, by node index
     covers: list[list[int]]            # minimal strict supersets
     orbit: list[int]                   # the orbit representative
     arrangement: Arrangement
@@ -414,8 +413,7 @@ class IntersectionPoset:
     def support_ids(self, i: int) -> list[int]:
         """Maximal-element nodes whose set contains node i (i itself
         included when it is maximal), in increasing order."""
-        mask = self.support[i]
-        return [m for k, m in enumerate(self.maximal_node_ids) if mask >> k & 1]
+        return _bit_list(self.support[i])  # maximal element k is node k
 
     def elements_above(self, i: int) -> list[int]:
         """Maximal-element nodes whose set strictly contains node i."""
@@ -524,7 +522,10 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
     the meet of node i and element m is the node of fewest support bits
     among those whose support holds support[i] | m (the intersection of
     that mask), a new one labelled meet<number>.  The order follows from
-    the supports (see IntersectionPoset).
+    the supports (see IntersectionPoset), and the replay finds the covers:
+    when i covers j, i meets any element of support[j] outside support[i]
+    in a node between j and i, so in j.  So the covers of j are the nodes
+    i != j with i meet m = j for some m that have inclusion-maximal support.
     """
     elems = arr.maximal_elements
     nmax, dim = len(elems), arr.ambient_dim
@@ -611,6 +612,7 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
              for m in range(nmax)]
     bfs = list(range(nmax))
     numbered = set(bfs)
+    candidates: list[set] = [set() for _ in nodes]  # j -> i with i meet m = j
     for i in bfs:
         below = -1
         for m in range(nmax):
@@ -619,35 +621,23 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
         for h in holds:
             c = below & h  # lowest bit: the meet with that element
             j = order[(c & -c).bit_length() - 1]
+            if j != i:
+                candidates[j].add(i)
             if j not in numbered:
                 numbered.add(j)
                 bfs.append(j)
-    support = [support[j] for j in bfs]
     position = {j: i for i, j in enumerate(bfs)}
     orbit = [position[rep[j]] for j in bfs]
-    # i <= j exactly when support[j] <= support[i]: j lies in no element
-    # outside support[i].  Distinct nodes have distinct supports, so this
-    # is strict containment once i itself is taken out
-    n = len(bfs)
-    inside = [sum(1 << i for i in range(n) if support[i] >> m & 1)
-              for m in range(nmax)]
-    above = []
-    for i in range(n):
-        bits = ((1 << n) - 1) ^ (1 << i)
-        for m in range(nmax):
-            if not support[i] >> m & 1:
-                bits &= ~inside[m]
-        above.append(_bit_list(bits))
-    # the covers of i are the members of above[i] with inclusion-maximal
-    # support; in order of decreasing support size, every member whose
-    # support lies in a larger one is dominated by a cover already found
+    # in order of decreasing support size, a candidate whose support lies
+    # in a larger one is dominated by a cover already found
     covers = []
-    for i in range(n):
+    for j in bfs:
         cs: list[int] = []
-        for j in sorted(above[i], key=lambda j: -support[j].bit_count()):
-            if all(support[j] & ~support[c] for c in cs):
-                cs.append(j)
-        covers.append(sorted(cs))
+        for i in sorted(candidates[j], key=lambda i: -support[i].bit_count()):
+            if all(support[i] & ~support[c] for c in cs):
+                cs.append(i)
+        covers.append(sorted(position[i] for i in cs))
+    support = [support[j] for j in bfs]
     nodes = [nodes[j] for j in bfs]
     for i, nd in enumerate(nodes):
         nd.index = i
@@ -658,5 +648,5 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
             if nd._subspace is not None:
                 nd._subspace = nd._subspace.relabel(nd.label)
     return IntersectionPoset(
-        nodes, list(range(nmax)), support, above, covers, orbit, arr,
+        nodes, list(range(nmax)), support, covers, orbit, arr,
         _moves=moves, _by_support={s: i for i, s in enumerate(support)})

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -24,6 +25,17 @@ from .obstruction import obstruction_class
 # largest a + b that `compute` accepts (n = 2(a + b) <= 12): larger inputs
 # are refused up front instead of running without a time bound
 MAX_A_PLUS_B = 6
+
+
+def _bad_json_path(path) -> bool:
+    """True, with a usage message on stderr, when --json names no file in
+    an existing directory; checked before any computation."""
+    if path is None or (os.path.isdir(os.path.dirname(path) or ".")
+                        and not os.path.isdir(path)):
+        return False
+    print(f"--json {path}: not a file in an existing directory",
+          file=sys.stderr)
+    return True
 
 
 def _emit_json(payload: dict, path: str, started: float):
@@ -43,6 +55,8 @@ def run_compute(args) -> int:
         print(f"compute supports a + b <= {MAX_A_PLUS_B} (n <= "
               f"{2 * MAX_A_PLUS_B}); got a + b = {args.a + args.b}",
               file=sys.stderr)
+        return 1
+    if _bad_json_path(args.json):
         return 1
     n = 2 * (args.a + args.b)
     cert = obstruction_class(n, args.a, args.b)
@@ -71,6 +85,8 @@ def run_compute(args) -> int:
 
 def run_example(args) -> int:
     started = time.monotonic()
+    if _bad_json_path(args.json):
+        return 1
     try:
         rep = run_fixture(args.name)
     except ValueError as e:

@@ -138,30 +138,19 @@ def order_complex(poset: IntersectionPoset, node: int) -> SimplicialComplex:
 
     In the reverse-inclusion order of the intersection poset this is the
     complex of chains strictly below the node; it is empty for a maximal
-    element.
+    element.  A maximal chain above the node steps up by covers until it
+    reaches a maximal element, so the facets are the cover paths.
     """
-    ups = sorted(poset.above[node])
-    if not ups:
-        return SimplicialComplex((), ())
-    upset = set(ups)
-    children: dict[int, list[int]] = {
-        u: [w for w in poset.above[u] if w in upset] for u in ups
-    }
-    # nodes with no strict superset inside the up-set are chain tops
-    facets: list[tuple] = []
+    facets: list[list[int]] = []
 
     def extend(chain: list[int]):
-        nxt = children[chain[-1]]
-        if not nxt:
-            facets.append(tuple(sorted(chain)))
-            return
-        for w in nxt:
-            extend(chain + [w])
+        ups = poset.covers[chain[-1]]
+        if not ups:
+            facets.append(chain[1:])
+        for c in ups:
+            extend(chain + [c])
 
-    starts = [u for u in ups
-              if not any(u in poset.above[w] for w in ups if w != u)]
-    for s in starts:
-        extend([s])
+    extend([node])
     return complex_from_facets(facets)
 
 

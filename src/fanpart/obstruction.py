@@ -65,11 +65,6 @@ class SphereComplex:
 
     n: int
 
-    @property
-    def chain_ranks(self) -> tuple[int, int, int, int]:
-        n = self.n
-        return (4 * n, 4 * n * n + 4 * n, 8 * n * n, 4 * n * n)
-
     def vertices(self) -> list[tuple[str, int]]:
         return [("a", i) for i in range(1, 2 * self.n + 1)] + \
                [("b", i) for i in range(1, 2 * self.n + 1)]

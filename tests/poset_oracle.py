@@ -7,7 +7,9 @@ are read off the relation by their definition.  Quadratic in the number of
 nodes, each step a Fourier-Motzkin cone test.
 
 Only used in tests, as an oracle for the support masks that
-`intersection_poset` orders its nodes by.  `rational_closure` is the
+`intersection_poset` orders its nodes by.  `up_sets` lists the strict
+supersets of every node, read off the supports, for one poset at a time;
+the poset itself keeps only the covers.  `rational_closure` is the
 closure loop the package ran when it keyed meets by rational forms; it
 is the oracle for the node order, labels and supports of the poset.
 `moved_nodes` is the route `act_node` took before it moved support masks:
@@ -15,7 +17,9 @@ the node's rows moved by the group element and looked up by key.
 `pruned_images` is the pruning `orbit_closure` did before it tested one
 image per seed orbit: every image against every other.
 `max_chain_length_above` walks the up-set of one node, the route the
-degree-above-top check took before it read `homology.chain_heights`.
+degree-above-top check took before it read `homology.chain_heights`, and
+`order_complex` the route `homology.order_complex` took before it walked
+the cover paths.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from collections import deque
 from fanpart.arrangement import HalfOpenSubspace, _moved_form, contains_set
 from fanpart.exactlin import echelon_rationals
 from fanpart.groups import distinct_actions
+from fanpart.homology import SimplicialComplex, complex_from_facets
 
 import canonical_oracle
 
@@ -35,6 +40,18 @@ def containment_above(poset) -> list[list[int]]:
     return [[j for j, big in enumerate(sets)
              if j != i and contains_set(big, small)]
             for i, small in enumerate(sets)]
+
+
+def up_sets(poset) -> list[list[int]]:
+    """above[i]: the nodes whose set strictly contains node i, read off the
+    supports: node j lies strictly above node i exactly when support[j] is
+    a proper subset of support[i]."""
+    return _up_sets(poset.support)
+
+
+def _up_sets(support: list[int]) -> list[list[int]]:
+    return [[j for j, sj in enumerate(support) if j != i and not sj & ~si]
+            for i, si in enumerate(support)]
 
 
 def covers(above: list[list[int]]) -> list[list[int]]:
@@ -80,20 +97,45 @@ def pruned_images(group, seeds) -> list:
                                        s.inequalities))
 
 
-def max_chain_length_above(poset, node: int) -> int:
+def max_chain_length_above(above: list[list[int]], node: int) -> int:
     """The number of nodes in a longest chain strictly above `node`, by a
-    memoised walk of its up-set that steps along `above`."""
-    ups = sorted(poset.above[node])
+    memoised walk of its up-set that steps along the up-sets `above`."""
+    ups = sorted(above[node])
     upset = set(ups)
     memo: dict[int, int] = {}
 
     def depth(u: int) -> int:
         if u not in memo:
-            nxt = [w for w in poset.above[u] if w in upset]
+            nxt = [w for w in above[u] if w in upset]
             memo[u] = 1 + max((depth(w) for w in nxt), default=0)
         return memo[u]
 
     return max((depth(u) for u in ups), default=0)
+
+
+def order_complex(above: list[list[int]], node: int):
+    """The complex of chains of nodes strictly above `node`, by a walk of
+    its up-set: every chain that starts at a minimal node of the up-set and
+    steps to any larger node, kept when it can go no further."""
+    ups = sorted(above[node])
+    if not ups:
+        return SimplicialComplex((), ())
+    upset = set(ups)
+    children = {u: [w for w in above[u] if w in upset] for u in ups}
+    facets: list[tuple] = []
+
+    def extend(chain: list[int]):
+        nxt = children[chain[-1]]
+        if not nxt:
+            facets.append(tuple(sorted(chain)))
+            return
+        for w in nxt:
+            extend(chain + [w])
+
+    starts = [u for u in ups if not any(u in above[w] for w in ups if w != u)]
+    for s in starts:
+        extend([s])
+    return complex_from_facets(facets)
 
 
 def equal_dimension_pairs(poset, above) -> list[tuple[int, int]]:
@@ -142,6 +184,4 @@ def rational_closure(arr):
                     by_raw[raw] = j
                 by_mask[mask] = j
             support[j] |= mask
-    above = [[j for j, sj in enumerate(support) if j != i and not sj & ~si]
-             for i, si in enumerate(support)]
-    return keys, labels, support, covers(above)
+    return keys, labels, support, covers(_up_sets(support))

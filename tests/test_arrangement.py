@@ -237,7 +237,7 @@ def test_poset_z8():
     # its ZZ contribution to degree 4 vanishes either way
     assert dims == [1, 4, 4]
     bottom = next(nd for nd in poset.nodes if nd.dim == 1)
-    assert sorted(poset.above[bottom.index]) == sorted(poset.maximal_node_ids)
+    assert poset_oracle.up_sets(poset)[bottom.index] == poset.maximal_node_ids
     assert bottom.subspace.contains_point(vec([1, -1, 1, -1, 1, -1, 1, -1]))
 
 
@@ -305,9 +305,9 @@ def g_2abj(group, a, b):
 def test_intersection_dims_monotone():
     group, L = z4_fixture()
     poset = intersection_poset(orbit_closure(group, [L]))
-    for nd in poset.nodes:
-        for up in poset.above[nd.index]:
-            assert poset.nodes[up].dim >= nd.dim
+    for lo, ups in enumerate(poset_oracle.up_sets(poset)):
+        for up in ups:
+            assert poset.nodes[up].dim >= poset.nodes[lo].dim
     for lo, ups in enumerate(poset.covers):
         assert all(poset.nodes[lo].dim < poset.nodes[up].dim for up in ups)
 
@@ -318,7 +318,7 @@ def _assert_order_matches_oracle(poset):
     # legal for half-open sets, but none occur in these cases; name any
     # that appears
     assert not same_dim, f"containment at equal dimension: {same_dim}"
-    assert poset.above == above
+    assert poset_oracle.up_sets(poset) == above
     assert poset.covers == poset_oracle.covers(above)
     assert poset.support == poset_oracle.supports(poset)
 
@@ -398,6 +398,16 @@ def test_poset_order_matches_containment_n10_23():
     poset = intersection_poset(orbit_closure(group, make_J_pieces(10, 2, 3)))
     assert len(poset.nodes) == 256
     _assert_order_matches_oracle(poset)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("a,b", [(1, 5), (4, 2)])
+def test_covers_from_meet_replay_n12(a, b):
+    # the covers come from the meets of the numbering pass, not from the
+    # up-sets: compare them with the minimal strict supersets by definition
+    group = quaternion_on_Wn(12)
+    poset = intersection_poset(orbit_closure(group, make_J_pieces(12, a, b)))
+    assert poset.covers == poset_oracle.covers(poset_oracle.up_sets(poset))
 
 
 def test_poset_makes_no_containment_tests(main_data, monkeypatch):

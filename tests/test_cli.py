@@ -17,6 +17,29 @@ def test_compute_rejects_oversized_input(capsys):
     assert "a + b <= 6" in err and "n <= 12" in err
 
 
+def test_compute_refuses_missing_json_dir(monkeypatch, capsys, tmp_path):
+    import fanpart.cli as cli
+
+    def fail(*args):
+        raise AssertionError("computed before checking the output path")
+    monkeypatch.setattr(cli, "obstruction_class", fail)
+    path = tmp_path / "nosuch" / "x.json"
+    assert main(["compute", "--a", "1", "--b", "2", "--json", str(path)]) == 1
+    assert str(path) in capsys.readouterr().err
+    assert not path.parent.exists()
+
+
+def test_example_refuses_missing_json_dir(monkeypatch, capsys, tmp_path):
+    import fanpart.cli as cli
+
+    def fail(*args):
+        raise AssertionError("computed before checking the output path")
+    monkeypatch.setattr(cli, "run_fixture", fail)
+    path = tmp_path / "nosuch" / "x.json"
+    assert main(["example", "z8", "--json", str(path)]) == 1
+    assert str(path) in capsys.readouterr().err
+
+
 def test_compute_missing_args():
     with pytest.raises(SystemExit):
         main(["compute", "--a", "1"])

@@ -132,6 +132,19 @@ def test_order_complex_z4_wall_is_s0(fixture_data):
         assert reduced_homology(cx, 0).rank == 1
 
 
+@pytest.mark.parametrize("case", ["z8", "z4", (6, 1, 2), (6, 2, 1),
+                                  (8, 2, 2), (8, 1, 3), (8, 3, 1)],
+                         ids=["z8", "z4", "1-2", "2-1", "2-2", "1-3", "3-1"])
+def test_order_complex_matches_up_set_walk(fixture_data, main_data, case):
+    # the cover paths against every chain of the up-set, node by node
+    poset = (fixture_data(case) if isinstance(case, str)
+             else main_data(*case))["poset"]
+    above = poset_oracle.up_sets(poset)
+    for nd in poset.nodes:
+        assert order_complex(poset, nd.index) == \
+            poset_oracle.order_complex(above, nd.index), nd.index
+
+
 def test_crosscut_matches_order_complex(fixture_data, main_data):
     posets = [fixture_data("z8")["poset"], fixture_data("z4")["poset"],
               main_data(6, 1, 2)["poset"]]
@@ -339,33 +352,36 @@ def _assert_nerve_matches_crosscut(poset, n=None):
     return nonzero
 
 
-def _crosscut_from_above(poset, node):
-    """The crosscut complex rebuilt from `above`: for each w strictly above
-    the node, the maximal elements above w, and w itself when maximal."""
+def _crosscut_from_above(poset, above, node):
+    """The crosscut complex rebuilt from the up-sets `above`: for each w
+    strictly above the node, the maximal elements above w, and w itself
+    when maximal."""
     tops = set(poset.maximal_node_ids)
     return complex_from_facets(
-        [m for m in poset.above[w] if m in tops] + ([w] if w in tops else [])
-        for w in poset.above[node])
+        [m for m in above[w] if m in tops] + ([w] if w in tops else [])
+        for w in above[node])
 
 
-def _assert_poset_tables_read_support(poset):
+def _assert_poset_tables_read_support(poset, above):
     """The crosscut complexes against the maximal facets among the supports
     above, and the chain heights against a walk of each up-set."""
     tops = set(poset.maximal_node_ids)
     for nd in poset.nodes:
         assert crosscut_complex(poset, nd.index) == \
-            _crosscut_from_above(poset, nd.index)
+            _crosscut_from_above(poset, above, nd.index)
         assert poset.elements_above(nd.index) == [
-            m for m in poset.above[nd.index] if m in tops]
+            m for m in above[nd.index] if m in tops]
     assert chain_heights(poset) == [
-        poset_oracle.max_chain_length_above(poset, i)
+        poset_oracle.max_chain_length_above(above, i)
         for i in range(len(poset.nodes))]
 
 
 def _assert_crosscut_reads_support(poset, n=None):
-    _assert_poset_tables_read_support(poset)
+    above = poset_oracle.up_sets(poset)
+    _assert_poset_tables_read_support(poset, above)
     for node, deg in _checked_degrees(poset, n):
-        h = reduced_homology(nerve(_crosscut_from_above(poset, node)), deg)
+        h = reduced_homology(nerve(_crosscut_from_above(poset, above, node)),
+                             deg)
         memo = node_homology(poset, node, deg)
         assert (memo.rank, memo.torsion) == (h.rank, h.torsion), (node, deg)
 
