@@ -153,6 +153,9 @@ class HalfOpenSubspace:
         return cached_kernel(self.rows, self.ambient_dim)
 
     def contains_point(self, p: Vec) -> bool:
+        if len(p) != self.ambient_dim:
+            raise ValueError(f"a point of length {len(p)} against a subspace "
+                             f"of ambient dimension {self.ambient_dim}")
         if any(sum(a * b for a, b in zip(r, p)) for r in self.rows):
             return False
         return all(sum(a * b for a, b in zip(q, p)) >= 0
@@ -258,8 +261,11 @@ def _block_form(n: int, lo: int, hi: int) -> tuple[int, ...]:
 
 
 def _check_params(n: int, a: int, b: int):
-    if a < 1 or b < 1 or n != 2 * a + 2 * b:
-        raise ValueError(f"need a >= 1, b >= 1 and n = 2a + 2b, got {(n, a, b)}")
+    # a bool is not an int here: True would pass as 1
+    if any(type(x) is not int for x in (n, a, b)) or a < 1 or b < 1 \
+            or n != 2 * a + 2 * b:
+        raise ValueError("need ints a >= 1, b >= 1 and n = 2a + 2b, got "
+                         f"{(n, a, b)!r}")
 
 
 def ones_form(n: int) -> tuple[int, ...]:

@@ -11,11 +11,15 @@ is where the boundary-wall correction terms come from.  So a wall generator
 C(e) - C(base) has one image: sgn (C'(g e) - C'(g base)), C'(x) the
 generator of sheet x on the image wall (none for its base sheet), plus
 -sgn s [sphere of x] for each sheet x that lands on the non-canonical page.
+
+Step 6 is one routine, `twisted_coinvariants`, which certificates, fixtures
+and the selftest read: the primal and dual quotients and their three laws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -181,9 +185,6 @@ class CoinvariantGroup:
             order = lcm(order, d // gcd(d, t))
         return order
 
-    def describe(self) -> str:
-        return describe_factors(self.invariant_factors, self.rank)
-
 
 def describe_factors(factors: Sequence[int], free_rank: int) -> str:
     """The group Z^free_rank + Z_f1 + ... as text, e.g. "Z (+) Z2"."""
@@ -222,13 +223,11 @@ def _coinvariants_of(matrices: Iterable[Matrix], r: int) -> CoinvariantGroup:
 
 
 def modified_coinvariants(action: OrientedGeneratorAction,
-                          group: ActionGroup,
-                          generators_only: bool = False) -> CoinvariantGroup:
+                          group: ActionGroup) -> CoinvariantGroup:
     """Quotient by the span of g*x - x for the determinant-twisted action,
-    over one element per distinct permutation, or over the generators."""
-    elements = group.generators if generators_only \
-        else distinct_actions(group)
-    return _coinvariants_of((action.modified_matrix(g) for g in elements),
+    over one element per distinct permutation."""
+    return _coinvariants_of((action.modified_matrix(g)
+                             for g in distinct_actions(group)),
                             action.basis.rank)
 
 
@@ -244,3 +243,25 @@ def dual_coinvariants(action: OrientedGeneratorAction,
     return _coinvariants_of((action.modified_matrix(group.inv(g)).transpose()
                              for g in distinct_actions(group)),
                             action.basis.rank)
+
+
+def twisted_coinvariants(group: ActionGroup, zz: ZZBasis) -> tuple:
+    """Step 6 on one build of the action: (primal, dual, laws), the
+    quotients over every distinct action and of the dual module, and by
+    name the laws that the action is a representation (on the generators
+    and their product), that the generators' relations give the primal
+    quotient, and that the dual and primal quotients agree."""
+    action = induced_action(group, zz)
+    m, gens = action.matrix, group.generators
+    cg = modified_coinvariants(action, group)
+    cgen = _coinvariants_of(map(action.modified_matrix, gens), zz.rank)
+    dg = dual_coinvariants(action, group)
+    shape = (cg.invariant_factors, cg.rank)
+    return cg, dg, {
+        "action is a representation": all(
+            m(x).mul(m(y)) == m(group.mul(x, y))
+            for x in gens for y in (*gens, reduce(group.mul, gens))),
+        "generator relations suffice":
+            (cgen.invariant_factors, cgen.rank) == shape,
+        "dual and primal quotients agree":
+            (dg.invariant_factors, dg.rank) == shape}

@@ -57,7 +57,6 @@ class ActionGroup:
     elements: list[GroupElement]
     ambient_dim: int
     generators: list[GroupElement]
-    law: str          # "quaternion" or "cyclic"
     modulus: int      # word exponent modulus (2n for quaternion, m for cyclic)
     _by_word: dict = field(default_factory=dict, repr=False)
 
@@ -77,9 +76,8 @@ class ActionGroup:
     def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
         k1, d1 = g.word
         k2, d2 = h.word
-        if self.law == "cyclic":
-            return self.by_word(k1 + k2, 0)
-        # eps^k j eps^m = eps^(k-m) j, and j j = eps^n
+        # eps^k j eps^m = eps^(k-m) j, and j j = eps^n; a cyclic word is
+        # (k, 0), so the cyclic groups follow the same law
         if d1 == 0:
             k, d = k1 + k2, d2
         else:
@@ -90,17 +88,10 @@ class ActionGroup:
 
     def inv(self, g: GroupElement) -> GroupElement:
         k, d = g.word
-        if self.law == "cyclic" or d == 0:
+        if d == 0:
             return self.by_word(-k, 0)
         # (eps^k j)^-1 = eps^(k-n) j
         return self.by_word(k - self.modulus // 2, 1)
-
-    def power(self, g: GroupElement, m: int) -> GroupElement:
-        out = self.identity()
-        step = g if m >= 0 else self.inv(g)
-        for _ in range(abs(m)):
-            out = self.mul(out, step)
-        return out
 
 
 def quaternion_on_Wn(n: int) -> ActionGroup:
@@ -120,7 +111,7 @@ def quaternion_on_Wn(n: int) -> ActionGroup:
     elements = [GroupElement((k, 0), powers[k]) for k in range(2 * n)]
     elements += [GroupElement((k, 1), _compose(powers[k], j))
                  for k in range(2 * n)]
-    group = ActionGroup(elements, n, [], "quaternion", 2 * n)
+    group = ActionGroup(elements, n, [], 2 * n)
     group.generators = [group.by_word(1, 0), group.by_word(0, 1)]
     return group
 
@@ -154,7 +145,7 @@ def cyclic_shift_group(m: int, N: int, shift_spec: tuple[int, ...]) -> ActionGro
     for k in range(m):
         elements.append(GroupElement((k, 0), acc))
         acc = _compose(gen, acc)
-    group = ActionGroup(elements, N, [], "cyclic", m)
+    group = ActionGroup(elements, N, [], m)
     group.generators = [group.by_word(1)]
     return group
 

@@ -66,9 +66,6 @@ class SimplicialComplex:
     def dim(self) -> int:
         return max((len(f) - 1 for f in self.facets), default=-1)
 
-    def is_empty(self) -> bool:
-        return not self.facets and not self.vertices
-
 
 def complex_from_facets(facets) -> SimplicialComplex:
     facets = {tuple(sorted(f)) for f in facets if f}

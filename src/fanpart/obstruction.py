@@ -46,8 +46,7 @@ from .arrangement import (HalfOpenSubspace, IntersectionPoset, _check_params,
                           make_L_alpha, orbit_closure)
 from .homology import (UnsupportedArrangement, ZZBasis, verify_lemma16,
                        verify_no_homology_above_top, zz_basis)
-from .coinvariants import (CoinvariantGroup, dual_coinvariants,
-                           induced_action, modified_coinvariants)
+from .coinvariants import CoinvariantGroup, twisted_coinvariants
 
 
 class GeneralPositionError(Exception):
@@ -904,19 +903,8 @@ def _prepare(n: int, a: int, b: int
     checks["deep nodes contribute nothing"] = verify_lemma16(poset, n)
 
     cert.steps.append("Step 6: twisted coinvariants")
-    action = induced_action(group, zz)
-    eps, j = group.generators
-    checks["action is a representation"] = all(
-        action.matrix(x).mul(action.matrix(y)) == action.matrix(group.mul(x, y))
-        for x in (eps, j) for y in (eps, j, group.mul(eps, j)))
-    cg = modified_coinvariants(action, group)
-    cgen = modified_coinvariants(action, group, generators_only=True)
-    dg = dual_coinvariants(action, group)
-    checks["generator relations suffice"] = (
-        cgen.invariant_factors == cg.invariant_factors
-        and cgen.rank == cg.rank)
-    checks["dual and primal quotients agree"] = (
-        dg.invariant_factors == cg.invariant_factors and dg.rank == cg.rank)
+    _, dg, laws = twisted_coinvariants(group, zz)
+    checks.update(laws)
     cert.coinvariant_factors = list(dg.invariant_factors)
     cert.coinvariant_rank = dg.rank
 
@@ -1029,13 +1017,16 @@ def obstruction_class(n: int, a: int, b: int,
     pairing vectors of the cocycle terms by `term_flips` and `global_flip`
     and runs Step 8 on their sum (`_class_of_cocycle`).  Each call returns
     a certificate of its own.  `term_flips` holds one sign, +1 or -1, for
-    each of the two cocycle terms (a missing one is +1); anything else is
-    refused with a ValueError before any step runs."""
+    each of the two cocycle terms (a missing one is +1), as an int, and
+    `global_flip` is a bool; anything else, or an n, a or b that is not an
+    int, is refused with a ValueError before any step runs."""
     _check_params(n, a, b)
-    if term_flips is not None and (
-            len(term_flips) > 2 or any(f not in (1, -1) for f in term_flips)):
-        raise ValueError("term_flips takes a sign +1 or -1 for each of the "
-                         f"two cocycle terms, got {term_flips!r}")
+    if term_flips is not None and (len(term_flips) > 2 or any(
+            type(f) is not int or f not in (1, -1) for f in term_flips)):
+        raise ValueError("term_flips takes an int sign +1 or -1 for each of "
+                         f"the two cocycle terms, got {term_flips!r}")
+    if type(global_flip) is not bool:
+        raise ValueError(f"global_flip is a bool, got {global_flip!r}")
     prepared, ctx = _prepare(n, a, b)
     cert = deepcopy(prepared)
     if ctx is not None:

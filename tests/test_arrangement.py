@@ -95,6 +95,16 @@ def test_L_alpha_411():
     assert not L.contains_point(vec([1, -1, 0, 0]))
 
 
+def test_contains_point_refuses_a_point_of_another_length():
+    # zip would drop the missing or extra coordinates and answer True
+    l1, l2 = make_J_pieces(6, 1, 2)
+    assert not l1.is_linear and l2.is_linear
+    for s, p in ((l1, (0,) * 4), (l2, ()), (l2, (0,) * 7)):
+        with pytest.raises(ValueError,
+                           match=f"length {len(p)} .* dimension 6"):
+            s.contains_point(p)
+
+
 def test_L_alpha_612():
     L = make_L_alpha(6, 1, 2)
     # blocks x1 | x2+x3+x4 | x5+x6

@@ -140,7 +140,8 @@ def test_selftest_ok():
 
 def test_selftest_fault_injection(monkeypatch, capsys):
     # one entry of the z8 action matrix of eps negated: eps . eps no longer
-    # acts as eps^2, so the selftest must fail
+    # acts as eps^2, so the z8 fixture reports the representation law as
+    # failed and the selftest must fail
     def faulty_action(group, zz):
         action = induced_action(group, zz)
         word = group.generators[0].word
@@ -150,9 +151,9 @@ def test_selftest_fault_injection(monkeypatch, capsys):
         rows[i][j] = -rows[i][j]
         action.matrices[word] = Matrix(rows)
         return action
-    monkeypatch.setattr("fanpart.cli.induced_action", faulty_action)
+    monkeypatch.setattr("fanpart.coinvariants.induced_action", faulty_action)
     assert main(["selftest"]) == 1
-    assert "FAIL: action matrices are not a representation" in \
+    assert "FAIL: z8 fixture: law fails: action is a representation" in \
         capsys.readouterr().out
 
 

@@ -6,14 +6,17 @@ from fanpart.arrangement import (HalfOpenSubspace, intersection_poset,
                                  make_J_pieces, make_subspace, orbit_closure,
                                  transform)
 from fanpart.coinvariants import (_coinvariants_of, _wall_pages,
-                                  dual_coinvariants, induced_action,
-                                  modified_coinvariants, transport_sign)
+                                  describe_factors, dual_coinvariants,
+                                  induced_action, modified_coinvariants,
+                                  transport_sign, twisted_coinvariants)
 from fanpart.exactlin import (Matrix, determinant, dot, from_columns,
                               integer_dot, kernel_basis, sign, solve_affine,
                               vec)
 from fanpart.groups import (ActionGroup, act, cyclic_shift_group,
                             det_character, distinct_actions, quaternion_on_Wn)
+from fanpart.fixtures import run_fixture
 from fanpart.homology import UnsupportedArrangement, zz_basis
+from fanpart.obstruction import obstruction_class
 from orientation_signs import (action_matrix_by_cone_sums, join_sphere_sign,
                                orientation_sign, page_image_by_frame)
 
@@ -190,8 +193,7 @@ def test_shared_matrix_equals_one_computed_alone(main_data, case):
     shared = [g for g in group.elements if g.word not in firsts]
     assert len(shared) == len(firsts) == group.order // 2
     for g in shared:
-        alone = ActionGroup([g], group.ambient_dim, [], group.law,
-                            group.modulus)
+        alone = ActionGroup([g], group.ambient_dim, [], group.modulus)
         assert induced_action(alone, zz).matrices == {g.word: action.matrix(g)}
 
 
@@ -253,7 +255,7 @@ def test_z8_coinvariants(fixture_data):
     cg = modified_coinvariants(data["action"], data["group"])
     assert cg.invariant_factors == [2]
     assert cg.rank == 0
-    assert cg.describe() == "Z2"
+    assert describe_factors(cg.invariant_factors, cg.rank) == "Z2"
 
 
 def test_z4_coinvariants_computed(fixture_data):
@@ -345,9 +347,10 @@ def test_main_case_coinvariants(main_data, n, a, b):
 
 def test_generator_relations_match_full(fixture_data, main_data):
     for data in (fixture_data("z4"), main_data(6, 1, 2)):
-        cg = modified_coinvariants(data["action"], data["group"])
-        cgen = modified_coinvariants(data["action"], data["group"],
-                                     generators_only=True)
+        action, group = data["action"], data["group"]
+        cg = modified_coinvariants(action, group)
+        cgen = _coinvariants_of(map(action.modified_matrix, group.generators),
+                                action.basis.rank)
         assert (cg.invariant_factors, cg.rank) == \
             (cgen.invariant_factors, cgen.rank)
 
@@ -358,6 +361,61 @@ def test_dual_matches_primal(fixture_data, main_data):
         dg = dual_coinvariants(data["action"], data["group"])
         assert (cg.invariant_factors, cg.rank) == \
             (dg.invariant_factors, dg.rank)
+
+
+STEP6_LAWS = ["action is a representation", "generator relations suffice",
+              "dual and primal quotients agree"]
+
+
+@pytest.mark.parametrize("case", ["z8", "z4", (6, 1, 2), (8, 2, 2)])
+def test_twisted_coinvariants_laws_and_factors(fixture_data, main_data, case):
+    # Step 6 is one routine: its three laws hold, in the certificate's
+    # order, and the fixture report and the certificate show its quotients
+    data = fixture_data(case) if isinstance(case, str) else main_data(*case)
+    group, action = data["group"], data["action"]
+    cg, dg, laws = twisted_coinvariants(group, data["zz"])
+    assert list(laws.items()) == [(law, True) for law in STEP6_LAWS]
+    assert cg == modified_coinvariants(action, group)
+    assert dg == dual_coinvariants(action, group)
+    shape = (cg.invariant_factors, cg.rank)
+    assert (dg.invariant_factors, dg.rank) == shape
+    if isinstance(case, str):
+        rep = run_fixture(case)
+        assert (rep.factors, rep.free_rank) == shape
+        assert not [d for d in rep.diffs if d.startswith("law fails")]
+    else:
+        cert = obstruction_class(*case)
+        assert (cert.coinvariant_factors, cert.coinvariant_rank) == shape
+        names = list(cert.checks)
+        first = names.index(STEP6_LAWS[0])
+        assert names[first:first + 3] == STEP6_LAWS
+        assert all(cert.checks[law] for law in STEP6_LAWS)
+
+
+@pytest.mark.parametrize("case", ["z8", "z4", (6, 1, 2), (8, 2, 2)])
+def test_twisted_coinvariants_flag_a_faulty_action(
+        fixture_data, main_data, monkeypatch, case):
+    # one entry of the first generator's matrix negated, as in the selftest
+    # fault injection: the action no longer multiplies like the group, and
+    # the fixture report names the failed law
+    import fanpart.coinvariants as co
+    data = fixture_data(case) if isinstance(case, str) else main_data(*case)
+
+    def faulty_action(group, zz):
+        action = induced_action(group, zz)
+        word = group.generators[0].word
+        rows = [list(row) for row in action.matrices[word].entries]
+        i, j = next((i, j) for i, row in enumerate(rows)
+                    for j, x in enumerate(row) if x)
+        rows[i][j] = -rows[i][j]
+        action.matrices[word] = Matrix(rows)
+        return action
+    monkeypatch.setattr(co, "induced_action", faulty_action)
+    laws = twisted_coinvariants(data["group"], data["zz"])[2]
+    assert laws["action is a representation"] is False
+    if isinstance(case, str):
+        assert "law fails: action is a representation" in \
+            run_fixture(case).diffs
 
 
 def test_projection_invariance(main_data):
@@ -589,7 +647,8 @@ def test_relation_smith_forms_keep_the_full_scan_operations(
         return smith_normal_form(m)
     monkeypatch.setattr(coinvariants, "smith_normal_form", recording)
     modified_coinvariants(action, group)
-    modified_coinvariants(action, group, generators_only=True)
+    _coinvariants_of(map(action.modified_matrix, group.generators),
+                     action.basis.rank)
     dual_coinvariants(action, group)
     assert len(seen) == 3
     for m in seen:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fanpart.exactlin import Matrix, determinant, vec
+from fanpart.fixtures import z4_fixture, z8_fixture
 from fanpart.groups import (ActionGroup, act, cyclic_shift_group,
                             det_character, quaternion_on_Wn)
 
@@ -36,20 +37,28 @@ def test_quaternion_order_and_distinct_matrices_n6():
     assert len({m.matrix for m in g.elements}) == 12
 
 
+def _power(g, x, m):
+    out = g.identity()
+    for _ in range(m):
+        out = g.mul(out, x)
+    return out
+
+
 def test_word_relations():
     # eps has order 2n, j^2 = eps^n, j eps j^-1 = eps^-1
     g = quaternion_on_Wn(5)
     eps, j = g.generators
-    assert g.power(eps, 10).word == (0, 0)
-    assert g.power(eps, 3).word != (0, 0)
+    assert _power(g, eps, 10).word == (0, 0)
+    assert _power(g, eps, 3).word != (0, 0)
     assert g.mul(j, j).word == (5, 0)
     lhs = g.mul(g.mul(j, eps), g.inv(j))
     assert lhs.word == g.inv(eps).word
 
 
 def test_cayley_closure_and_matrix_homomorphism():
-    for n in (3, 4):
-        g = quaternion_on_Wn(n)
+    # one law for the quaternion groups and the cyclic fixture groups
+    for g in (quaternion_on_Wn(3), quaternion_on_Wn(4), z8_fixture()[0],
+              z4_fixture()[0]):
         words = {m.word for m in g.elements}
         for x in g.elements:
             for y in g.elements:
@@ -67,7 +76,7 @@ def test_induced_dihedral_relation():
     assert g.by_word(n).matrix == Matrix.identity(n)
     assert g.mul(j, j).matrix == Matrix.identity(n)
     lhs = g.mul(eps, j).matrix
-    rhs = g.mul(j, g.power(eps, n - 1)).matrix
+    rhs = g.mul(j, _power(g, eps, n - 1)).matrix
     assert lhs == rhs
     # the kernel of the R^n action is exactly {eps^{kn} j^0}
     trivial = [m.word for m in g.elements if m.matrix == Matrix.identity(n)]

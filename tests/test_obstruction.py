@@ -682,13 +682,14 @@ def _count_calls(monkeypatch, module, names):
 
 
 def test_flip_sweep_builds_steps_1_to_6_once(monkeypatch):
+    import fanpart.coinvariants as co
     import fanpart.obstruction as ob
-    counts = _count_calls(monkeypatch, ob, ("intersection_poset", "zz_basis",
-                                            "induced_action"))
+    counts = _count_calls(monkeypatch, ob, ("intersection_poset", "zz_basis"))
+    step6 = _count_calls(monkeypatch, co, ("induced_action",))
     for flips, gf in FLIP_CASES:
         obstruction_class(6, 1, 2, term_flips=flips, global_flip=gf)
-    assert counts == {"intersection_poset": 1, "zz_basis": 1,
-                      "induced_action": 1}
+    assert {**counts, **step6} == {"intersection_poset": 1, "zz_basis": 1,
+                                   "induced_action": 1}
 
 
 def test_flip_sweep_pairs_the_cocycle_once(monkeypatch):
@@ -772,6 +773,30 @@ def test_degenerate_cases_warm_equal_cold(n, a, b, early):
     assert warm.verdict == cold.verdict
     assert list(warm.checks.items()) == list(cold.checks.items())
     assert _certificate_view(warm) == _certificate_view(cold)
+
+
+@pytest.mark.parametrize("args,kwargs", [
+    ((6, 1, 2), {"term_flips": (1.0, -1.0)}),
+    ((6, 1, 2), {"term_flips": (True,)}),
+    ((6, True, 2), {}),
+    ((6, 1, 2.0), {}),
+    ((6.0, 1, 2), {}),
+    ((6, 1, 2), {"global_flip": "no"}),
+    ((6, 1, 2), {"global_flip": 1}),
+])
+def test_params_that_are_not_ints_are_refused_before_any_step(args, kwargs):
+    # 1.0 == 1 and True == 1, so a test of values alone lets them through:
+    # a float flip died in Step 8, and a = True reached the JSON
+    info = _prepare.cache_info()
+    with pytest.raises(ValueError):
+        obstruction_class(*args, **kwargs)
+    assert _prepare.cache_info() == info
+
+
+def test_wall_node_of_point_refuses_a_point_of_another_length(main_data):
+    data = main_data(6, 1, 2)
+    with pytest.raises(ValueError, match="length 5"):
+        wall_node_of_point(data["poset"], data["zz"], (0,) * 5)
 
 
 def test_bad_params_raise_on_every_call():
