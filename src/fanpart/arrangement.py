@@ -10,9 +10,11 @@ and `_settle_cone` promotes the implicit equalities and drops the redundant
 inequalities.  A group element permutes coordinates, which keeps every
 facet and creates no implicit equality, so `transform` runs stage one
 only.  The intersection poset meets one node per group orbit with one
-maximal element per orbit of that node's stabiliser, keys each meet by its
-integer stage-one form and does the cone work only for a form it has not
-seen; every other node of an orbit keeps the group element that moves the
+maximal element per orbit of that node's stabiliser.  It decides a meet in
+the node's carrier where a linear element holds the carrier or a linear
+node already made is the meet; otherwise it keys the meet by its integer
+stage-one form and does the cone work only for a form it has not seen.
+Every other node of an orbit keeps the group element that moves the
 representative onto it and builds its form when it is first read.  A
 subspace holds its equalities as those integer rows only.
 """
@@ -22,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .exactlin import (Vec, echelon, echelon_rationals, integer_form,
-                       integer_kernel, integer_rows, is_zero_vec,
-                       leading_column, primitive_row, reduce_row)
+from .exactlin import (Vec, echelon, echelon_rationals, integer_dot,
+                       integer_form, integer_kernel, integer_rows,
+                       is_zero_vec, leading_column, primitive_row,
+                       reduce_row)
 from .groups import ActionGroup, GroupElement, distinct_actions
 
 
@@ -99,8 +102,7 @@ def cached_kernel(rows: Sequence[Sequence[int]],
 
 def _restrict(forms: Iterable[Vec], basis: Sequence[Vec]) -> list[Vec]:
     """The forms in the coordinates of a basis: f -> (f.b for b in basis)."""
-    return [tuple(sum(x * y for x, y in zip(f, b)) for b in basis)
-            for f in forms]
+    return [tuple(integer_dot(f, b) for b in basis) for f in forms]
 
 
 def cone_feasible(rows: Sequence[Sequence[int]], dim: int,
@@ -515,15 +517,19 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
     is the intersection of its support, so g . node is the node with
     support pi_g(support).  So one node per orbit meets the elements, and
     it meets one element per orbit of the permutations that fix the mask
-    it was made from (`_orbits_outside`).  A meet is keyed by its integer
-    stage-one form.  A form not seen yet is compared with the one node
-    other than the meeting node that the meet can be, the node of fewest
-    support bits whose support holds the meet's mask: as it is, and after
-    the cone work of stage two only on a mismatch.  The meets that give
-    the meeting node itself make its exact support.  The rest of its orbit
-    is one node per distinct pi_g(support), which keeps g and builds its
-    form (stage one only) when it is first read (`PosetNode`); the node
-    that met the elements is the orbit's entry in `orbit`.  Then the closure
+    it was made from (`_orbits_outside`).  The meet is the meeting node r
+    itself or c, the node of fewest support bits whose support holds the
+    meet's mask, or a new node.  Two exact rules decide it in the carrier
+    of r, with no key: a linear element whose rows vanish on the carrier
+    holds r, and c is the meet when it is linear and of at least the
+    dimension of span(r) meet the element's carrier.  Any other meet is
+    keyed by its integer stage-one form.  A form not seen yet is compared
+    with c: as it is, and after the cone work of stage two only on a
+    mismatch.  The meets that give r itself make its exact support.  The
+    rest of its orbit is one node per distinct pi_g(support), which keeps
+    g and builds its form (stage one only) when it is first read
+    (`PosetNode`); the node that met the elements is the orbit's entry in
+    `orbit`.  Then the closure
     from the maximal elements is replayed on masks to number the nodes:
     the meet of node i and element m is the node of fewest support bits
     among those whose support holds support[i] | m (the intersection of
@@ -567,20 +573,33 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
         # complete meanwhile are those of the nodes being settled, which lie
         # strictly above the meet, and no node lies strictly below a node
         # of its own orbit.  So every other node has its exact support, and
-        # a meet made already is r itself or the node of fewest support
-        # bits whose support holds support[r] | m
+        # a meet made already is r itself or c, the node of fewest support
+        # bits whose support holds support[r] | m.  A support bit is set
+        # only by a true containment, so c lies in r meet m, which lies in
+        # V = span(r) & ker E_m, of dimension dim r - rank(E_m K_r) for a
+        # basis K_r of span(r).  Two cases need no key: m linear with
+        # E_m K_r = 0 holds span(r), so r; and c linear with dim V <= dim c
+        # is V, so the meet is c, not r, and nothing is recorded
         a = nodes[r].subspace
+        kb = integer_kernel(a.rows, dim)
         for m, orb in _orbits_outside(perms, support[r]):
+            em = _restrict(elems[m].rows, kb)
+            if elems[m].is_linear and not any(map(any, em)):
+                grow(r, orb)
+                continue
+            mask = support[r] | 1 << m
+            below = -1
+            for k in _bit_list(mask):
+                below &= members[k]
+            c = min(_bit_list(below), default=None,
+                    key=lambda i: support[i].bit_count())
+            if c is not None and nodes[rep[c]].subspace.is_linear and \
+                    len(echelon(em)[0]) >= a.dim - nodes[c].dim:
+                continue
             raw = _reduce(elems[m].rows,
                           a.inequalities + elems[m].inequalities, a.rows)
             j = known.get(raw)
             if j is None:
-                mask = support[r] | 1 << m
-                below = -1
-                for k in _bit_list(mask):
-                    below &= members[k]
-                c = min(_bit_list(below), default=None,
-                        key=lambda i: support[i].bit_count())
                 seen = nodes[c].subspace.key() if c is not None else None
                 if seen == raw:
                     j = c
@@ -614,16 +633,17 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
     # node of fewest support bits; holds[m] has bit p when element m
     # contains node order[p]
     order = sorted(range(len(nodes)), key=lambda i: support[i].bit_count())
-    holds = [sum(1 << p for p, i in enumerate(order) if support[i] >> m & 1)
-             for m in range(nmax)]
+    holds = [0] * nmax
+    for p, i in enumerate(order):
+        for m in _bit_list(support[i]):
+            holds[m] |= 1 << p
     bfs = list(range(nmax))
     numbered = set(bfs)
     candidates: list[set] = [set() for _ in nodes]  # j -> i with i meet m = j
     for i in bfs:
         below = -1
-        for m in range(nmax):
-            if support[i] >> m & 1:
-                below &= holds[m]
+        for m in _bit_list(support[i]):
+            below &= holds[m]
         for h in holds:
             c = below & h  # lowest bit: the meet with that element
             j = order[(c & -c).bit_length() - 1]

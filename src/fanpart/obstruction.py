@@ -1016,13 +1016,17 @@ def obstruction_class(n: int, a: int, b: int,
     (n, a, b) alone and are kept for the last case; a call only weighs the
     pairing vectors of the cocycle terms by `term_flips` and `global_flip`
     and runs Step 8 on their sum (`_class_of_cocycle`).  Each call returns
-    a certificate of its own.  `term_flips` holds one sign, +1 or -1, for
-    each of the two cocycle terms (a missing one is +1), as an int, and
-    `global_flip` is a bool; anything else, or an n, a or b that is not an
-    int, is refused with a ValueError before any step runs."""
+    a certificate of its own.  `term_flips` is a list or tuple of one sign,
+    +1 or -1, for each of the two cocycle terms in order (a missing one is
+    +1), as an int, and `global_flip` is a bool; anything else, or an n, a
+    or b that is not an int, is refused with a ValueError before any step
+    runs."""
     _check_params(n, a, b)
-    if term_flips is not None and (len(term_flips) > 2 or any(
-            type(f) is not int or f not in (1, -1) for f in term_flips)):
+    # a set or a dict gives the two terms no order, an iterator no length
+    if term_flips is not None and (
+            not isinstance(term_flips, (list, tuple)) or len(term_flips) > 2
+            or any(type(f) is not int or f not in (1, -1)
+                   for f in term_flips)):
         raise ValueError("term_flips takes an int sign +1 or -1 for each of "
                          f"the two cocycle terms, got {term_flips!r}")
     if type(global_flip) is not bool:

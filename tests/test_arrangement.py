@@ -783,13 +783,13 @@ def _moved_nodes_read(poset, read) -> set:
 
 def _count_poset_work(monkeypatch, arr):
     """Run intersection_poset with no Fraction RREF allowed, counting the
-    stage-one reductions, the moves of a subspace by a group element
-    among them, the settled forms and the promotions among those.  Also
-    returns the masks whose stabiliser orbits a node met the elements by,
-    and the moved nodes whose form was read."""
+    meets of a node with an element, the stage-one reductions, the moves of
+    a subspace by a group element among them, the settled forms and the
+    promotions among those.  Also returns the masks whose stabiliser orbits
+    a node met the elements by, and the moved nodes whose form was read."""
     import fanpart.arrangement as arrangement
     import fanpart.exactlin as exactlin
-    count = dict.fromkeys(("reduce", "settle", "promoted"), 0)
+    count = dict.fromkeys(("meets", "reduce", "settle", "promoted"), 0)
     masks = []
 
     def counted(key, fn):
@@ -809,7 +809,9 @@ def _count_poset_work(monkeypatch, arr):
 
     def recorded(perms, mask):
         masks.append(mask)
-        return orbits_outside(perms, mask)
+        out = orbits_outside(perms, mask)
+        count["meets"] += len(out)
+        return out
 
     def refuse(*args):
         raise AssertionError("the poset ran a Fraction elimination")
@@ -852,9 +854,13 @@ def test_poset_matches_rational_closure_n10_23(main_data, monkeypatch):
     _assert_poset_matches_rational_closure(arr, poset)
     # only one node of each of the 24 orbits meets the 25 elements, one
     # element per orbit of H outside the mask the node was made from, H the
-    # permutations of the elements that fix that mask (364 meets); at most
-    # 30 of their stage-one forms are new.  The moves are the 2 x 25 of the
-    # generators on the elements and one per moved node whose form was read
+    # permutations of the elements that fix that mask (364 meets, counted
+    # as the orbits `_orbits_outside` returns).  The carrier of the node
+    # decides 278 of them with no stage-one form, so at most 86 are keyed
+    # (the reductions that are neither moves nor promotions), and at most
+    # 30 of their forms are new.  The moves are the
+    # 2 x 25 of the generators on the elements and one per moved node whose
+    # form was read: 152 stage-one reductions in all
     group, nmax = data["group"], len(arr.maximal_elements)
 
     def orbits_outside(mask):
@@ -864,11 +870,119 @@ def test_poset_matches_rational_closure_n10_23(main_data, monkeypatch):
         return {frozenset(poset.act_node(g, m) for g in stab)
                 for m in range(nmax) if m not in inside}
 
-    meets = count["reduce"] - count["moved"] - count["promoted"]
     assert len(set(poset.orbit)) == len(masks) == 24 and nmax == 25
-    assert meets <= sum(len(orbits_outside(mask)) for mask in masks)
+    assert count["meets"] <= sum(len(orbits_outside(mask)) for mask in masks)
+    assert count["reduce"] - count["moved"] - count["promoted"] <= \
+        count["meets"] - 278
     assert count["settle"] <= 30
     assert count["moved"] == 2 * 25 + len(formed)
+    assert count["reduce"] <= 152
+
+
+def _meets_decided_in_carrier(monkeypatch, arr):
+    """Build the poset of an arrangement, recording each meet of a
+    representative with an element (the mask `_orbits_outside` is asked
+    about, and each element it returns) and the meets keyed by `_reduce`.
+    Returns the poset and the meets given no key, as (node, element)."""
+    import fanpart.arrangement as arrangement
+    elems = arr.maximal_elements
+    visited, keyed = [], set()
+    orbits_outside, reduce = arrangement._orbits_outside, arrangement._reduce
+
+    def recorded(perms, mask):
+        out = orbits_outside(perms, mask)
+        visited.extend((mask, m) for m, _ in out)
+        return out
+
+    def keying(eq_rows, ineq_rows, base=()):
+        # a meet passes the element's rows and the representative's rows
+        # as base, and the two lists of inequalities joined
+        m = next((m for m, e in enumerate(elems) if eq_rows is e.rows), None)
+        if m is not None:
+            ineqs = ineq_rows[:len(ineq_rows) - len(elems[m].inequalities)]
+            keyed.add(((base, ineqs), m))
+        return reduce(eq_rows, ineq_rows, base)
+
+    monkeypatch.setattr(arrangement, "_orbits_outside", recorded)
+    monkeypatch.setattr(arrangement, "_reduce", keying)
+    poset = intersection_poset(arr)
+    monkeypatch.undo()
+    decided = []
+    for mask, m in visited:
+        r = _meet_of_mask(poset, mask)
+        if (poset.nodes[r].subspace.key(), m) not in keyed:
+            decided.append((r, m))
+    return poset, decided
+
+
+def _meet_of_mask(poset, mask):
+    """The intersection of the elements of a mask: the node of fewest
+    support bits whose support holds the mask."""
+    return min((i for i, s in enumerate(poset.support) if not mask & ~s),
+               key=lambda i: poset.support[i].bit_count())
+
+
+@pytest.mark.parametrize("case", [
+    (1, 2), (1, 3), pytest.param((2, 3), marks=pytest.mark.slow)],
+    ids=lambda v: "-".join(map(str, v)))
+def test_meets_decided_in_carrier_match_the_key_route(main_data, case,
+                                                      monkeypatch):
+    # each meet r ^ m decided with no stage-one form is the node that the
+    # full canonical form of the meet's description names: r itself when
+    # the containment rule grew r's support by m, and otherwise a node
+    # other than r, the meet of the two masks
+    from fanpart.arrangement import _reduce, _settle_cone
+    a, b = case
+    arr = main_data(2 * (a + b), a, b)["poset"].arrangement
+    poset, decided = _meets_decided_in_carrier(monkeypatch, arr)
+    by_key = {nd.subspace.key(): nd.index for nd in poset.nodes}
+    held = 0
+    for r, m in decided:
+        s, e = poset.nodes[r].subspace, arr.maximal_elements[m]
+        meet = _settle_cone(HalfOpenSubspace(*_reduce(
+            e.rows, s.inequalities + e.inequalities, s.rows), arr.ambient_dim))
+        j = by_key[meet.key()]
+        if poset.support[r] >> m & 1:
+            held += 1
+            assert j == r, (r, m)
+        else:
+            assert j != r and \
+                j == _meet_of_mask(poset, poset.support[r] | 1 << m), (r, m)
+    # both rules decide some meets: at (1, 2) containment decides 3 of its
+    # 33 meets and a known linear node 22
+    assert 0 < held < len(decided)
+
+
+def _arrangement_in_R3(*elements):
+    """Maximal elements of R^3 in the given order, under the trivial group."""
+    return Arrangement(list(elements), cyclic_shift_group(1, 3, (1, 2, 3)), 3)
+
+
+def test_candidate_of_the_meets_dimension_that_is_no_subspace_decides_nothing():
+    # h = {x >= 0} meets the planes z = 0 and y = 0 first, so when the plane
+    # z = 0 meets y = 0 the only node below both is the ray {x >= 0} of the
+    # x-axis: of the meet's dimension, and strictly inside it.  Only a
+    # linear candidate of that dimension is the meet
+    h = make_subspace([], [[1, 0, 0]], 3, "h")
+    z = make_subspace([[0, 0, 1]], [], 3, "z")
+    y = make_subspace([[0, 1, 0]], [], 3, "y")
+    arr = _arrangement_in_R3(h, z, y)
+    poset = intersection_poset(arr)
+    _assert_poset_matches_rational_closure(arr, poset)
+    axis = make_subspace([[0, 0, 1], [0, 1, 0]], [], 3).key()
+    assert axis in {nd.subspace.key() for nd in poset.nodes}
+    assert len(poset.nodes) == 7
+
+
+def test_element_whose_rows_vanish_on_the_carrier_holds_it_only_if_linear():
+    # the half-space {x >= 0} has no equality, so its rows vanish on the
+    # plane z = 0, but its inequality cuts the plane in a half-plane
+    z = make_subspace([[0, 0, 1]], [], 3, "z")
+    h = make_subspace([], [[1, 0, 0]], 3, "h")
+    arr = _arrangement_in_R3(z, h)
+    poset = intersection_poset(arr)
+    _assert_poset_matches_rational_closure(arr, poset)
+    assert len(poset.nodes) == 3 and poset.support[0] == 1
 
 
 def test_steps_1_to_3_form_only_the_moved_nodes_they_read(monkeypatch):

@@ -783,10 +783,16 @@ def test_degenerate_cases_warm_equal_cold(n, a, b, early):
     ((6.0, 1, 2), {}),
     ((6, 1, 2), {"global_flip": "no"}),
     ((6, 1, 2), {"global_flip": 1}),
+    ((6, 1, 2), {"term_flips": 1}),
+    ((6, 1, 2), {"term_flips": iter([1])}),
+    ((6, 1, 2), {"term_flips": {1, -1}}),
+    ((6, 1, 2), {"term_flips": {1: 1}}),
 ])
 def test_params_that_are_not_ints_are_refused_before_any_step(args, kwargs):
     # 1.0 == 1 and True == 1, so a test of values alone lets them through:
-    # a float flip died in Step 8, and a = True reached the JSON
+    # a float flip died in Step 8, and a = True reached the JSON.  The flips
+    # are a list or a tuple: an int or an iterator has no length, and a set
+    # or a dict gives the two cocycle terms no order
     info = _prepare.cache_info()
     with pytest.raises(ValueError):
         obstruction_class(*args, **kwargs)
