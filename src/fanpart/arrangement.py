@@ -321,9 +321,13 @@ def make_J_pieces(n: int, a: int, b: int) -> tuple[HalfOpenSubspace, HalfOpenSub
 
 @dataclass
 class Arrangement:
+    """The maximal elements, in certificate order, and the group: g moves
+    element k onto element moves[g.perm][k], for each distinct action g."""
+
     maximal_elements: list[HalfOpenSubspace]
     group: ActionGroup
     ambient_dim: int
+    moves: dict  # g.perm -> pi_g, a permutation of range(len(elements))
 
 
 def orbit_closure(group: ActionGroup,
@@ -358,7 +362,20 @@ def orbit_closure(group: ActionGroup,
     # differ at (1, 2), and the node numbers and basis coordinates of every
     # certificate follow this order
     keep.sort(key=lambda s: (echelon_rationals(s.rows), s.inequalities))
-    return Arrangement(keep, group, group.ambient_dim)
+    # the move table by the group law: element k is g . s for the first
+    # mover g that names it, and h moves it to (hg) . s, an image of the
+    # same seed orbit
+    at = {s.key(): k for k, s in enumerate(keep)}
+    slot = {g.perm: i for i, g in enumerate(movers)}
+    origin: list = [None] * len(keep)  # k -> (g, orbit as element numbers)
+    for forms in orbits:
+        if forms[0] in kept:
+            where = [at[f] for f in forms]
+            for g, k in zip(movers, where):
+                origin[k] = origin[k] or (g, where)
+    moves = {h.perm: tuple(where[slot[group.mul(h, g).perm]]
+                           for g, where in origin) for h in movers}
+    return Arrangement(keep, group, group.ambient_dim, moves)
 
 
 class PosetNode:
@@ -410,8 +427,6 @@ class IntersectionPoset:
     covers: list[list[int]]            # minimal strict supersets
     orbit: list[int]                   # the orbit representative
     arrangement: Arrangement
-    # g.perm -> pi_g, the permutation of the maximal elements by g
-    _moves: dict = field(default_factory=dict, repr=False)
     # support mask -> node index
     _by_support: dict = field(default_factory=dict, repr=False)
     # (orbit representative, degree) -> reduced homology below the node;
@@ -430,7 +445,7 @@ class IntersectionPoset:
     def act_node(self, g: GroupElement, i: int) -> int:
         """The node g . node i: the node whose support is pi_g of the
         support of node i (see `intersection_poset`)."""
-        return self._by_support[_move_mask(self._moves[g.perm],
+        return self._by_support[_move_mask(self.arrangement.moves[g.perm],
                                            self.support[i])]
 
     def level_counts(self) -> dict[int, int]:
@@ -485,36 +500,12 @@ def _orbits_outside(perms: Sequence[Sequence[int]],
     return out
 
 
-def _element_moves(arr: Arrangement, index: dict) -> dict:
-    """g.perm -> pi_g for every g of the group, pi_g[k] the maximal element
-    g . (element k): the generators' moves, looked up by stage-one form in
-    `index`, composed.  A move out of the arrangement is a ValueError."""
-    elems, gens = arr.maximal_elements, []
-    for g in arr.group.generators:
-        pi = [index.get(_moved_form(g, s)) for s in elems]
-        if None in pi:
-            k = pi.index(None)
-            raise ValueError(
-                f"maximal element {k} ({elems[k].label}) moved by {g!r} "
-                "leaves the arrangement; it is not invariant under the group")
-        gens.append((g.perm, pi))
-    moves = {arr.group.identity().perm: tuple(range(len(elems)))}
-    todo = list(moves)
-    for p in todo:
-        for gp, gpi in gens:
-            q = tuple(gp[x] for x in p)  # g after p
-            if q not in moves:
-                moves[q] = tuple(gpi[x] for x in moves[p])
-                todo.append(q)
-    return moves
-
-
 def intersection_poset(arr: Arrangement) -> IntersectionPoset:
     """Close the maximal elements under intersection and order the distinct
     sets by inclusion.
 
-    g permutes the maximal elements by pi_g (`_element_moves`), and a node
-    is the intersection of its support, so g . node is the node with
+    g permutes the maximal elements by pi_g (`Arrangement.moves`), and a
+    node is the intersection of its support, so g . node is the node with
     support pi_g(support).  So one node per orbit meets the elements, and
     it meets one element per orbit of the permutations that fix the mask
     it was made from (`_orbits_outside`).  The meet is the meeting node r
@@ -538,6 +529,9 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
     when i covers j, i meets any element of support[j] outside support[i]
     in a node between j and i, so in j.  So the covers of j are the nodes
     i != j with i meet m = j for some m that have inclusion-maximal support.
+
+    A maximal element given twice is a ValueError, and so is a distinct
+    action whose row of the move table is missing or no permutation.
     """
     elems = arr.maximal_elements
     nmax, dim = len(elems), arr.ambient_dim
@@ -547,9 +541,12 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
         if known.setdefault(s.key(), k) != k:
             raise ValueError(f"maximal elements {known[s.key()]} and {k} "
                              "are the same set")
-    moves = _element_moves(arr, known)
     actions = distinct_actions(arr.group)
-    perms = [moves[g.perm] for g in actions]
+    perms = [arr.moves.get(g.perm) for g in actions]
+    for g, pi in zip(actions, perms):
+        if pi is None or sorted(pi) != list(range(nmax)):
+            raise ValueError(f"the move table has no permutation of the "
+                             f"{nmax} maximal elements for {g!r}")
     nodes = [PosetNode(k, s, s.dim, s.label) for k, s in enumerate(elems)]
     support = [1 << k for k in range(nmax)]
     members = list(support)  # bit j of members[m]: element m holds node j
@@ -675,4 +672,4 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
                 nd._subspace = nd._subspace.relabel(nd.label)
     return IntersectionPoset(
         nodes, list(range(nmax)), support, covers, orbit, arr,
-        _moves=moves, _by_support={s: i for i, s in enumerate(support)})
+        _by_support={s: i for i, s in enumerate(support)})

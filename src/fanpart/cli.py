@@ -32,12 +32,12 @@ MAX_A_PLUS_B = 6
 
 def _bad_json_path(path) -> bool:
     """True, with a usage message on stderr, when --json names no file in
-    an existing directory; checked before any computation."""
-    if path is None or (os.path.isdir(os.path.dirname(path) or ".")
+    an existing directory, "" included; checked before any computation."""
+    if path is None or (path and os.path.isdir(os.path.dirname(path) or ".")
                         and not os.path.isdir(path)):
         return False
-    print(f"--json {path}: not a file in an existing directory",
-          file=sys.stderr)
+    print(f"--json {path or repr(path)}: not a file in an existing "
+          "directory", file=sys.stderr)
     return True
 
 

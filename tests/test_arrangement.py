@@ -435,27 +435,46 @@ def test_poset_makes_no_containment_tests(main_data, monkeypatch):
     assert calls == []
 
 
-def test_poset_refuses_arrangement_not_invariant(main_data):
-    # the (1, 2) arrangement with one maximal element dropped: the element
-    # a generator moves onto it leaves the arrangement, and the poset names
-    # it
-    data = main_data(6, 1, 2)
-    group = data["group"]
-    elems = data["poset"].arrangement.maximal_elements
-    dropped = elems[3]
-    kept = elems[:3] + elems[4:]
-    k, g = next((k, g) for g in group.generators for k, s in enumerate(kept)
-                if transform(group, g, s).key() == dropped.key())
-    with pytest.raises(ValueError, match="leaves the arrangement") as err:
-        intersection_poset(Arrangement(kept, group, 6))
-    assert f"maximal element {k} ({kept[k].label}) moved by {g!r}" \
-        in str(err.value)
+@pytest.mark.parametrize("case", [
+    "z8", "z4", (1, 2), (2, 1), (2, 2), (1, 3), (3, 1),
+    pytest.param((2, 3), marks=pytest.mark.slow)], ids=str)
+def test_move_table_moves_each_element_onto_its_image(case):
+    # the table read off the seed orbits by the group law names, for every
+    # distinct action g and element k, the element that g moves k onto
+    group, seeds = _group_and_seeds(case)
+    arr = orbit_closure(group, seeds)
+    elems = arr.maximal_elements
+    actions = distinct_actions(group)
+    assert set(arr.moves) == {g.perm for g in actions}
+    for g in actions:
+        pi = arr.moves[g.perm]
+        assert [elems[pi[k]].key() for k in range(len(elems))] == \
+            [transform(group, g, s).key() for s in elems], g
+
+
+def test_poset_refuses_malformed_move_table(main_data):
+    # the (1, 2) arrangement with one maximal element dropped and the table
+    # of the whole arrangement: no row permutes the elements left, and the
+    # poset names the first distinct action.  Then the whole arrangement
+    # with one row missing, and with that row no permutation
+    arr = main_data(6, 1, 2)["poset"].arrangement
+    elems, group = arr.maximal_elements, arr.group
+    first, g = distinct_actions(group)[0], distinct_actions(group)[3]
+    missing = {p: pi for p, pi in arr.moves.items() if p != g.perm}
+    cases = [(elems[:3] + elems[4:], arr.moves, first), (elems, missing, g),
+             (elems, {**missing, g.perm: (0,) * len(elems)}, g)]
+    for kept, moves, named in cases:
+        with pytest.raises(ValueError, match="move table") as err:
+            intersection_poset(Arrangement(kept, group, 6, moves))
+        assert str(err.value).endswith(f"for {named!r}")
 
 
 def test_poset_rejects_repeated_maximal_element():
+    # the repeated element is found before the move table is read
     group, L = z4_fixture()
     arr = orbit_closure(group, [L])
-    twice = Arrangement(arr.maximal_elements + [L.relabel("again")], group, 8)
+    twice = Arrangement(arr.maximal_elements + [L.relabel("again")], group, 8,
+                        arr.moves)
     with pytest.raises(ValueError, match="same set"):
         intersection_poset(twice)
 
@@ -858,9 +877,9 @@ def test_poset_matches_rational_closure_n10_23(main_data, monkeypatch):
     # as the orbits `_orbits_outside` returns).  The carrier of the node
     # decides 278 of them with no stage-one form, so at most 86 are keyed
     # (the reductions that are neither moves nor promotions), and at most
-    # 30 of their forms are new.  The moves are the
-    # 2 x 25 of the generators on the elements and one per moved node whose
-    # form was read: 152 stage-one reductions in all
+    # 30 of their forms are new.  The move table comes with the
+    # arrangement, so the moves are one per moved node whose form was read:
+    # 102 stage-one reductions in all
     group, nmax = data["group"], len(arr.maximal_elements)
 
     def orbits_outside(mask):
@@ -875,8 +894,8 @@ def test_poset_matches_rational_closure_n10_23(main_data, monkeypatch):
     assert count["reduce"] - count["moved"] - count["promoted"] <= \
         count["meets"] - 278
     assert count["settle"] <= 30
-    assert count["moved"] == 2 * 25 + len(formed)
-    assert count["reduce"] <= 152
+    assert count["moved"] == len(formed)
+    assert count["reduce"] <= 102
 
 
 def _meets_decided_in_carrier(monkeypatch, arr):
@@ -955,7 +974,9 @@ def test_meets_decided_in_carrier_match_the_key_route(main_data, case,
 
 def _arrangement_in_R3(*elements):
     """Maximal elements of R^3 in the given order, under the trivial group."""
-    return Arrangement(list(elements), cyclic_shift_group(1, 3, (1, 2, 3)), 3)
+    group = cyclic_shift_group(1, 3, (1, 2, 3))
+    return Arrangement(list(elements), group, 3,
+                       {group.identity().perm: tuple(range(len(elements)))})
 
 
 def test_candidate_of_the_meets_dimension_that_is_no_subspace_decides_nothing():
@@ -1004,7 +1025,7 @@ def test_steps_1_to_3_form_only_the_moved_nodes_they_read(monkeypatch):
     obstruction.preimage_simplices(h, poset, n, a, b)
     monkeypatch.undo()
     formed = _moved_nodes_read(poset, read)
-    assert len(calls) == 2 * len(arr.maximal_elements) + len(formed)
+    assert len(calls) == len(formed)
 
 
 def test_zz_basis_forms_only_its_walls(main_data, monkeypatch):

@@ -40,6 +40,22 @@ def test_example_refuses_missing_json_dir(monkeypatch, capsys, tmp_path):
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,computes", [
+    (["compute", "--a", "1", "--b", "2"], "obstruction_class"),
+    (["example", "z8"], "run_fixture")], ids=["compute", "example"])
+def test_empty_json_path_is_refused(monkeypatch, capsys, argv, computes):
+    # an empty path names no file: refused like a missing directory, not
+    # run with the write skipped
+    import fanpart.cli as cli
+
+    def fail(*args):
+        raise AssertionError("computed before checking the output path")
+    monkeypatch.setattr(cli, computes, fail)
+    assert main([*argv, "--json", ""]) == 1
+    assert "--json '': not a file in an existing directory" in \
+        capsys.readouterr().err
+
+
 def test_compute_missing_args():
     with pytest.raises(SystemExit):
         main(["compute", "--a", "1"])

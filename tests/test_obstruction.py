@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from fanpart.arrangement import (Arrangement, intersection_poset,
-                                 make_J_pieces, make_subspace, transform)
+from fanpart.arrangement import (Arrangement, HalfOpenSubspace,
+                                 intersection_poset, make_J_pieces,
+                                 make_subspace, transform)
 from fanpart.coinvariants import dual_coinvariants
 from fanpart.exactlin import (Matrix, dot, from_columns, integer_dot,
                               kernel_basis, scaled_points, sign, vec)
@@ -99,6 +100,22 @@ def test_jpieces_hits_are_v_and_w(main_data):
     vw = {tuple(v_point(n, a, b)), tuple(w_point(n, a, b))}
     assert {tuple(p) for _, p in out["l1_hits"]} == vw
     assert {tuple(p) for _, p in out["l2_hits"]} == vw
+
+
+@pytest.mark.parametrize("a,b,arcs", [(3, 1, (5, 8)), (1, 2, None)])
+def test_rho3_candidate_is_the_hit_of_rho3(a, b, arcs):
+    # at (3, 1) three simplices meet the carrier of L1* outside L1*, rho3
+    # on the arcs (5, 8) among them; at (1, 2) rho3 misses the carrier
+    n = 2 * (a + b)
+    l1, l2 = make_J_pieces(n, a, b)
+    out = intersect_with_Jpieces(define_h(n), l1, l2, n, a, b)
+    if arcs is None:
+        assert out["rho3_candidate"] is None
+        return
+    got, point = out["rho3_candidate"]
+    assert got == arcs == rho_cells(n, a, b)["rho3"]
+    assert HalfOpenSubspace(l1.rows, (), n).contains_point(point)
+    assert not l1.contains_point(point)
 
 
 def test_v_point_formula():
@@ -276,7 +293,8 @@ def test_preimage_hits_on_descending_arcs_in_cell_order():
     # the plane is not invariant under the quaternion group: its poset
     # under the trivial group
     trivial = cyclic_shift_group(1, n, tuple(range(1, n + 1)))
-    poset = intersection_poset(Arrangement([plane], trivial, n))
+    poset = intersection_poset(Arrangement([plane], trivial, n,
+                                           {trivial.identity().perm: (0,)}))
     pre = {rec.cell: rec for rec in preimage_simplices(h, poset, n, 1, 2)}
     assert h.cell_arcs((1, 4)) == (1, 3) and h.cell_arcs((3, 2)) == (3, 1)
     assert [hit[1] for hit in pre[1, 4].hits] == [lam]
