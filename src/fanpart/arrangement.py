@@ -477,11 +477,12 @@ def _bit_list(mask: int) -> list[int]:
     return out
 
 
-def _orbits_outside(perms: Sequence[Sequence[int]],
-                    mask: int) -> list[tuple[int, int]]:
+def _orbits_outside(perms: Sequence[Sequence[int]], mask: int,
+                    done: int) -> list[tuple[int, int]]:
     """The orbits of the maximal elements outside a support mask under H,
     the permutations among perms that fix the mask: (least element, orbit
-    as a mask) for each, in order of least element.
+    as a mask) for each orbit that meets no element of `done`, in order of
+    least element.
 
     Every h in H fixes the node r that is the intersection of the mask, and
     r meets element pi_h(m) in h . (r meet m): in r when r lies in m, and
@@ -496,7 +497,8 @@ def _orbits_outside(perms: Sequence[Sequence[int]],
             for pi in stab:
                 orb |= 1 << pi[m]
             mask |= orb
-            out.append((m, orb))
+            if not orb & done:
+                out.append((m, orb))
     return out
 
 
@@ -507,28 +509,28 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
     g permutes the maximal elements by pi_g (`Arrangement.moves`), and a
     node is the intersection of its support, so g . node is the node with
     support pi_g(support).  So one node per orbit meets the elements, and
-    it meets one element per orbit of the permutations that fix the mask
-    it was made from (`_orbits_outside`).  The meet is the meeting node r
-    itself or c, the node of fewest support bits whose support holds the
-    meet's mask, or a new node.  Two exact rules decide it in the carrier
-    of r, with no key: a linear element whose rows vanish on the carrier
-    holds r, and c is the meet when it is linear and of at least the
-    dimension of span(r) meet the element's carrier.  Any other meet is
-    keyed by its integer stage-one form.  A form not seen yet is compared
-    with c: as it is, and after the cone work of stage two only on a
-    mismatch.  The meets that give r itself make its exact support.  The
-    rest of its orbit is one node per distinct pi_g(support), which keeps
-    g and builds its form (stage one only) when it is first read
+    it meets one element per orbit of the permutations that fix its support
+    so far, taken again when the support grows (`_orbits_outside`).  The
+    meet is the meeting node r itself or c, the node of fewest support bits
+    whose support holds the meet's mask, or a new node.  Two exact rules
+    decide it in the carrier of r, with no key: a linear element whose rows
+    vanish on the carrier holds r, and c is the meet when it is linear and
+    of at least the dimension of span(r) meet the element's carrier.  Any
+    other meet is keyed by its integer stage-one form.  A form not seen yet
+    is compared with c: as it is, and after the cone work of stage two only
+    on a mismatch.  The meets that give r itself make its exact support.
+    The rest of its orbit is one node per distinct pi_g(support), which
+    keeps g and builds its form (stage one only) when it is first read
     (`PosetNode`); the node that met the elements is the orbit's entry in
-    `orbit`.  Then the closure
-    from the maximal elements is replayed on masks to number the nodes:
-    the meet of node i and element m is the node of fewest support bits
-    among those whose support holds support[i] | m (the intersection of
-    that mask), a new one labelled meet<number>.  The order follows from
-    the supports (see IntersectionPoset), and the replay finds the covers:
-    when i covers j, i meets any element of support[j] outside support[i]
-    in a node between j and i, so in j.  So the covers of j are the nodes
-    i != j with i meet m = j for some m that have inclusion-maximal support.
+    `orbit`.  Then the closure from the maximal elements is replayed on
+    masks to number the nodes: the meet of node i and element m is the node
+    of fewest support bits among those whose support holds support[i] | m
+    (the intersection of that mask), a new one labelled meet<number>.  The
+    order follows from the supports (see IntersectionPoset), and the
+    replay finds the covers: when i covers j, i meets any element of
+    support[j] outside support[i] in a node between j and i, so in j.  So
+    the covers of j are the nodes i != j with i meet m = j for some m that
+    have inclusion-maximal support.
 
     A maximal element given twice is a ValueError, and so is a distinct
     action whose row of the move table is missing or no permutation.
@@ -577,12 +579,19 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
         # basis K_r of span(r).  Two cases need no key: m linear with
         # E_m K_r = 0 holds span(r), so r; and c linear with dim V <= dim c
         # is V, so the meet is c, not r, and nothing is recorded
+        # the stabiliser can only grow with r's support: its orbits are
+        # taken again after each growth, skipping those met already
         a = nodes[r].subspace
         kb = integer_kernel(a.rows, dim)
-        for m, orb in _orbits_outside(perms, support[r]):
+        done = 0
+        todo = _orbits_outside(perms, support[r], done)
+        while todo:
+            m, orb = todo.pop(0)
+            done |= orb
             em = _restrict(elems[m].rows, kb)
             if elems[m].is_linear and not any(map(any, em)):
                 grow(r, orb)
+                todo = _orbits_outside(perms, support[r], done)
                 continue
             mask = support[r] | 1 << m
             below = -1
@@ -611,6 +620,7 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
                 known[raw] = j
             if j == r:
                 grow(r, orb)
+                todo = _orbits_outside(perms, support[r], done)
         by_support[support[r]] = r
         for g, pi in zip(actions, perms):
             mask = _move_mask(pi, support[r])

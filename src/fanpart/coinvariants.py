@@ -4,13 +4,16 @@ determinant-twisted action, and coinvariant quotients.
 Signs are never guessed: the image of a fundamental sphere is transported by
 the change-of-basis determinant between stored orientation bases, and the
 image of a wall cone is transported by the determinant of its (spine, ray)
-frame against the canonical frame of the target page.  When a group element
-throws a cone across to the non-canonical page of a full subspace, the
-rewrite C(anti) = C(rep) - s * [sphere] converts it back to basis form; this
-is where the boundary-wall correction terms come from.  So a wall generator
-C(e) - C(base) has one image: sgn (C'(g e) - C'(g base)), C'(x) the
-generator of sheet x on the image wall (none for its base sheet), plus
--sgn s [sphere of x] for each sheet x that lands on the non-canonical page.
+frame against the canonical frame of the target page.  Projection onto the
+free columns F of the target carrier's echelon rows is injective on the
+carrier, so each determinant is det(frame[:, F]) / det(B[:, F]) for the
+target basis B.  When a group element throws a cone across to the
+non-canonical page of a full subspace, the rewrite C(anti) = C(rep) - s *
+[sphere] converts it back to basis form; this is where the boundary-wall
+correction terms come from.  So a wall generator C(e) - C(base) has one
+image: sgn (C'(g e) - C'(g base)), C'(x) the generator of sheet x on the
+image wall (none for its base sheet), plus -sgn s [sphere of x] for each
+sheet x that lands on the non-canonical page.
 
 Step 6 is one routine, `twisted_coinvariants`, which certificates, fixtures
 and the selftest read: the primal and dual quotients and their three laws.
@@ -23,18 +26,11 @@ from functools import reduce
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .exactlin import (Matrix, Vec, frame_det, integer_dot, sign,
-                       smith_normal_form)
+from .exactlin import (Matrix, Vec, integer_dot, leading_column, scaled_det,
+                       sign, smith_normal_form, sparse_rank_and_factors)
 from .groups import (ActionGroup, GroupElement, act, det_character,
                      distinct_actions)
 from .homology import UnsupportedArrangement, WallNode, ZZBasis
-
-
-def transport_sign(g: GroupElement, basis_from: Sequence[Vec],
-                   basis_to: Sequence[Vec]) -> int:
-    """Sign of det of (g applied to basis_from) expressed in basis_to."""
-    moved = [act(g, v) for v in basis_from]
-    return sign(frame_det(moved, basis_to)[0])
 
 
 @dataclass
@@ -57,7 +53,33 @@ class OrientedGeneratorAction:
                             m.cols)
 
 
-def _wall_pages(zz: ZZBasis, g: GroupElement, wall: WallNode) -> dict:
+def _carrier_frames(zz: ZZBasis) -> dict:
+    """node -> (rows, F, sign det(B[:, F])) for each top node and wall: its
+    carrier's echelon rows, their free columns F and its stored basis B."""
+    frames, dim = {}, zz.poset.arrangement.ambient_dim
+    for node, basis in (*zz.top_basis.items(),
+                        *((w.node, w.spine_basis) for w in zz.walls)):
+        rows = zz.poset.nodes[node].subspace.rows
+        free = sorted(set(range(dim)) - {leading_column(r) for r in rows})
+        frames[node] = rows, free, sign(scaled_det(
+            [[v[c] for c in free] for v in basis]))
+    return frames
+
+
+def _transport_sign(g: GroupElement, basis: Sequence[Vec],
+                    frame: tuple) -> int:
+    """Sign of det of (g applied to basis) in the basis of a target frame
+    (`_carrier_frames`); a moved vector off its carrier is a ValueError."""
+    rows, free, basis_sign = frame
+    moved = [act(g, v) for v in basis]
+    if any(integer_dot(row, v) for row in rows for v in moved):
+        raise ValueError("vector not in span of target basis")
+    return basis_sign * sign(scaled_det([[v[c] for c in free]
+                                         for v in moved]))
+
+
+def _wall_pages(zz: ZZBasis, g: GroupElement, wall: WallNode,
+                frames: dict) -> dict:
     """Image data of the representative cone of every sheet of `wall`
     under g: sheet -> (target wall node, target element, target side,
     orientation sign), read off the integer frames of the two walls.
@@ -67,18 +89,17 @@ def _wall_pages(zz: ZZBasis, g: GroupElement, wall: WallNode) -> dict:
     phi2 vanishes.  So its determinant is det(g spine in spine2) times
     phi2(g ray) / phi2(ray2), and the spine sign is taken once per wall.
     Each sheet checks that g ray lies in its target sheet's carrier and
-    that the ray factor is positive."""
+    that the ray factor is positive; `frames` is `_carrier_frames(zz)`."""
     poset = zz.poset
     v2 = poset.act_node(g, wall.node)
     wall2 = zz.wall_by_node.get(v2)
     if wall2 is None:
         raise UnsupportedArrangement(
             f"image node {v2} of walls under {g!r} carries no wall table")
-    spine_sign = transport_sign(g, wall.spine_basis, wall2.spine_basis) \
-        if wall.spine_basis else 1
+    spine_sign = _transport_sign(g, wall.spine_basis, frames[v2])
     pages = {}
     for e in wall.elements:
-        e2 = poset.act_node(g, e)
+        e2 = poset.arrangement.moves[g.perm][e]
         gray = act(g, wall.rays[(e, wall.rep_side[e])])
         if any(integer_dot(r, gray) for r in poset.nodes[e2].subspace.rows):
             raise ValueError(
@@ -117,14 +138,14 @@ def _wall_gen_image(zz: ZZBasis, wall: WallNode, elem: int,
     return out
 
 
-def _top_gen_image(zz: ZZBasis, g: GroupElement, node: int) -> dict:
-    poset = zz.poset
-    n2 = poset.act_node(g, node)
+def _top_gen_image(zz: ZZBasis, g: GroupElement, node: int,
+                   frames: dict) -> dict:
+    n2 = zz.poset.act_node(g, node)
     if ("top", n2) not in zz.index:
         raise UnsupportedArrangement(
             f"image of a full maximal element is not in the basis: node {n2}")
-    sgn = transport_sign(g, zz.top_basis[node], zz.top_basis[n2])
-    return {zz.top_index(n2): sgn}
+    return {zz.top_index(n2):
+            _transport_sign(g, zz.top_basis[node], frames[n2])}
 
 
 def induced_action(group: ActionGroup, zz: ZZBasis) -> OrientedGeneratorAction:
@@ -136,18 +157,18 @@ def induced_action(group: ActionGroup, zz: ZZBasis) -> OrientedGeneratorAction:
     of the sheets of a wall are computed once, when the first generator on
     that wall needs them: the base sheet enters the image of every
     generator on the wall, and every other sheet is a generator."""
-    r = zz.rank
+    r, frames = zz.rank, _carrier_frames(zz)
     by_perm = {}
     for g in distinct_actions(group):
         pages: dict = {}          # wall node -> `_wall_pages`
         cols = []
         for gen in zz.generators:
             if gen.kind == "top":
-                img = _top_gen_image(zz, g, gen.node)
+                img = _top_gen_image(zz, g, gen.node, frames)
             else:
                 wall = zz.wall_by_node[gen.node]
                 if gen.node not in pages:
-                    pages[gen.node] = _wall_pages(zz, g, wall)
+                    pages[gen.node] = _wall_pages(zz, g, wall, frames)
                 img = _wall_gen_image(zz, wall, gen.element, pages[gen.node])
             col = [0] * r
             for idx, c in img.items():
@@ -250,18 +271,22 @@ def twisted_coinvariants(group: ActionGroup, zz: ZZBasis) -> tuple:
     quotients over every distinct action and of the dual module, and by
     name the laws that the action is a representation (on the generators
     and their product), that the generators' relations give the primal
-    quotient, and that the dual and primal quotients agree."""
+    quotient (their rank and factors by `sparse_rank_and_factors`, not by
+    the primal Smith form), and that the dual and primal quotients agree."""
     action = induced_action(group, zz)
     m, gens = action.matrix, group.generators
     cg = modified_coinvariants(action, group)
-    cgen = _coinvariants_of(map(action.modified_matrix, gens), zz.rank)
+    rank, factors = sparse_rank_and_factors({   # the columns of M - I
+        (g.word, j): {i: x - (i == j) for i, x in enumerate(col)
+                      if x != (i == j)}
+        for g in gens
+        for j, col in enumerate(zip(*action.modified_matrix(g).entries))})
     dg = dual_coinvariants(action, group)
     shape = (cg.invariant_factors, cg.rank)
     return cg, dg, {
         "action is a representation": all(
             m(x).mul(m(y)) == m(group.mul(x, y))
             for x in gens for y in (*gens, reduce(group.mul, gens))),
-        "generator relations suffice":
-            (cgen.invariant_factors, cgen.rank) == shape,
+        "generator relations suffice": (factors, zz.rank - rank) == shape,
         "dual and primal quotients agree":
             (dg.invariant_factors, dg.rank) == shape}

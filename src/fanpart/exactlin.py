@@ -120,18 +120,26 @@ class Matrix:
 
     def mul(self, other: "Matrix") -> "Matrix":
         """Fraction-free product.  Two factors that have entries, all of
-        them int, give the int product of their rows and columns.
-        Otherwise every row of self and every column of other is scaled to
-        integers, the integers are multiplied, and each entry is divided by
-        its two scales once, as a Fraction."""
+        them int, give the int product over their nonzero entries (an
+        action matrix has a few a column).  Otherwise every row of self and
+        every column of other is scaled to integers, the integers are
+        multiplied, and each entry is divided by its two scales once."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        cols = list(zip(*other.entries)) if other.rows else [()] * other.cols
         if self.cols and all(type(x) is int for m in (self, other)
                              for row in m.entries for x in row):
-            return Matrix._wrap(tuple(
-                tuple(integer_dot(a, b) for b in cols)
-                for a in self.entries), other.cols)
+            nonzero = [[(j, y) for j, y in enumerate(row) if y]
+                       for row in other.entries]
+            out = []
+            for a in self.entries:
+                acc = [0] * other.cols
+                for k, x in enumerate(a):
+                    if x:
+                        for j, y in nonzero[k]:
+                            acc[j] += x * y
+                out.append(tuple(acc))
+            return Matrix._wrap(tuple(out), other.cols)
+        cols = list(zip(*other.entries)) if other.rows else [()] * other.cols
         cols = list(map(_integer_row, cols))
         return Matrix._wrap(tuple(
             tuple(Fraction(integer_dot(a, b), da * db)

@@ -8,7 +8,9 @@ preimage cells, the membership equivalences of the wall decomposition, the
 torsion property of the final class) is computed exactly and recorded; a
 failed identity downgrades the verdict to inconclusive and names the check.
 Where an image simplex meets an element, the dimension of the meeting locus
-is decided exactly, by elimination and Fourier-Motzkin (`meeting_locus`).
+is decided exactly (`meeting_locus`): a miss that one form of the element
+separates by its sign on the vertices with no elimination, anything else
+by elimination and Fourier-Motzkin.
 Steps 2-3 read one census core (`_census`): each distinct image simplex
 is decided once against each seed piece (`arc_census`), and once against
 the representative of each orbit of maximal elements (`orbit_census`).
@@ -122,11 +124,15 @@ class GeneralPositionMap:
     n: int
     sphere: SphereComplex
 
-    def vertex_image(self, v: tuple[str, int]) -> Vec:
+    def scaled_vertex_image(self, v: tuple[str, int]) -> tuple[int, ...]:
+        """n h(v) = n e_k - 1 for h(v) = u_k: a_i -> u_{(i-1 mod n)+1},
+        b_i -> u_{(i-1) mod n}."""
         fam, i = v
-        if fam == "a":
-            return u_vector(i, self.n)        # a_i -> u_{(i-1 mod n)+1}
-        return u_vector(i - 1, self.n)        # b_i -> u_{(i-1) mod n}
+        k = (i - 1 if fam == "a" else i - 2) % self.n
+        return tuple(self.n * (c == k) - 1 for c in range(self.n))
+
+    def vertex_image(self, v: tuple[str, int]) -> Vec:
+        return tuple(Fraction(x, self.n) for x in self.scaled_vertex_image(v))
 
     def cell_arcs(self, cell: tuple[int, int]) -> tuple[int, int]:
         """Starts (p, q) of the two u-arcs the cell maps onto, in its vertex
@@ -150,11 +156,8 @@ def define_h(n: int) -> GeneralPositionMap:
 
 def check_equivariance(h: GeneralPositionMap, group: ActionGroup) -> bool:
     """g h(v) = h(g v) for every vertex v and every element g, on the
-    vertex images scaled to integers by one positive factor (the points
-    n u_k)."""
-    verts = h.sphere.vertices()
-    _, points = scaled_points([h.vertex_image(v) for v in verts])
-    image = dict(zip(verts, map(tuple, points)))
+    vertex images scaled to integers by n (`scaled_vertex_image`)."""
+    image = {v: h.scaled_vertex_image(v) for v in h.sphere.vertices()}
     return all(act(g, p) == image[h.sphere.act_vertex(g, v)]
                for g in group.elements for v, p in image.items())
 
@@ -202,14 +205,28 @@ def _scaled_locus(den: int, P: Sequence[Sequence[int]],
                   ) -> Optional[tuple[int, Optional[Vec], Optional[Vec]]]:
     """meeting_locus of the points P / den, given as the integer points P,
     their positive denominator den and the products E p of the element's
-    integer `rows` E with them."""
+    integer `rows` E with them.  A row r of E with r.p of one strict sign
+    on every point, or an inequality q with q.p < 0 on every point,
+    separates conv(P) from the element: a miss, with no elimination
+    (`_eliminate`).  The signs are strict: r.p = 0 may be a hit."""
+    walls = [[integer_dot(q, p) for p in P] for q in element.inequalities]
+    if any(min(r) > 0 or max(r) < 0 for r in zip(*images)) or \
+            any(max(w) < 0 for w in walls):
+        return None
+    return _eliminate(den, P, images, walls)
+
+
+def _eliminate(den: int, P: Sequence[Sequence[int]],
+               images: Sequence[Sequence[int]], walls: list
+               ) -> Optional[tuple[int, Optional[Vec], Optional[Vec]]]:
+    """`_scaled_locus` by elimination and Fourier-Motzkin alone, `walls`
+    holding the products q.p of the element's inequalities q."""
     m = len(P)
     rows, pivots = echelon([list(r) + [0] for r in zip(*images)]
                            + [[1] * m + [-1]])
     if m in pivots:
         return None                       # s = 0 on every solution
     kern = integer_kernel(rows, m + 1)
-    walls = [[integer_dot(q, p) for p in P] for q in element.inequalities]
     # lam_j >= 0 and q.P lam >= 0 on (lam, s) = K t; s > 0
     *forms, s_pos = zip(*kern)
     forms += _restrict(walls, [v[:m] for v in kern])

@@ -1,6 +1,9 @@
 """Orientation signs computed directly, as a check on the transported signs
 of the group action.
 
+`transport_sign` is the sign of a moved basis in a target basis by one
+fraction-free solve (`frame_det`), with no reference to the carriers' free
+columns that the action reads its signs off.
 `orientation_sign` takes the determinant of a group element on a stable
 carrier through its orthogonal complement; `join_sphere_sign` reads the
 sign a wall sphere picks up under an element that maps its pair of sheets
@@ -17,14 +20,22 @@ used in tests.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from fanpart.arrangement import HalfOpenSubspace
-from fanpart.coinvariants import (_top_gen_image, _wall_pages,
-                                  transport_sign)
+from fanpart.coinvariants import _carrier_frames, _top_gen_image, _wall_pages
 from fanpart.exactlin import (Matrix, Vec, determinant, dot, frame_det,
                               from_columns, integer_dot, kernel_basis, rref,
                               sign, solve_affine, vec)
 from fanpart.groups import ActionGroup, GroupElement, act, det_character
 from fanpart.homology import WallNode, ZZBasis
+
+
+def transport_sign(g: GroupElement, basis_from: Sequence[Vec],
+                   basis_to: Sequence[Vec]) -> int:
+    """Sign of det of (g applied to basis_from) expressed in basis_to."""
+    moved = [act(g, v) for v in basis_from]
+    return sign(frame_det(moved, basis_to)[0])
 
 
 def orientation_sign(group: ActionGroup, g: GroupElement,
@@ -124,11 +135,12 @@ def wall_gen_image_by_cone_sums(zz: ZZBasis, wall: WallNode, elem: int,
 def action_matrix_by_cone_sums(zz: ZZBasis, g: GroupElement) -> Matrix:
     """The plain-action matrix of g on the basis, column j the image of
     generator j."""
-    pages = {w.node: _wall_pages(zz, g, w) for w in zz.walls}
+    frames = _carrier_frames(zz)
+    pages = {w.node: _wall_pages(zz, g, w, frames) for w in zz.walls}
     cols = []
     for gen in zz.generators:
         if gen.kind == "top":
-            img = _top_gen_image(zz, g, gen.node)
+            img = _top_gen_image(zz, g, gen.node, frames)
         else:
             img = wall_gen_image_by_cone_sums(
                 zz, zz.wall_by_node[gen.node], gen.element, pages[gen.node])

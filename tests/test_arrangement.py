@@ -804,12 +804,13 @@ def _count_poset_work(monkeypatch, arr):
     """Run intersection_poset with no Fraction RREF allowed, counting the
     meets of a node with an element, the stage-one reductions, the moves of
     a subspace by a group element among them, the settled forms and the
-    promotions among those.  Also returns the masks whose stabiliser orbits
-    a node met the elements by, and the moved nodes whose form was read."""
+    promotions among those.  Also returns the mask each representative was
+    made from (its first `_orbits_outside` call), and the moved nodes whose
+    form was read."""
     import fanpart.arrangement as arrangement
     import fanpart.exactlin as exactlin
-    count = dict.fromkeys(("meets", "reduce", "settle", "promoted"), 0)
-    masks = []
+    count = dict.fromkeys(("reduce", "settle", "promoted"), 0)
+    visits = []
 
     def counted(key, fn):
         def run(*args):
@@ -826,10 +827,9 @@ def _count_poset_work(monkeypatch, arr):
         count["promoted"] += len(out.rows) > len(s.rows)
         return out
 
-    def recorded(perms, mask):
-        masks.append(mask)
-        out = orbits_outside(perms, mask)
-        count["meets"] += len(out)
+    def recorded(perms, mask, done):
+        out = orbits_outside(perms, mask, done)
+        visits.append((mask, done, list(out)))
         return out
 
     def refuse(*args):
@@ -845,7 +845,25 @@ def _count_poset_work(monkeypatch, arr):
     poset = intersection_poset(arr)
     monkeypatch.undo()
     count["moved"] = len(calls)
+    count["meets"] = len(_meets_made(poset, visits))
+    masks = [mask for mask, done, _ in visits if not done]
     return poset, count, masks, _moved_nodes_read(poset, read)
+
+
+def _meets_made(poset, visits):
+    """The meets (r, m) of a representative r with an element m, read off
+    the `_orbits_outside` calls (mask, done, orbits) of a poset build: r is
+    the meet of the mask, and r meets the elements of a call's orbits up
+    to its next call, which it makes after a growth of its support, with
+    the orbits met so far in `done`."""
+    by_node: dict = {}
+    for mask, done, out in visits:
+        by_node.setdefault(_meet_of_mask(poset, mask), []).append((done, out))
+    meets = []
+    for r, calls in by_node.items():
+        for (_, out), (done, _) in zip(calls, calls[1:] + [(-1, None)]):
+            meets += [(r, m) for m, orb in out if not orb & ~done]
+    return meets
 
 
 def _assert_poset_matches_rational_closure(arr, poset):
@@ -872,14 +890,14 @@ def test_poset_matches_rational_closure_n10_23(main_data, monkeypatch):
     poset, count, masks, formed = _count_poset_work(monkeypatch, arr)
     _assert_poset_matches_rational_closure(arr, poset)
     # only one node of each of the 24 orbits meets the 25 elements, one
-    # element per orbit of H outside the mask the node was made from, H the
-    # permutations of the elements that fix that mask (364 meets, counted
-    # as the orbits `_orbits_outside` returns).  The carrier of the node
-    # decides 278 of them with no stage-one form, so at most 86 are keyed
-    # (the reductions that are neither moves nor promotions), and at most
-    # 30 of their forms are new.  The move table comes with the
-    # arrangement, so the moves are one per moved node whose form was read:
-    # 102 stage-one reductions in all
+    # element per orbit of H outside its support, H the permutations of the
+    # elements that fix it.  The mask the node was made from bounds the
+    # meets by 364; H is taken again as the support grows, which leaves 338
+    # (`_meets_made`).  The carrier of the node decides 257 of them with no
+    # stage-one form, so at most 81 are keyed (the reductions that are
+    # neither moves nor promotions), and at most 30 of their forms are new.
+    # The move table comes with the arrangement, so the moves are one per
+    # moved node whose form was read: 97 stage-one reductions in all
     group, nmax = data["group"], len(arr.maximal_elements)
 
     def orbits_outside(mask):
@@ -891,26 +909,27 @@ def test_poset_matches_rational_closure_n10_23(main_data, monkeypatch):
 
     assert len(set(poset.orbit)) == len(masks) == 24 and nmax == 25
     assert count["meets"] <= sum(len(orbits_outside(mask)) for mask in masks)
+    assert count["meets"] <= 338
     assert count["reduce"] - count["moved"] - count["promoted"] <= \
-        count["meets"] - 278
+        count["meets"] - 257
     assert count["settle"] <= 30
     assert count["moved"] == len(formed)
-    assert count["reduce"] <= 102
+    assert count["reduce"] <= 97
 
 
 def _meets_decided_in_carrier(monkeypatch, arr):
     """Build the poset of an arrangement, recording each meet of a
-    representative with an element (the mask `_orbits_outside` is asked
-    about, and each element it returns) and the meets keyed by `_reduce`.
-    Returns the poset and the meets given no key, as (node, element)."""
+    representative with an element (`_meets_made`) and the meets keyed by
+    `_reduce`.  Returns the poset and the meets given no key, as (node,
+    element)."""
     import fanpart.arrangement as arrangement
     elems = arr.maximal_elements
-    visited, keyed = [], set()
+    visits, keyed = [], set()
     orbits_outside, reduce = arrangement._orbits_outside, arrangement._reduce
 
-    def recorded(perms, mask):
-        out = orbits_outside(perms, mask)
-        visited.extend((mask, m) for m, _ in out)
+    def recorded(perms, mask, done):
+        out = orbits_outside(perms, mask, done)
+        visits.append((mask, done, list(out)))
         return out
 
     def keying(eq_rows, ineq_rows, base=()):
@@ -926,12 +945,8 @@ def _meets_decided_in_carrier(monkeypatch, arr):
     monkeypatch.setattr(arrangement, "_reduce", keying)
     poset = intersection_poset(arr)
     monkeypatch.undo()
-    decided = []
-    for mask, m in visited:
-        r = _meet_of_mask(poset, mask)
-        if (poset.nodes[r].subspace.key(), m) not in keyed:
-            decided.append((r, m))
-    return poset, decided
+    return poset, [(r, m) for r, m in _meets_made(poset, visits)
+                   if (poset.nodes[r].subspace.key(), m) not in keyed]
 
 
 def _meet_of_mask(poset, mask):

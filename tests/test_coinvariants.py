@@ -5,10 +5,11 @@ import pytest
 from fanpart.arrangement import (HalfOpenSubspace, intersection_poset,
                                  make_J_pieces, make_subspace, orbit_closure,
                                  transform)
-from fanpart.coinvariants import (_coinvariants_of, _wall_pages,
+from fanpart.coinvariants import (_carrier_frames, _coinvariants_of,
+                                  _transport_sign, _wall_pages,
                                   describe_factors, dual_coinvariants,
                                   induced_action, modified_coinvariants,
-                                  transport_sign, twisted_coinvariants)
+                                  twisted_coinvariants)
 from fanpart.exactlin import (Matrix, determinant, dot, from_columns,
                               integer_dot, kernel_basis, sign, solve_affine,
                               vec)
@@ -18,7 +19,8 @@ from fanpart.fixtures import run_fixture
 from fanpart.homology import UnsupportedArrangement, zz_basis
 from fanpart.obstruction import obstruction_class
 from orientation_signs import (action_matrix_by_cone_sums, join_sphere_sign,
-                               orientation_sign, page_image_by_frame)
+                               orientation_sign, page_image_by_frame,
+                               transport_sign)
 
 
 # --- orientation signs, anchored to the worked examples ---------------------
@@ -145,9 +147,10 @@ def test_wall_signs_equal_the_full_frame_per_sheet(fixture_data, main_data,
     data = fixture_data(case) if isinstance(case, str) else main_data(*case)
     zz = data["zz"]
     assert zz.walls or case == "z8"
+    frames = _carrier_frames(zz)
     for g in data["group"].elements:
         for wall in zz.walls:
-            assert _wall_pages(zz, g, wall) == {
+            assert _wall_pages(zz, g, wall, frames) == {
                 e: page_image_by_frame(zz, g, wall, e) for e in wall.elements}
 
 
@@ -162,24 +165,85 @@ def test_action_matrices_equal_the_cone_sums(fixture_data, main_data, case):
         assert action.matrix(g) == action_matrix_by_cone_sums(zz, g)
 
 
-def test_induced_action_takes_one_frame_det_per_wall_and_top_node(
+def test_induced_action_takes_one_minor_per_wall_and_top_node(
         main_data, monkeypatch):
-    # one frame determinant per distinct permutation and per wall or top
-    # node: 12 x 6 = 72 at (6, 1, 2); one per element took 24 x 6 = 144,
-    # and one per element and sheet 24 x 18 = 432
+    # no frame_det and no elimination: one transport minor per distinct
+    # permutation and per wall or top node, 12 x 6 = 72 at (6, 1, 2), and
+    # one minor of each target node's basis, 78 in all; one frame_det per
+    # element and sheet took 24 x 18 = 432
+    import fanpart.arrangement as arrangement
     import fanpart.coinvariants as co
+    import fanpart.exactlin as exactlin
     data = main_data(6, 1, 2)
     group, zz = data["group"], data["zz"]
     calls = []
-    frame_det = co.frame_det
+    scaled_det = co.scaled_det
 
-    def counting(*args):
-        calls.append(args)
-        return frame_det(*args)
-    monkeypatch.setattr(co, "frame_det", counting)
+    def counting(vectors):
+        calls.append(vectors)
+        return scaled_det(vectors)
+
+    def refuse(*args):
+        raise AssertionError("induced_action ran an elimination")
+    monkeypatch.setattr(co, "scaled_det", counting)
+    for module in (exactlin, arrangement):
+        monkeypatch.setattr(module, "echelon", refuse)
+    monkeypatch.setattr(exactlin, "frame_det", refuse)
     assert induced_action(group, zz).matrices == data["action"].matrices
-    assert len(calls) == len(distinct_actions(group)) * (
-        len(zz.walls) + len(zz.top_nodes)) == 72
+    nodes = len(zz.walls) + len(zz.top_nodes)
+    assert len(calls) == (len(distinct_actions(group)) + 1) * nodes == 78
+
+
+def _bases(zz):
+    """node -> its stored basis, for each top node and wall."""
+    return {**zz.top_basis, **{w.node: w.spine_basis for w in zz.walls}}
+
+
+def _negate_first(basis):
+    return [tuple(-x for x in v) if i == 0 else v for i, v in enumerate(basis)]
+
+
+@pytest.mark.parametrize("case", ["z8", "z4", (6, 1, 2), (8, 1, 3)])
+def test_transport_minor_matches_frame_det(fixture_data, main_data, case):
+    # the ratio of free-column minors against one fraction-free solve of the
+    # moved basis in the target basis, for every distinct action and every
+    # top node and wall, on the stored bases and again with each basis
+    # negated in its first vector or reversed in order: a basis of either
+    # orientation gives the minor route the sign of its own minor
+    data = fixture_data(case) if isinstance(case, str) else main_data(*case)
+    group, poset = data["group"], data["poset"]
+    signs = set()
+    for edit in (list, _negate_first, lambda b: b[::-1]):
+        zz = zz_basis(poset)              # tables of its own, edited here
+        for node in zz.top_basis:
+            zz.top_basis[node] = edit(zz.top_basis[node])
+        for w in zz.walls:
+            w.spine_basis = edit(w.spine_basis)
+        bases, frames = _bases(zz), _carrier_frames(zz)
+        for g in distinct_actions(group):
+            for node, basis in bases.items():
+                target = poset.act_node(g, node)
+                got = _transport_sign(g, basis, frames[target])
+                assert got == transport_sign(g, basis, bases[target]), \
+                    (g, node)
+                signs.add(got)
+    assert signs == {1, -1}
+
+
+def test_transport_minor_refuses_a_vector_off_the_target_carrier(main_data):
+    # a moved basis vector that a row of the target carrier does not
+    # annihilate has no coordinates in the target basis
+    data = main_data(6, 1, 2)
+    zz, poset = data["zz"], data["poset"]
+    frames = _carrier_frames(zz)
+    for node, basis in _bases(zz).items():
+        rows = poset.nodes[node].subspace.rows
+        off = next(tuple(int(c == k) for c in range(len(rows[0])))
+                   for k in range(len(rows[0]))
+                   if any(row[k] for row in rows))
+        moved = [off] + list(basis[1:])
+        with pytest.raises(ValueError, match="not in span"):
+            _transport_sign(data["group"].identity(), moved, frames[node])
 
 
 @pytest.mark.parametrize("case", [(6, 1, 2), (8, 1, 3)])
@@ -218,15 +282,16 @@ def test_wall_pages_check_each_ray(main_data):
     data = main_data(6, 1, 2)
     group, poset = data["group"], data["poset"]
     zz = zz_basis(poset)              # tables of its own, edited below
+    frames = _carrier_frames(zz)
     g, wall, v2, e2, side2 = next(
         (g, w, v2, e2, side2) for g in group.elements for w in zz.walls
-        for v2, e2, side2, _ in _wall_pages(zz, g, w).values()
+        for v2, e2, side2, _ in _wall_pages(zz, g, w, frames).values()
         if side2 != zz.wall_by_node[v2].rep_side[e2])
     rays2 = zz.wall_by_node[v2].rays
     ray2 = rays2[e2, side2]
     rays2[e2, side2] = tuple(-x for x in ray2)
     with pytest.raises(UnsupportedArrangement, match="ray factor"):
-        _wall_pages(zz, g, wall)
+        _wall_pages(zz, g, wall, frames)
     rays2[e2, side2] = ray2
     e = wall.elements[0]
     rows = poset.nodes[e].subspace.rows
@@ -237,7 +302,7 @@ def test_wall_pages_check_each_ray(main_data):
     ray = wall.rays[e, wall.rep_side[e]]
     wall.rays[e, wall.rep_side[e]] = tuple(x + y for x, y in zip(ray, out))
     with pytest.raises(ValueError, match="carrier"):
-        _wall_pages(zz, group.identity(), wall)
+        _wall_pages(zz, group.identity(), wall, frames)
 
 
 def test_z8_relation_l_equals_minus_eps2_l(fixture_data):

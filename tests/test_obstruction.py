@@ -69,8 +69,9 @@ def test_vertex_map_equivariance_fails_on_one_moved_vertex():
     # b_1 sent to u_1 instead of u_n: eps^k b_1 = b_{1+k} goes to u_k, not
     # to eps^k u_1 = u_{1+k}
     class Moved(GeneralPositionMap):
-        def vertex_image(self, v):
-            return super().vertex_image(("a", 1) if v == ("b", 1) else v)
+        def scaled_vertex_image(self, v):
+            return super().scaled_vertex_image(("a", 1) if v == ("b", 1)
+                                               else v)
     n = 6
     assert not check_equivariance(Moved(n, build_sphere(n)),
                                   quaternion_on_Wn(n))
@@ -254,6 +255,52 @@ def test_census_column_reads_lam_in_its_own_point_order():
     assert census[1, 2][0][:2] == (0, (1, 0, 0, 0))
     assert census[1, 1][0] == (1, None, None)
     assert census[2, n][0][:2] == (0, (0, 0, 0, 1))
+
+
+@pytest.mark.parametrize("n,a,b,decided,eliminated", [
+    (6, 1, 2, 126, 19), (8, 1, 3, 216, 23),
+    pytest.param(10, 2, 3, 330, 31, marks=pytest.mark.slow)])
+def test_separated_pairs_miss_on_the_elimination_route(n, a, b, decided,
+                                                       eliminated,
+                                                       monkeypatch):
+    # every (simplex, element) that the censuses of Steps 2-3 decide: a
+    # pair settled by a separating row, with no elimination, is a miss on
+    # the elimination route too; only the other pairs are eliminated
+    import fanpart.obstruction as ob
+    calls, reached = [], []
+    locus, eliminate = ob._scaled_locus, ob._eliminate
+
+    def recording(*args):
+        calls.append(args)
+        return locus(*args)
+
+    def counting(*args):
+        reached.append(args)
+        return eliminate(*args)
+    monkeypatch.setattr(ob, "_scaled_locus", recording)
+    monkeypatch.setattr(ob, "_eliminate", counting)
+    obstruction_class(n, a, b)
+    monkeypatch.undo()
+    assert (len(calls), len(reached)) == (decided, eliminated)
+    for den, P, element, images in calls:
+        walls = [[integer_dot(q, p) for p in P] for q in element.inequalities]
+        assert locus(den, P, element, images) == \
+            eliminate(den, P, images, walls)
+
+
+@pytest.mark.parametrize("rows,ineqs,points", [
+    ([(1, 0, 0)], [], [(0, 1, 0), (1, 0, 0), (1, 1, 1)]),
+    ([(1, 0, 0)], [], [(0, 1, 0), (-1, 0, 0), (-1, 1, 1)]),
+    ([], [(-1, 0, 0)], [(0, 1, 0), (1, 0, 0), (1, 1, 1)])],
+    ids=["above", "below", "wall"])
+def test_vertex_on_the_hyperplane_is_a_hit(rows, ineqs, points):
+    # the other vertices lie strictly on one side of the element's
+    # hyperplane or strictly outside its wall, so the one vertex on it is
+    # the whole meeting locus: a row or wall of one sign that is zero on a
+    # vertex separates nothing
+    element = make_subspace(rows, ineqs, 3)
+    pts = [tuple(map(Fraction, p)) for p in points]
+    assert meeting_locus(pts, element) == (0, (1, 0, 0), pts[0])
 
 
 def test_census_refuses_an_element_of_another_dimension():
