@@ -16,7 +16,8 @@ image wall (none for its base sheet), plus -sgn s [sphere of x] for each
 sheet x that lands on the non-canonical page.
 
 Step 6 is one routine, `twisted_coinvariants`, which certificates, fixtures
-and the selftest read: the primal and dual quotients and their three laws.
+and the selftest read: the primal quotient's shape by sparse elimination,
+the dual quotient by a Smith form that keeps its `U`, and their three laws.
 """
 
 from __future__ import annotations
@@ -216,9 +217,6 @@ def describe_factors(factors: Sequence[int], free_rank: int) -> str:
 def coinvariants_from_relations(relations: Sequence[Sequence[int]],
                                 module_rank: int) -> CoinvariantGroup:
     """Quotient of Z^module_rank by the span of the integer relations."""
-    if not relations:
-        return CoinvariantGroup([], module_rank, Matrix.identity(module_rank),
-                                [], module_rank)
     sf = smith_normal_form([[r[i] for r in relations]
                             for i in range(module_rank)])
     diag = list(sf.invariant_factors)
@@ -227,12 +225,9 @@ def coinvariants_from_relations(relations: Sequence[Sequence[int]],
                             module_rank)
 
 
-def _coinvariants_of(matrices: Iterable[Matrix], r: int) -> CoinvariantGroup:
-    """Quotient of Z^r by the nonzero columns of M - I over the matrices.
-
-    The columns are integer tuples, each kept once, in the order of first
-    occurrence: a repeated relation leaves the quotient unchanged, and a
-    non-integer one makes the Smith form raise ValueError."""
+def _relations(matrices: Iterable[Matrix]) -> list[tuple]:
+    """The nonzero columns of M - I over the matrices, each kept once in
+    the order of first occurrence; a non-integer entry is a ValueError."""
     rels: dict = {}
     for m in matrices:
         for j, col in enumerate(zip(*m.entries)):
@@ -240,53 +235,57 @@ def _coinvariants_of(matrices: Iterable[Matrix], r: int) -> CoinvariantGroup:
             rel[j] -= 1
             if any(rel):
                 rels[tuple(rel)] = None
-    return coinvariants_from_relations(list(rels), r)
+    if any(x.denominator != 1 for rel in rels for x in rel):
+        raise ValueError("relations require integer entries")
+    return list(rels)
+
+
+def _shape(matrices: Iterable[Matrix], r: int) -> tuple[list[int], int]:
+    """(factors > 1, free rank) of Z^r by `_relations(matrices)`, from
+    `sparse_rank_and_factors`, with no `U`."""
+    rank, factors = sparse_rank_and_factors(
+        {k: {i: x for i, x in enumerate(rel) if x}
+         for k, rel in enumerate(_relations(matrices))})
+    return factors, r - rank
 
 
 def modified_coinvariants(action: OrientedGeneratorAction,
-                          group: ActionGroup) -> CoinvariantGroup:
-    """Quotient by the span of g*x - x for the determinant-twisted action,
-    over one element per distinct permutation."""
-    return _coinvariants_of((action.modified_matrix(g)
-                             for g in distinct_actions(group)),
-                            action.basis.rank)
+                          group: ActionGroup) -> tuple[list[int], int]:
+    """`_shape` of the quotient by g*x - x for the determinant-twisted
+    action, over one element per distinct permutation."""
+    return _shape(map(action.modified_matrix, distinct_actions(group)),
+                  action.basis.rank)
 
 
 def dual_coinvariants(action: OrientedGeneratorAction,
                       group: ActionGroup) -> CoinvariantGroup:
     """Coinvariants of the dual module Hom(H, Z) with (g.F)(x) = F(g^-1 * x).
 
-    The obstruction class naturally lives here; its coordinates are the
-    pairing values against the basis.  Elements that act alike have
-    inverses that act alike, so one element per distinct permutation gives
-    every relation, first met in group order.
-    """
-    return _coinvariants_of((action.modified_matrix(group.inv(g)).transpose()
-                             for g in distinct_actions(group)),
-                            action.basis.rank)
+    The obstruction class lives here; its coordinates are the pairing
+    values against the basis.  Elements that act alike have inverses that
+    act alike, so one element per distinct permutation gives every
+    relation, first met in group order."""
+    return coinvariants_from_relations(
+        _relations(action.modified_matrix(group.inv(g)).transpose()
+                   for g in distinct_actions(group)), action.basis.rank)
 
 
 def twisted_coinvariants(group: ActionGroup, zz: ZZBasis) -> tuple:
-    """Step 6 on one build of the action: (primal, dual, laws), the
-    quotients over every distinct action and of the dual module, and by
-    name the laws that the action is a representation (on the generators
-    and their product), that the generators' relations give the primal
-    quotient (their rank and factors by `sparse_rank_and_factors`, not by
-    the primal Smith form), and that the dual and primal quotients agree."""
+    """Step 6 on one build of the action: (primal shape, dual, laws).  Only
+    the dual, which the pairing projects through, keeps a `U`.  The laws,
+    by name: the action is a representation (on the generators and
+    their product), the generators' relations give the primal shape, and
+    the dual and primal quotients agree (Smith form against sparse
+    elimination)."""
     action = induced_action(group, zz)
     m, gens = action.matrix, group.generators
-    cg = modified_coinvariants(action, group)
-    rank, factors = sparse_rank_and_factors({   # the columns of M - I
-        (g.word, j): {i: x - (i == j) for i, x in enumerate(col)
-                      if x != (i == j)}
-        for g in gens
-        for j, col in enumerate(zip(*action.modified_matrix(g).entries))})
+    shape = modified_coinvariants(action, group)
     dg = dual_coinvariants(action, group)
-    shape = (cg.invariant_factors, cg.rank)
-    return cg, dg, {
+    return shape, dg, {
         "action is a representation": all(
             m(x).mul(m(y)) == m(group.mul(x, y))
             for x in gens for y in (*gens, reduce(group.mul, gens))),
-        "generator relations suffice": (factors, zz.rank - rank) == shape,
+        "generator relations suffice":
+            _shape(map(action.modified_matrix, gens), zz.rank) == shape,
         "dual and primal quotients agree":
             (dg.invariant_factors, dg.rank) == shape}

@@ -213,7 +213,6 @@ class WallNode:
 class ZZGenerator:
     kind: str                    # "top" or "wall"
     node: int                    # carrier poset node
-    orientation_basis: tuple     # ordered basis of the carrier
     element: Optional[int] = None  # for wall generators: the varying sheet
 
     def __repr__(self):
@@ -338,16 +337,14 @@ def zz_basis(poset: IntersectionPoset) -> ZZBasis:
     generators: list[ZZGenerator] = []
     basis = ZZBasis(poset, top_dim, top_nodes, walls, generators)
     for m in top_nodes:
-        cb = tuple(poset.nodes[m].subspace.carrier_basis())
-        basis.top_basis[m] = list(cb)
+        basis.top_basis[m] = list(poset.nodes[m].subspace.carrier_basis())
         basis.index[("top", m)] = len(generators)
-        generators.append(ZZGenerator("top", m, cb))
+        generators.append(ZZGenerator("top", m))
     for w in walls:
         basis.wall_by_node[w.node] = w
         for e in w.elements[1:]:
             basis.index[("wall", w.node, e)] = len(generators)
-            generators.append(ZZGenerator("wall", w.node,
-                                          tuple(w.spine_basis), e))
+            generators.append(ZZGenerator("wall", w.node, e))
     return basis
 
 

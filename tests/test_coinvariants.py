@@ -5,8 +5,9 @@ import pytest
 from fanpart.arrangement import (HalfOpenSubspace, intersection_poset,
                                  make_J_pieces, make_subspace, orbit_closure,
                                  transform)
-from fanpart.coinvariants import (_carrier_frames, _coinvariants_of,
+from fanpart.coinvariants import (_carrier_frames, _relations, _shape,
                                   _transport_sign, _wall_pages,
+                                  coinvariants_from_relations,
                                   describe_factors, dual_coinvariants,
                                   induced_action, modified_coinvariants,
                                   twisted_coinvariants)
@@ -264,15 +265,22 @@ def test_shared_matrix_equals_one_computed_alone(main_data, case):
 @pytest.mark.parametrize("case", ["z4", (6, 1, 2), (8, 1, 3)])
 def test_coinvariants_over_distinct_actions_equal_all_elements(
         fixture_data, main_data, case):
-    # the relation list, the Smith form and U are those of every element
+    # the relation lists are those of every element, and so are the
+    # primal shape and the dual's Smith form and U
     data = fixture_data(case) if isinstance(case, str) else main_data(*case)
     group, action = data["group"], data["action"]
     r = action.basis.rank
-    assert modified_coinvariants(action, group) == _coinvariants_of(
-        (action.modified_matrix(g) for g in group.elements), r)
-    assert dual_coinvariants(action, group) == _coinvariants_of(
-        (action.modified_matrix(group.inv(g)).transpose()
-         for g in group.elements), r)
+    firsts = distinct_actions(group)
+    assert _relations(map(action.modified_matrix, firsts)) == \
+        _relations(map(action.modified_matrix, group.elements))
+    assert modified_coinvariants(action, group) == _shape(
+        map(action.modified_matrix, group.elements), r)
+    dual = [_relations(action.modified_matrix(group.inv(g)).transpose()
+                       for g in elements)
+            for elements in (firsts, group.elements)]
+    assert dual[0] == dual[1]
+    assert dual_coinvariants(action, group) == \
+        coinvariants_from_relations(dual[1], r)
 
 
 def test_wall_pages_check_each_ray(main_data):
@@ -317,10 +325,10 @@ def test_z8_relation_l_equals_minus_eps2_l(fixture_data):
 
 def test_z8_coinvariants(fixture_data):
     data = fixture_data("z8")
-    cg = modified_coinvariants(data["action"], data["group"])
-    assert cg.invariant_factors == [2]
-    assert cg.rank == 0
-    assert describe_factors(cg.invariant_factors, cg.rank) == "Z2"
+    factors, free_rank = modified_coinvariants(data["action"], data["group"])
+    assert factors == [2]
+    assert free_rank == 0
+    assert describe_factors(factors, free_rank) == "Z2"
 
 
 def test_z4_coinvariants_computed(fixture_data):
@@ -330,8 +338,7 @@ def test_z4_coinvariants_computed(fixture_data):
     # fixing the spine, which negates the wall sphere (see the z4 join
     # sign test and the independent graph oracle below)
     data = fixture_data("z4")
-    cg = modified_coinvariants(data["action"], data["group"])
-    assert (cg.invariant_factors, cg.rank) == ([2], 1)
+    assert modified_coinvariants(data["action"], data["group"]) == ([2], 1)
 
 
 def test_main_case_l_relations(main_data):
@@ -406,25 +413,26 @@ def test_main_case_h_relation_sign(main_data):
 def test_main_case_coinvariants(main_data, n, a, b):
     # the exact twisted quotient; the recorded reference claims Z2 (+) Z4
     data = main_data(n, a, b)
-    cg = modified_coinvariants(data["action"], data["group"])
-    assert (cg.invariant_factors, cg.rank) == ([2], 1)
+    assert modified_coinvariants(data["action"], data["group"]) == ([2], 1)
 
 
 def test_generator_relations_match_full(fixture_data, main_data):
+    # the generators' relations give the primal shape, by sparse elimination
+    # and by the dense Smith form
     for data in (fixture_data("z4"), main_data(6, 1, 2)):
         action, group = data["action"], data["group"]
-        cg = modified_coinvariants(action, group)
-        cgen = _coinvariants_of(map(action.modified_matrix, group.generators),
-                                action.basis.rank)
-        assert (cg.invariant_factors, cg.rank) == \
-            (cgen.invariant_factors, cgen.rank)
+        r, gens = action.basis.rank, group.generators
+        shape = modified_coinvariants(action, group)
+        assert _shape(map(action.modified_matrix, gens), r) == shape
+        dense = coinvariants_from_relations(
+            _relations(map(action.modified_matrix, gens)), r)
+        assert (dense.invariant_factors, dense.rank) == shape
 
 
 def test_dual_matches_primal(fixture_data, main_data):
     for data in (fixture_data("z8"), fixture_data("z4"), main_data(6, 1, 2)):
-        cg = modified_coinvariants(data["action"], data["group"])
         dg = dual_coinvariants(data["action"], data["group"])
-        assert (cg.invariant_factors, cg.rank) == \
+        assert modified_coinvariants(data["action"], data["group"]) == \
             (dg.invariant_factors, dg.rank)
 
 
@@ -438,11 +446,10 @@ def test_twisted_coinvariants_laws_and_factors(fixture_data, main_data, case):
     # order, and the fixture report and the certificate show its quotients
     data = fixture_data(case) if isinstance(case, str) else main_data(*case)
     group, action = data["group"], data["action"]
-    cg, dg, laws = twisted_coinvariants(group, data["zz"])
+    shape, dg, laws = twisted_coinvariants(group, data["zz"])
     assert list(laws.items()) == [(law, True) for law in STEP6_LAWS]
-    assert cg == modified_coinvariants(action, group)
+    assert shape == modified_coinvariants(action, group)
     assert dg == dual_coinvariants(action, group)
-    shape = (cg.invariant_factors, cg.rank)
     assert (dg.invariant_factors, dg.rank) == shape
     if isinstance(case, str):
         rep = run_fixture(case)
@@ -483,11 +490,23 @@ def test_twisted_coinvariants_flag_a_faulty_action(
             run_fixture(case).diffs
 
 
+def primal_group(data):
+    """The primal quotient as a group with `project`: the dense Smith form
+    over the relations whose shape `modified_coinvariants` gives."""
+    action, group = data["action"], data["group"]
+    cg = coinvariants_from_relations(
+        _relations(map(action.modified_matrix, distinct_actions(group))),
+        action.basis.rank)
+    assert (cg.invariant_factors, cg.rank) == \
+        modified_coinvariants(action, group) == ([2], 1)
+    return cg
+
+
 def test_projection_invariance(main_data):
     # the class of g * x equals the class of x for every generator and x
     data = main_data(6, 1, 2)
     group, zz, action = data["group"], data["zz"], data["action"]
-    cg = modified_coinvariants(action, group)
+    cg = primal_group(data)
     for g in group.generators:
         m = action.modified_matrix(g)
         for i in range(zz.rank):
@@ -499,8 +518,7 @@ def test_projection_invariance(main_data):
 
 def test_projection_order_and_zero(main_data):
     data = main_data(6, 1, 2)
-    group, action = data["group"], data["action"]
-    cg = modified_coinvariants(action, group)
+    cg = primal_group(data)
     zero = [0] * data["zz"].rank
     assert cg.is_zero(zero)
     assert cg.order_of(zero) == 1
@@ -595,10 +613,8 @@ def test_spine_convention_invariance(main_data):
     w = zz2.walls[0]
     w.spine_basis = [tuple(-x for x in v) for v in w.spine_basis]
     action2 = induced_action(group, zz2)
-    cg2 = modified_coinvariants(action2, group)
-    cg = modified_coinvariants(data["action"], group)
-    assert (cg.invariant_factors, cg.rank) == \
-        (cg2.invariant_factors, cg2.rank)
+    assert modified_coinvariants(action2, group) == \
+        modified_coinvariants(data["action"], group)
 
 
 def test_projection_of_doubled_wall_generator(main_data):
@@ -608,7 +624,7 @@ def test_projection_of_doubled_wall_generator(main_data):
     n, a, b = 6, 1, 2
     data = main_data(n, a, b)
     poset, zz, group = data["poset"], data["zz"], data["group"]
-    cg = modified_coinvariants(data["action"], group)
+    cg = primal_group(data)
     eab = group.by_word(a + b)
     wall = next(w for w in zz.walls
                 if poset.act_node(eab, w.node) == w.node)
@@ -653,69 +669,93 @@ def test_duplicate_relations_leave_the_quotient_unchanged():
 
 
 def test_non_integer_action_is_refused(fixture_data):
-    # a Fraction(1, 2) entry gives a non-integer relation column, which the
-    # Smith form refuses
+    # a Fraction(1, 2) entry gives a non-integer relation column.  The dense
+    # Smith form refuses it; sparse elimination can eliminate it without a
+    # complaint (z8 with entry (1, 0) or every entry at 1/2 gives a shape
+    # when unguarded), so the relations are checked before either route
     from fanpart.coinvariants import OrientedGeneratorAction
-    data = fixture_data("z8")
-    group, action = data["group"], data["action"]
-    g = group.generators[0]
-    rows = [list(row) for row in action.matrix(g).entries]
-    rows[0][0] = Fraction(1, 2)
-    bad = OrientedGeneratorAction(group, action.basis,
-                                  {**action.matrices, g.word: Matrix(rows)})
-    with pytest.raises(ValueError):
-        modified_coinvariants(bad, group)
+    for fixture in ("z8", "z4"):
+        data = fixture_data(fixture)
+        group, action = data["group"], data["action"]
+        g = group.generators[0]
+        r = action.basis.rank
+        for cells in ([(0, 0)], [(1, 0)],
+                      [(i, j) for i in range(r) for j in range(r)]):
+            rows = [list(row) for row in action.matrix(g).entries]
+            for i, j in cells:
+                rows[i][j] = Fraction(1, 2)
+            bad = OrientedGeneratorAction(
+                group, action.basis, {**action.matrices, g.word: Matrix(rows)})
+            with pytest.raises(ValueError):
+                modified_coinvariants(bad, group)
+            with pytest.raises(ValueError):
+                dual_coinvariants(bad, group)
 
 
 @pytest.mark.parametrize("n,a,b", [(6, 1, 2), (8, 1, 3)])
 def test_coinvariants_match_every_relation_column(main_data, n, a, b):
     # the quotient by the distinct columns of g - 1 equals the quotient by
     # all of them, repeats included (312 columns, 95 distinct, at (1, 2)).
-    # The Smith coordinate change U is the same too, so `project`, and with
-    # it the class coordinates of a certificate, is unchanged; on random
-    # relations U can differ, so this is checked on the certificate cases.
-    from fanpart.coinvariants import coinvariants_from_relations
+    # For the dual the Smith coordinate change U is the same too, so
+    # `project`, and with it the class coordinates of a certificate, is
+    # unchanged; on random relations U can differ, so this is checked on
+    # the certificate cases.  The primal quotient is a shape with no U
     data = main_data(n, a, b)
     action, group = data["action"], data["group"]
     r = action.basis.rank
     modified = [action.modified_matrix(g) for g in group.elements]
     dual = [action.modified_matrix(group.inv(g)).transpose()
             for g in group.elements]
-    for mats, cg in ((modified, modified_coinvariants(action, group)),
-                     (dual, dual_coinvariants(action, group))):
+    dg = dual_coinvariants(action, group)
+    for mats, shape in ((modified, modified_coinvariants(action, group)),
+                        (dual, (dg.invariant_factors, dg.rank))):
         cols = [tuple(int(m.entries[i][j]) - (i == j) for i in range(r))
                 for m in mats for j in range(r)]
         cols = [c for c in cols if any(c)]
         assert len(set(cols)) < len(cols)
         full = coinvariants_from_relations(cols, r)
-        assert (full.invariant_factors, full.rank) == (cg.invariant_factors,
-                                                       cg.rank)
-        assert full.U == cg.U
+        assert (full.invariant_factors, full.rank) == shape
+    assert full.U == dg.U
 
 
 @pytest.mark.parametrize("case", ["z8", "z4", (6, 1, 2), (8, 2, 2),
                                   (8, 1, 3)])
 def test_relation_smith_forms_keep_the_full_scan_operations(
         fixture_data, main_data, monkeypatch, case):
-    # the dual form's U fixes the class coordinates of a certificate, so
-    # the cut scans must perform the operations of the full scan: the same
-    # U, D, rank and column operations on every relation matrix
+    # Step 6 takes one dense Smith form, the dual's: its U fixes the class
+    # coordinates of a certificate, so the cut scans must perform the
+    # operations of the full scan: the same U, D, rank and column operations
     import fanpart.coinvariants as coinvariants
     from fanpart.exactlin import smith_normal_form
     from rescan_oracle import full_scan_smith_form
     data = fixture_data(case) if isinstance(case, str) else main_data(*case)
-    action, group = data["action"], data["group"]
     seen = []
 
     def recording(m):
         seen.append(m)
         return smith_normal_form(m)
     monkeypatch.setattr(coinvariants, "smith_normal_form", recording)
-    modified_coinvariants(action, group)
-    _coinvariants_of(map(action.modified_matrix, group.generators),
-                     action.basis.rank)
-    dual_coinvariants(action, group)
-    assert len(seen) == 3
-    for m in seen:
-        a, b = smith_normal_form(m), full_scan_smith_form(m)
-        assert (a.U, a.D, a.rank, a.col_ops) == (b.U, b.D, b.rank, b.col_ops)
+    dg = twisted_coinvariants(data["group"], data["zz"])[1]
+    assert len(seen) == 1
+    a, b = smith_normal_form(seen[0]), full_scan_smith_form(seen[0])
+    assert (a.U, a.D, a.rank, a.col_ops) == (b.U, b.D, b.rank, b.col_ops)
+    assert dg.U == a.U
+
+
+def test_dual_and_primal_take_two_routes(main_data, monkeypatch):
+    # the primal shape comes from sparse elimination and the dual from the
+    # dense Smith form, so a fault in the sparse route breaks their
+    # agreement; the generator law reads the sparse route on both sides
+    import fanpart.coinvariants as coinvariants
+    from fanpart.exactlin import sparse_rank_and_factors
+    data = main_data(6, 1, 2)
+
+    def dropping(cols):
+        rank, factors = sparse_rank_and_factors(cols)
+        return rank, factors[:-1]
+    monkeypatch.setattr(coinvariants, "sparse_rank_and_factors", dropping)
+    shape, dg, laws = twisted_coinvariants(data["group"], data["zz"])
+    assert shape == ([], 1)
+    assert (dg.invariant_factors, dg.rank) == ([2], 1)
+    assert laws["dual and primal quotients agree"] is False
+    assert laws["generator relations suffice"] is True

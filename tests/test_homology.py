@@ -180,10 +180,10 @@ def test_zz_degree_bookkeeping(fixture_data, main_data):
             node_dim = zz.poset.nodes[gen.node].dim
             if gen.kind == "top":
                 assert node_dim == zz.top_dim
-                assert len(gen.orientation_basis) == node_dim
+                assert len(zz.top_basis[gen.node]) == node_dim
             else:
                 assert node_dim == zz.top_dim - 1
-                assert len(gen.orientation_basis) == node_dim
+                assert len(zz.wall_by_node[gen.node].spine_basis) == node_dim
 
 
 def test_zz_rank_matches_link_oracle_z8(fixture_data):
