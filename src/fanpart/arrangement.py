@@ -477,29 +477,11 @@ def _bit_list(mask: int) -> list[int]:
     return out
 
 
-def _orbits_outside(perms: Sequence[Sequence[int]], mask: int,
-                    done: int) -> list[tuple[int, int]]:
-    """The orbits of the maximal elements outside a support mask under H,
-    the permutations among perms that fix the mask: (least element, orbit
-    as a mask) for each orbit that meets no element of `done`, in order of
-    least element.
-
-    Every h in H fixes the node r that is the intersection of the mask, and
-    r meets element pi_h(m) in h . (r meet m): in r when r lies in m, and
-    else in a node of the orbit of r meet m.  So r meets one element per
-    orbit, and when that meet is r the whole orbit holds r."""
+def _stabiliser(perms: Sequence[Sequence[int]],
+                mask: int) -> list[Sequence[int]]:
+    """The permutations among perms that fix a support mask."""
     bits = _bit_list(mask)
-    stab = [pi for pi in perms if all(mask >> pi[k] & 1 for k in bits)]
-    out = []
-    for m in range(len(perms[0])):
-        if not mask >> m & 1:
-            orb = 0
-            for pi in stab:
-                orb |= 1 << pi[m]
-            mask |= orb
-            if not orb & done:
-                out.append((m, orb))
-    return out
+    return [pi for pi in perms if all(mask >> pi[k] & 1 for k in bits)]
 
 
 def intersection_poset(arr: Arrangement) -> IntersectionPoset:
@@ -510,7 +492,7 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
     node is the intersection of its support, so g . node is the node with
     support pi_g(support).  So one node per orbit meets the elements, and
     it meets one element per orbit of the permutations that fix its support
-    so far, taken again when the support grows (`_orbits_outside`).  The
+    so far, taken again when the support grows (`_stabiliser`).  The
     meet is the meeting node r itself or c, the node of fewest support bits
     whose support holds the meet's mask, or a new node.  Two exact rules
     decide it in the carrier of r, with no key: a linear element whose rows
@@ -579,19 +561,29 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
         # basis K_r of span(r).  Two cases need no key: m linear with
         # E_m K_r = 0 holds span(r), so r; and c linear with dim V <= dim c
         # is V, so the meet is c, not r, and nothing is recorded
-        # the stabiliser can only grow with r's support: its orbits are
-        # taken again after each growth, skipping those met already
         a = nodes[r].subspace
         kb = integer_kernel(a.rows, dim)
-        done = 0
-        todo = _orbits_outside(perms, support[r], done)
-        while todo:
-            m, orb = todo.pop(0)
-            done |= orb
+        fixed = 0  # the support that stab fixes
+        for m in range(nmax):
+            if support[r] >> m & 1:
+                continue
+            # every h in the stabiliser H of the support fixes r, and r
+            # meets pi_h(m) in h . (r meet m): in r when r lies in m, and
+            # else in a node of the orbit of r meet m.  So r meets one
+            # element per orbit, and when that meet is r the whole orbit
+            # holds r.  H only grows with the support, so an orbit that
+            # holds a smaller element was met or skipped already
+            if fixed != support[r]:
+                fixed = support[r]
+                stab = _stabiliser(perms, fixed)
+            orb = 0
+            for pi in stab:
+                orb |= 1 << pi[m]
+            if orb & (1 << m) - 1:
+                continue
             em = _restrict(elems[m].rows, kb)
             if elems[m].is_linear and not any(map(any, em)):
                 grow(r, orb)
-                todo = _orbits_outside(perms, support[r], done)
                 continue
             mask = support[r] | 1 << m
             below = -1
@@ -620,7 +612,6 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
                 known[raw] = j
             if j == r:
                 grow(r, orb)
-                todo = _orbits_outside(perms, support[r], done)
         by_support[support[r]] = r
         for g, pi in zip(actions, perms):
             mask = _move_mask(pi, support[r])

@@ -7,13 +7,15 @@ image of a wall cone is transported by the determinant of its (spine, ray)
 frame against the canonical frame of the target page.  Projection onto the
 free columns F of the target carrier's echelon rows is injective on the
 carrier, so each determinant is det(frame[:, F]) / det(B[:, F]) for the
-target basis B.  When a group element throws a cone across to the
-non-canonical page of a full subspace, the rewrite C(anti) = C(rep) - s *
-[sphere] converts it back to basis form; this is where the boundary-wall
-correction terms come from.  So a wall generator C(e) - C(base) has one
-image: sgn (C'(g e) - C'(g base)), C'(x) the generator of sheet x on the
-image wall (none for its base sheet), plus -sgn s [sphere of x] for each
-sheet x that lands on the non-canonical page.
+target basis B: two signs of `exactlin.free_minor_sign`, the one route
+that also gives the rewrite signs s of the wall tables.  When a group
+element throws a cone across to the non-canonical page of a full
+subspace, the rewrite C(anti) = C(rep) - s * [sphere] converts it back to
+basis form; this is where the boundary-wall correction terms come from.
+So a wall generator C(e) - C(base) has one image: sgn (C'(g e) -
+C'(g base)), C'(x) the generator of sheet x on the image wall (none for
+its base sheet), plus -sgn s [sphere of x] for each sheet x that lands on
+the non-canonical page.
 
 Step 6 is one routine, `twisted_coinvariants`, which certificates, fixtures
 and the selftest read: the primal quotient's shape by sparse elimination,
@@ -27,8 +29,8 @@ from functools import reduce
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .exactlin import (Matrix, Vec, integer_dot, leading_column, scaled_det,
-                       sign, smith_normal_form, sparse_rank_and_factors)
+from .exactlin import (Matrix, Vec, free_minor_sign, integer_dot, sign,
+                       smith_normal_form, sparse_rank_and_factors)
 from .groups import (ActionGroup, GroupElement, act, det_character,
                      distinct_actions)
 from .homology import UnsupportedArrangement, WallNode, ZZBasis
@@ -55,15 +57,13 @@ class OrientedGeneratorAction:
 
 
 def _carrier_frames(zz: ZZBasis) -> dict:
-    """node -> (rows, F, sign det(B[:, F])) for each top node and wall: its
-    carrier's echelon rows, their free columns F and its stored basis B."""
-    frames, dim = {}, zz.poset.arrangement.ambient_dim
+    """node -> (rows, sign) for each top node and wall: its carrier's
+    echelon rows and the `free_minor_sign` of its stored basis."""
+    frames = {}
     for node, basis in (*zz.top_basis.items(),
                         *((w.node, w.spine_basis) for w in zz.walls)):
         rows = zz.poset.nodes[node].subspace.rows
-        free = sorted(set(range(dim)) - {leading_column(r) for r in rows})
-        frames[node] = rows, free, sign(scaled_det(
-            [[v[c] for c in free] for v in basis]))
+        frames[node] = rows, free_minor_sign(rows, basis)
     return frames
 
 
@@ -71,12 +71,8 @@ def _transport_sign(g: GroupElement, basis: Sequence[Vec],
                     frame: tuple) -> int:
     """Sign of det of (g applied to basis) in the basis of a target frame
     (`_carrier_frames`); a moved vector off its carrier is a ValueError."""
-    rows, free, basis_sign = frame
-    moved = [act(g, v) for v in basis]
-    if any(integer_dot(row, v) for row in rows for v in moved):
-        raise ValueError("vector not in span of target basis")
-    return basis_sign * sign(scaled_det([[v[c] for c in free]
-                                         for v in moved]))
+    rows, basis_sign = frame
+    return basis_sign * free_minor_sign(rows, [act(g, v) for v in basis])
 
 
 def _wall_pages(zz: ZZBasis, g: GroupElement, wall: WallNode,

@@ -5,10 +5,11 @@ up to a positive factor; no floating point anywhere.  Signs of
 determinants and half-space memberships must be bit-exact, so approximate
 arithmetic is not an option.
 
-The integer core (`echelon`, `integer_kernel`, `frame_det`, `scaled_det`,
-the Smith form) is the pipeline's one elimination route; `rref`,
-`solve_affine`, `kernel_basis` and `change_of_basis_det` are Fraction views
-the tests use, and `determinant` serves the tests and the CLI selftest.
+The integer core (`echelon`, `integer_kernel`, `scaled_det`, the Smith
+form) is the pipeline's one elimination route, and `free_minor_sign` its one
+route for the orientation of a frame in a carrier; `rref`, `solve_affine`,
+`kernel_basis` and `change_of_basis_det` are Fraction views the tests use,
+and `determinant` serves the tests and the CLI selftest.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from bisect import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple  # tuple of Fraction, or of int for an integer row or frame
@@ -294,11 +295,8 @@ def integer_kernel(rows: Sequence[Sequence[int]],
     rational one (`kernel_basis`), so every question about a cone has the
     same answer in either."""
     pivots = [leading_column(r) for r in rows]
-    pivset = set(pivots)
     basis = []
-    for c in range(cols):
-        if c in pivset:
-            continue
+    for c in free_columns(rows, cols):
         used = [(r, pc) for r, pc in zip(rows, pivots) if pc < cols and r[c]]
         m = lcm(*(r[pc] for r, pc in used))
         v = [0] * cols
@@ -307,6 +305,26 @@ def integer_kernel(rows: Sequence[Sequence[int]],
             v[pc] = -r[c] * (m // r[pc])
         basis.append(primitive_row(v))
     return basis
+
+
+def free_columns(rows: Sequence[Sequence[int]], cols: int) -> list[int]:
+    """The columns below `cols` with no pivot of integer echelon rows."""
+    pivots = {leading_column(r) for r in rows}
+    return [c for c in range(cols) if c not in pivots]
+
+
+def free_minor_sign(rows: Sequence[Sequence[int]],
+                    vectors: Sequence[Sequence[int]]) -> int:
+    """The sign of the minor of integer vectors of a carrier on the free
+    columns of its integer echelon rows (`free_columns`).  Projection onto
+    those columns is injective on the carrier, so the determinant of one
+    frame of the carrier in another is the ratio of their minors, and the
+    orientation of a frame is this sign times that of the frame it is read
+    against.  A vector off the carrier is a ValueError."""
+    if any(integer_dot(row, v) for row in rows for v in vectors):
+        raise ValueError("vector not in span of target basis")
+    free = free_columns(rows, len(rows[0]) if rows else len(vectors[0]))
+    return sign(scaled_det([[v[c] for c in free] for v in vectors]))
 
 
 def scaled_points(points: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
@@ -393,46 +411,26 @@ def solve_affine(equalities: Matrix, rhs: Vec) -> Optional[Vec]:
 def change_of_basis_det(frm: Sequence[Vec], to: Sequence[Vec]) -> Fraction:
     """det of the matrix expressing the vectors `frm` in the basis `to`.
 
-    Both lists must span the same subspace and have equal length.
-    """
-    return Fraction(*frame_det(frm, to))
-
-
-def frame_det(frm: Sequence[Sequence], to: Sequence[Sequence]
-              ) -> tuple[int, int]:
-    """change_of_basis_det as integers (num, den), den > 0, so its sign is
-    the sign of num.  The vectors may have int or Fraction entries.
-
-    Each vector is scaled to integers by a positive factor, and one
-    fraction-free elimination (`echelon`) of [to | frm] solves for every
-    vector of frm at once: row r of the result is the coordinate row r of
-    frm times the positive pivot p_r of that row.  The coordinate
-    determinant is the Bareiss determinant of that block divided by the
-    product of the pivots; the vector scales are divided out at the end.
+    Both lists must have equal length; a vector of frm outside span(to) is
+    a ValueError, and a dependent `to` gives 0.  Each vector is scaled to
+    integers by a positive factor.  Projection onto the pivot columns P of
+    the echelon rows of `to` is injective on span(to), so the value is
+    det(frm[:, P]) / det(to[:, P]), with the vector scales divided out.
     """
     if len(frm) != len(to):
         raise ValueError("basis size mismatch")
     if not to:
         raise ValueError("need at least one column")
-    k = len(to)
-    num = den = 1
-    cols = []
-    for v in to:
-        d, ints = _integer_row(v)
-        num *= d
-        cols.append(ints)
-    for v in frm:
-        d, ints = _integer_row(v)
-        den *= d
-        cols.append(ints)
-    rows, pivots = echelon(zip(*cols))
-    if pivots and pivots[-1] >= k:
+    scale_to, ints_to = zip(*map(_integer_row, to))
+    scale_frm, ints_frm = zip(*map(_integer_row, frm))
+    rows, pivots = echelon(ints_to)
+    if any(any(reduce_row(v, rows, pivots)) for v in ints_frm):
         raise ValueError("vector not in span of target basis")
-    if len(pivots) < k:
-        return 0, 1
-    for r, c in zip(rows, pivots):
-        den *= r[c]
-    return num * _bareiss([list(r[k:]) for r in rows]), den
+    if len(pivots) < len(to):
+        return ZERO
+    return Fraction(
+        _bareiss([[v[c] for c in pivots] for v in ints_frm]) * prod(scale_to),
+        _bareiss([[v[c] for c in pivots] for v in ints_to]) * prod(scale_frm))
 
 
 def sign(x: Fraction) -> int:

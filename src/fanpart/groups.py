@@ -159,10 +159,14 @@ def distinct_actions(group: ActionGroup) -> list[GroupElement]:
     return list(firsts.values())
 
 
+def permutation_sign(perm: tuple[int, ...]) -> int:
+    """The sign of a permutation of range(len(perm)), from its cycles."""
+    return -1 if (len(perm) - len(_cycle_lengths(perm))) % 2 else 1
+
+
 def det_character(g: GroupElement) -> int:
     """Determinant of the action matrix: the sign of the permutation."""
-    cycles = _cycle_lengths(g.perm)
-    return -1 if (len(g.perm) - len(cycles)) % 2 else 1
+    return permutation_sign(g.perm)
 
 
 def act(g: GroupElement, v: Vec) -> Vec:

@@ -34,8 +34,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .exactlin import (Matrix, echelon, frame_det, integer_kernel,
-                       leading_column, primitive_row, reduce_row, sign,
+from .exactlin import (Matrix, echelon, free_minor_sign, integer_kernel,
+                       leading_column, primitive_row, reduce_row,
                        sparse_rank_and_factors)
 from .arrangement import HalfOpenSubspace, IntersectionPoset
 
@@ -281,8 +281,9 @@ def _build_wall(poset: IntersectionPoset, node: int) -> WallNode:
             rep_side[e] = 1
             rays[(e, 1)] = _ray(elem, phi, 1)
             rays[(e, -1)] = _ray(elem, phi, -1)
-            rewrite[e] = sign(frame_det(spine + [rays[(e, 1)]],
-                                        elem.carrier_basis())[0])
+            # the sign of (spine, ray+) in the element's carrier basis,
+            # whose minor on the free columns is positive diagonal
+            rewrite[e] = free_minor_sign(elem.rows, spine + [rays[(e, 1)]])
         else:
             if len(elem.inequalities) != 1:
                 raise UnsupportedArrangement(

@@ -37,11 +37,11 @@ from functools import lru_cache
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .exactlin import (Vec, echelon, frame_det, from_columns, integer_dot,
+from .exactlin import (Vec, echelon, from_columns, integer_dot,
                        integer_kernel, point_key, scaled_det, scaled_points,
                        sign, vec)
 from .groups import (ActionGroup, GroupElement, act, distinct_actions,
-                     quaternion_on_Wn)
+                     permutation_sign, quaternion_on_Wn)
 from .arrangement import (HalfOpenSubspace, IntersectionPoset, _check_params,
                           _fm_feasible, _restrict, implicit_equalities,
                           intersection_poset, k_form, make_J_pieces,
@@ -709,6 +709,18 @@ def v_disc(n: int, a: int, b: int) -> tuple[Vec, Vec, Vec]:
     return simplex_direction_frame(arc_points(*rho_cells(n, a, b)["rho1"], n))
 
 
+def disc_frames_compatible(g: GroupElement, source: Sequence[Vec],
+                           target: Sequence[Vec]) -> bool:
+    """Whether g maps the vertices `source` of one image simplex onto the
+    vertices `target` of another by an even permutation (False when the
+    vertex sets differ): reordering the vertices multiplies the orientation
+    of the direction frame by the permutation's sign."""
+    perm = tuple(target.index(p) for p in (act(g, q) for q in source)
+                 if p in target)
+    return sorted(perm) == list(range(len(target))) and \
+        permutation_sign(perm) == 1
+
+
 @dataclass
 class CocycleTerm:
     word: tuple[int, int]      # group decoration of the broken class
@@ -737,14 +749,9 @@ def assemble_cocycle(poset: IntersectionPoset, zz: ZZBasis,
     checks["h(w*) = w"] = w == from_columns(list(pts)).matvec(
         vec(vstar_barycentric(n, a, b)["w*"]))
     checks["eps^a j . v = w"] = act(eaj, v) == w
-    # the vertex permutation relating the two image simplices is even, so
-    # the transported disc frame of v matches the one of w positively
-    try:
-        compatible = frame_det([act(eaj, d) for d in v_disc(n, a, b)],
-                               disc)[0] > 0
-    except ValueError:
-        compatible = False
-    checks["disc frames compatible (even permutation)"] = compatible
+    checks["disc frames compatible (even permutation)"] = \
+        disc_frames_compatible(eaj, arc_points(*rho_cells(n, a, b)["rho1"],
+                                               n), pts)
     wall_v = wall_node_of_point(poset, zz, act(eb, v))
     wall_w = wall_node_of_point(poset, zz, w)
     checks["broken points lie on wall nodes"] = \

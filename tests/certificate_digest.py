@@ -11,7 +11,8 @@ after:
 
     PYTHONPATH=src python tests/certificate_digest.py 14 3 4
 
-prints, per flip setting, the sha256 of its record.
+prints, per flip setting, the sha256 of its record.  Several cases in one
+call, such as `14 2 5 14 1 6`, print each line led by its case.
 """
 
 from __future__ import annotations
@@ -41,16 +42,20 @@ def certificate_record(a, b):
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 3 or not all(x.isdigit() for x in argv):
-        print("usage: certificate_digest.py N A B", file=sys.stderr)
+    if not argv or len(argv) % 3 or not all(x.isdigit() for x in argv):
+        print("usage: certificate_digest.py (N A B)...", file=sys.stderr)
         return 2
-    n, a, b = map(int, argv)
-    if n != 2 * (a + b):
-        print(f"N must be 2(A + B) = {2 * (a + b)}", file=sys.stderr)
-        return 2
-    for label, record in certificate_record(a, b).items():
-        text = json.dumps(record, sort_keys=True)
-        print(f"{label}: {hashlib.sha256(text.encode()).hexdigest()}")
+    cases = [tuple(map(int, argv[i:i + 3])) for i in range(0, len(argv), 3)]
+    for n, a, b in cases:
+        if n != 2 * (a + b):
+            print(f"N must be 2(A + B) = {2 * (a + b)}", file=sys.stderr)
+            return 2
+    for n, a, b in cases:
+        lead = "" if len(cases) == 1 else f"{n} {a} {b} "
+        for label, record in certificate_record(a, b).items():
+            text = json.dumps(record, sort_keys=True)
+            print(f"{lead}{label}: "
+                  f"{hashlib.sha256(text.encode()).hexdigest()}")
     return 0
 
 

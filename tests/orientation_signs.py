@@ -1,9 +1,13 @@
-"""Orientation signs computed directly, as a check on the transported signs
-of the group action.
+"""Orientation signs computed directly: the independent oracle of every
+orientation sign the package reads off free-column minors
+(`exactlin.free_minor_sign`), the transport signs of the group action and
+the rewrite signs of the wall tables, and of the parity rule of the disc
+check.
 
+`frame_det` is the determinant of one frame in another by one
+fraction-free solve, with no reference to the carriers' free columns.
 `transport_sign` is the sign of a moved basis in a target basis by one
-fraction-free solve (`frame_det`), with no reference to the carriers' free
-columns that the action reads its signs off.
+`frame_det`.
 `orientation_sign` takes the determinant of a group element on a stable
 carrier through its orthogonal complement; `join_sphere_sign` reads the
 sign a wall sphere picks up under an element that maps its pair of sheets
@@ -24,11 +28,49 @@ from typing import Sequence
 
 from fanpart.arrangement import HalfOpenSubspace
 from fanpart.coinvariants import _carrier_frames, _top_gen_image, _wall_pages
-from fanpart.exactlin import (Matrix, Vec, determinant, dot, frame_det,
-                              from_columns, integer_dot, kernel_basis, rref,
-                              sign, solve_affine, vec)
+from fanpart.exactlin import (Matrix, Vec, _bareiss, _integer_row,
+                              determinant, dot, echelon, from_columns,
+                              integer_dot, kernel_basis, rref, sign,
+                              solve_affine, vec)
 from fanpart.groups import ActionGroup, GroupElement, act, det_character
 from fanpart.homology import WallNode, ZZBasis
+
+
+def frame_det(frm: Sequence[Sequence], to: Sequence[Sequence]
+              ) -> tuple[int, int]:
+    """change_of_basis_det as integers (num, den), den > 0, so its sign is
+    the sign of num.  The vectors may have int or Fraction entries.
+
+    Each vector is scaled to integers by a positive factor, and one
+    fraction-free elimination (`echelon`) of [to | frm] solves for every
+    vector of frm at once: row r of the result is the coordinate row r of
+    frm times the positive pivot p_r of that row.  The coordinate
+    determinant is the Bareiss determinant of that block divided by the
+    product of the pivots; the vector scales are divided out at the end.
+    """
+    if len(frm) != len(to):
+        raise ValueError("basis size mismatch")
+    if not to:
+        raise ValueError("need at least one column")
+    k = len(to)
+    num = den = 1
+    cols = []
+    for v in to:
+        d, ints = _integer_row(v)
+        num *= d
+        cols.append(ints)
+    for v in frm:
+        d, ints = _integer_row(v)
+        den *= d
+        cols.append(ints)
+    rows, pivots = echelon(zip(*cols))
+    if pivots and pivots[-1] >= k:
+        raise ValueError("vector not in span of target basis")
+    if len(pivots) < k:
+        return 0, 1
+    for r, c in zip(rows, pivots):
+        den *= r[c]
+    return num * _bareiss([list(r[k:]) for r in rows]), den
 
 
 def transport_sign(g: GroupElement, basis_from: Sequence[Vec],

@@ -10,7 +10,11 @@ speed-up, a refactor) is checked by comparing digests before and after:
     PYTHONPATH=src python tests/poset_digest.py z8
 
 builds the poset of that case alone (no homology) and prints its node
-count and digest.
+count and digest.  Several cases in one call, such as
+
+    PYTHONPATH=src python tests/poset_digest.py 14 2 5 14 1 6 z4
+
+print one line each, led by the case.
 """
 
 from __future__ import annotations
@@ -50,16 +54,33 @@ def poset_digest(group: ActionGroup, poset: IntersectionPoset) -> str:
     return h.hexdigest()
 
 
+def parse_cases(argv: list[str]) -> list:
+    """The fixture names and N A B triples of argv, in order; empty when
+    argv is empty or holds anything else."""
+    cases, i = [], 0
+    while i < len(argv):
+        if argv[i] in FIXTURES:
+            cases.append(argv[i])
+            i += 1
+        elif len(argv[i:i + 3]) == 3 and all(x.isdigit()
+                                             for x in argv[i:i + 3]):
+            cases.append(tuple(map(int, argv[i:i + 3])))
+            i += 3
+        else:
+            return []
+    return cases
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) == 1 and argv[0] in FIXTURES:
-        case = argv[0]
-    elif len(argv) == 3 and all(x.isdigit() for x in argv):
-        case = tuple(map(int, argv))
-    else:
-        print("usage: poset_digest.py N A B | z8 | z4", file=sys.stderr)
+    cases = parse_cases(argv)
+    if not cases:
+        print("usage: poset_digest.py (N A B | z8 | z4)...", file=sys.stderr)
         return 2
-    group, poset = case_poset(case)
-    print(len(poset.nodes), poset_digest(group, poset))
+    for case in cases:
+        group, poset = case_poset(case)
+        name = case if isinstance(case, str) else " ".join(map(str, case))
+        lead = "" if len(cases) == 1 else f"{name}: "
+        print(f"{lead}{len(poset.nodes)} {poset_digest(group, poset)}")
     return 0
 
 

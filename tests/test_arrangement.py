@@ -800,17 +800,52 @@ def _moved_nodes_read(poset, read) -> set:
             and poset.orbit[nd.index] != nd.index}
 
 
+def _record_meets(monkeypatch, arr):
+    """Patch the poset build to record each meet of a representative r with
+    an element m where it is made: in the `_restrict` of m's rows to r's
+    carrier basis K_r, taken once per representative.  A representative
+    takes its stabiliser (`_stabiliser`) on the mask it was made from just
+    before its first meet, which is the first with its K_r.  Returns a
+    function of the built poset that gives the meets, as (r, m), r the
+    meet of that first mask, and the first mask of each representative."""
+    import fanpart.arrangement as arrangement
+    elems = arr.maximal_elements
+    stabiliser, restrict = arrangement._stabiliser, arrangement._restrict
+    masks, bases, meets = [], [], []  # bases: (K_r, first mask), kept alive
+
+    def recorded_stabiliser(perms, mask):
+        masks.append(mask)
+        return stabiliser(perms, mask)
+
+    def recorded_restrict(forms, basis):
+        m = next((m for m, e in enumerate(elems) if forms is e.rows), None)
+        if m is not None:
+            first = next((mask for kb, mask in bases if kb is basis), None)
+            if first is None:
+                first = masks[-1]
+                bases.append((basis, first))
+            meets.append((first, m))
+        return restrict(forms, basis)
+
+    monkeypatch.setattr(arrangement, "_stabiliser", recorded_stabiliser)
+    monkeypatch.setattr(arrangement, "_restrict", recorded_restrict)
+
+    def read(poset):
+        return ([(_meet_of_mask(poset, mask), m) for mask, m in meets],
+                [mask for _, mask in bases])
+    return read
+
+
 def _count_poset_work(monkeypatch, arr):
     """Run intersection_poset with no Fraction RREF allowed, counting the
-    meets of a node with an element, the stage-one reductions, the moves of
-    a subspace by a group element among them, the settled forms and the
-    promotions among those.  Also returns the mask each representative was
-    made from (its first `_orbits_outside` call), and the moved nodes whose
-    form was read."""
+    meets of a node with an element (`_record_meets`), the stage-one
+    reductions, the moves of a subspace by a group element among them, the
+    settled forms and the promotions among those.  Also returns the mask
+    each representative was made from, and the moved nodes whose form was
+    read."""
     import fanpart.arrangement as arrangement
     import fanpart.exactlin as exactlin
     count = dict.fromkeys(("reduce", "settle", "promoted"), 0)
-    visits = []
 
     def counted(key, fn):
         def run(*args):
@@ -819,17 +854,11 @@ def _count_poset_work(monkeypatch, arr):
         return run
 
     settle = arrangement._settle_cone
-    orbits_outside = arrangement._orbits_outside
 
     def counted_settle(s):
         count["settle"] += 1
         out = settle(s)
         count["promoted"] += len(out.rows) > len(s.rows)
-        return out
-
-    def recorded(perms, mask, done):
-        out = orbits_outside(perms, mask, done)
-        visits.append((mask, done, list(out)))
         return out
 
     def refuse(*args):
@@ -840,30 +869,14 @@ def _count_poset_work(monkeypatch, arr):
     monkeypatch.setattr(arrangement, "_reduce",
                         counted("reduce", arrangement._reduce))
     monkeypatch.setattr(arrangement, "_settle_cone", counted_settle)
-    monkeypatch.setattr(arrangement, "_orbits_outside", recorded)
+    read_meets = _record_meets(monkeypatch, arr)
     calls, read = _record_forms(monkeypatch)
     poset = intersection_poset(arr)
     monkeypatch.undo()
     count["moved"] = len(calls)
-    count["meets"] = len(_meets_made(poset, visits))
-    masks = [mask for mask, done, _ in visits if not done]
+    meets, masks = read_meets(poset)
+    count["meets"] = len(meets)
     return poset, count, masks, _moved_nodes_read(poset, read)
-
-
-def _meets_made(poset, visits):
-    """The meets (r, m) of a representative r with an element m, read off
-    the `_orbits_outside` calls (mask, done, orbits) of a poset build: r is
-    the meet of the mask, and r meets the elements of a call's orbits up
-    to its next call, which it makes after a growth of its support, with
-    the orbits met so far in `done`."""
-    by_node: dict = {}
-    for mask, done, out in visits:
-        by_node.setdefault(_meet_of_mask(poset, mask), []).append((done, out))
-    meets = []
-    for r, calls in by_node.items():
-        for (_, out), (done, _) in zip(calls, calls[1:] + [(-1, None)]):
-            meets += [(r, m) for m, orb in out if not orb & ~done]
-    return meets
 
 
 def _assert_poset_matches_rational_closure(arr, poset):
@@ -893,7 +906,7 @@ def test_poset_matches_rational_closure_n10_23(main_data, monkeypatch):
     # element per orbit of H outside its support, H the permutations of the
     # elements that fix it.  The mask the node was made from bounds the
     # meets by 364; H is taken again as the support grows, which leaves 338
-    # (`_meets_made`).  The carrier of the node decides 257 of them with no
+    # (`_record_meets`).  The carrier of the node decides 257 of them with no
     # stage-one form, so at most 81 are keyed (the reductions that are
     # neither moves nor promotions), and at most 30 of their forms are new.
     # The move table comes with the arrangement, so the moves are one per
@@ -919,18 +932,13 @@ def test_poset_matches_rational_closure_n10_23(main_data, monkeypatch):
 
 def _meets_decided_in_carrier(monkeypatch, arr):
     """Build the poset of an arrangement, recording each meet of a
-    representative with an element (`_meets_made`) and the meets keyed by
+    representative with an element (`_record_meets`) and the meets keyed by
     `_reduce`.  Returns the poset and the meets given no key, as (node,
     element)."""
     import fanpart.arrangement as arrangement
     elems = arr.maximal_elements
-    visits, keyed = [], set()
-    orbits_outside, reduce = arrangement._orbits_outside, arrangement._reduce
-
-    def recorded(perms, mask, done):
-        out = orbits_outside(perms, mask, done)
-        visits.append((mask, done, list(out)))
-        return out
+    keyed = set()
+    reduce = arrangement._reduce
 
     def keying(eq_rows, ineq_rows, base=()):
         # a meet passes the element's rows and the representative's rows
@@ -941,11 +949,11 @@ def _meets_decided_in_carrier(monkeypatch, arr):
             keyed.add(((base, ineqs), m))
         return reduce(eq_rows, ineq_rows, base)
 
-    monkeypatch.setattr(arrangement, "_orbits_outside", recorded)
+    read_meets = _record_meets(monkeypatch, arr)
     monkeypatch.setattr(arrangement, "_reduce", keying)
     poset = intersection_poset(arr)
     monkeypatch.undo()
-    return poset, [(r, m) for r, m in _meets_made(poset, visits)
+    return poset, [(r, m) for r, m in read_meets(poset)[0]
                    if (poset.nodes[r].subspace.key(), m) not in keyed]
 
 

@@ -19,9 +19,9 @@ from fanpart.groups import (ActionGroup, act, cyclic_shift_group,
 from fanpart.fixtures import run_fixture
 from fanpart.homology import UnsupportedArrangement, zz_basis
 from fanpart.obstruction import obstruction_class
-from orientation_signs import (action_matrix_by_cone_sums, join_sphere_sign,
-                               orientation_sign, page_image_by_frame,
-                               transport_sign)
+from orientation_signs import (action_matrix_by_cone_sums, frame_det,
+                               join_sphere_sign, orientation_sign,
+                               page_image_by_frame, transport_sign)
 
 
 # --- orientation signs, anchored to the worked examples ---------------------
@@ -168,28 +168,27 @@ def test_action_matrices_equal_the_cone_sums(fixture_data, main_data, case):
 
 def test_induced_action_takes_one_minor_per_wall_and_top_node(
         main_data, monkeypatch):
-    # no frame_det and no elimination: one transport minor per distinct
-    # permutation and per wall or top node, 12 x 6 = 72 at (6, 1, 2), and
-    # one minor of each target node's basis, 78 in all; one frame_det per
-    # element and sheet took 24 x 18 = 432
+    # no elimination: one transport minor per distinct permutation and per
+    # wall or top node, 12 x 6 = 72 at (6, 1, 2), and one minor of each
+    # target node's basis, 78 in all, each taken by `free_minor_sign`; one
+    # fraction-free solve per element and sheet took 24 x 18 = 432
     import fanpart.arrangement as arrangement
     import fanpart.coinvariants as co
     import fanpart.exactlin as exactlin
     data = main_data(6, 1, 2)
     group, zz = data["group"], data["zz"]
     calls = []
-    scaled_det = co.scaled_det
+    free_minor_sign = co.free_minor_sign
 
-    def counting(vectors):
+    def counting(rows, vectors):
         calls.append(vectors)
-        return scaled_det(vectors)
+        return free_minor_sign(rows, vectors)
 
     def refuse(*args):
         raise AssertionError("induced_action ran an elimination")
-    monkeypatch.setattr(co, "scaled_det", counting)
+    monkeypatch.setattr(co, "free_minor_sign", counting)
     for module in (exactlin, arrangement):
         monkeypatch.setattr(module, "echelon", refuse)
-    monkeypatch.setattr(exactlin, "frame_det", refuse)
     assert induced_action(group, zz).matrices == data["action"].matrices
     nodes = len(zz.walls) + len(zz.top_nodes)
     assert len(calls) == (len(distinct_actions(group)) + 1) * nodes == 78
@@ -229,6 +228,22 @@ def test_transport_minor_matches_frame_det(fixture_data, main_data, case):
                     (g, node)
                 signs.add(got)
     assert signs == {1, -1}
+
+
+@pytest.mark.parametrize("case", ["z8", "z4", (6, 1, 2), (8, 1, 3)])
+def test_rewrite_sign_matches_frame_det(fixture_data, main_data, case):
+    # each linear sheet's rewrite sign, a free-column minor, against one
+    # fraction-free solve of (spine, ray+) in the sheet's carrier basis
+    data = fixture_data(case) if isinstance(case, str) else main_data(*case)
+    zz, poset = data["zz"], data["poset"]
+    checked = 0
+    for w in zz.walls:
+        for e, s in w.rewrite_sign.items():
+            num, _ = frame_det(list(w.spine_basis) + [w.rays[(e, 1)]],
+                               poset.nodes[e].subspace.carrier_basis())
+            assert s == sign(num), (w.node, e)
+            checked += 1
+    assert checked or case == "z8"
 
 
 def test_transport_minor_refuses_a_vector_off_the_target_carrier(main_data):

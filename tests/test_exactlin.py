@@ -435,7 +435,8 @@ def test_change_of_basis_det_on_integer_frames():
     # sign after every vector is rescaled by a positive factor
     from math import prod
 
-    from fanpart.exactlin import frame_det, integer_form, sign
+    from fanpart.exactlin import integer_form, sign
+    from orientation_signs import frame_det
     rng = random.Random(20261018)
     outside = zero = 0
     for frm, to, leaves in _random_frames(rng, 120):

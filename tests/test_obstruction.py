@@ -15,6 +15,7 @@ from fanpart.obstruction import (CocycleTerm, GeneralPositionError,
                                  arc_points, assemble_cocycle, build_sphere,
                                  check_equivariance, decompose_broken_class,
                                  decompose_with_retries, define_h,
+                                 disc_frames_compatible,
                                  enumerate_L_intersections, expected_families,
                                  generic_shift, intersect_with_Jpieces,
                                  obstruction_class, pair_point_class,
@@ -23,6 +24,7 @@ from fanpart.obstruction import (CocycleTerm, GeneralPositionError,
                                  simplex_direction_frame, u_vector, v_disc,
                                  v_point, vstar_barycentric, w_point,
                                  wall_node_of_point, PointTerm)
+from orientation_signs import frame_det
 
 
 # --- the sphere complex and the vertex map ----------------------------------
@@ -560,6 +562,46 @@ def test_cocycle_assembly_checks(main_data):
     words = {t.word for t in terms}
     assert (b % (2 * n), 0) in words
     assert (0, 0) in words
+
+
+def _disc_check_by_frame_det(n, a, b, target):
+    """The disc check as one fraction-free solve: the moved direction
+    frame of v's image simplex in the direction frame of `target`, a
+    vector outside its span failing it."""
+    eaj = quaternion_on_Wn(n).by_word(a, 1)
+    try:
+        return frame_det([act(eaj, d) for d in v_disc(n, a, b)],
+                         simplex_direction_frame(target))[0] > 0
+    except ValueError:
+        return False
+
+
+def test_disc_parity_rule_matches_frame_det():
+    # for every n = 2(a + b) from 6 to 30, the parity of the vertex
+    # permutation eps^a j induces from v's image simplex onto w's against
+    # the orientation of the transported frame
+    cases = 0
+    for n in range(6, 31, 2):
+        for a in range(1, n // 2):
+            b = n // 2 - a
+            source = arc_points(*rho_cells(n, a, b)["rho1"], n)
+            target = define_h(n).cell_images((a + b, 1))
+            eaj = quaternion_on_Wn(n).by_word(a, 1)
+            got = disc_frames_compatible(eaj, source, target)
+            assert got == _disc_check_by_frame_det(n, a, b, target), (a, b)
+            assert got
+            cases += 1
+    assert cases == 104
+    # two of w's vertices swapped: an odd permutation; another simplex:
+    # the vertex sets differ.  Both routes read False
+    n, a, b = 10, 2, 3
+    eaj = quaternion_on_Wn(n).by_word(a, 1)
+    target = define_h(n).cell_images((a + b, 1))
+    source = arc_points(*rho_cells(n, a, b)["rho1"], n)
+    for other in ([target[1], target[0], *target[2:]],
+                  arc_points(*rho_cells(n, a, b)["rho3"], n)):
+        assert not disc_frames_compatible(eaj, source, other)
+        assert not _disc_check_by_frame_det(n, a, b, other)
 
 
 @pytest.mark.parametrize("n,a,b", [(6, 1, 2), (8, 1, 3)])
