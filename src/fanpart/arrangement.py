@@ -11,23 +11,24 @@ inequalities.  A group element permutes coordinates, which keeps every
 facet and creates no implicit equality, so `transform` runs stage one
 only.  The intersection poset meets one node per group orbit with one
 maximal element per orbit of that node's stabiliser.  It decides a meet in
-the node's carrier where a linear element holds the carrier or a linear
-node already made is the meet; otherwise it keys the meet by its integer
-stage-one form and does the cone work only for a form it has not seen.
-Every other node of an orbit keeps the group element that moves the
-representative onto it and builds its form when it is first read.  A
-subspace holds its equalities as those integer rows only.
+the node's carrier where the element's rows and inequalities hold it, or a
+node already made spans the meet and has only facets of the two; otherwise
+it keys the meet by its integer stage-one form and does the cone work only
+for a form it has not seen.  Every other node of an orbit keeps the group
+element that moves the representative onto it, builds its form when it is
+first read and moves its covers.  A subspace holds its equalities as those
+integer rows only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterable, Sequence
 
-from .exactlin import (Vec, echelon, echelon_rationals, integer_dot,
-                       integer_form, integer_kernel, integer_rows,
-                       is_zero_vec, leading_column, primitive_row,
-                       reduce_row)
+from .exactlin import (Vec, echelon, echelon_rationals, integer_form,
+                       integer_kernel, integer_rows, is_zero_vec,
+                       leading_column, primitive_row, reduce_row)
 from .groups import ActionGroup, GroupElement, distinct_actions
 
 
@@ -102,7 +103,18 @@ def cached_kernel(rows: Sequence[Sequence[int]],
 
 def _restrict(forms: Iterable[Vec], basis: Sequence[Vec]) -> list[Vec]:
     """The forms in the coordinates of a basis: f -> (f.b for b in basis)."""
-    return [tuple(integer_dot(f, b) for b in basis) for f in forms]
+    return [tuple([sum(map(mul, f, b)) for b in basis]) for f in forms]
+
+
+def _rank_reaches(rows: Iterable[Sequence[int]], k: int) -> bool:
+    """Is the rank of integer rows at least k?  Eliminates until it is."""
+    rows = [r for r in rows if any(r)]
+    while k > 0 and rows:
+        p, k = rows.pop(), k - 1
+        c = leading_column(p)
+        rows = [q for q in ([p[c] * x - r[c] * y for x, y in zip(r, p)]
+                            for r in rows) if any(q)]
+    return k <= 0
 
 
 def cone_feasible(rows: Sequence[Sequence[int]], dim: int,
@@ -179,9 +191,17 @@ def _reduce(eq_rows: Iterable[Sequence[int]],
     echelon form) and the inequalities reduced modulo them, made primitive,
     deduplicated and sorted.  The cone is not examined.  Returns the
     key (rows, inequalities) of `HalfOpenSubspace.key`."""
-    rows, pivots = echelon(eq_rows, base)
-    reduced = {primitive_row(reduce_row(q, rows, pivots)) for q in ineq_rows}
-    return rows, tuple(sorted(q for q in reduced if any(q)))
+    rows = echelon(eq_rows, base)[0]
+    return rows, tuple(sorted(q for q in _residues(ineq_rows, rows) if any(q)))
+
+
+def _residues(forms: Iterable[Sequence[int]],
+              rows: Sequence[Sequence[int]]) -> set:
+    """The forms reduced modulo echelon rows and made primitive, zeros
+    kept: on the rows' kernel each cuts the half-space of its form, since
+    `reduce_row` scales by a positive factor and adds rows."""
+    pivots = [leading_column(row) for row in rows]
+    return {primitive_row(reduce_row(q, rows, pivots)) for q in forms}
 
 
 def _settle_cone(s: HalfOpenSubspace) -> HalfOpenSubspace:
@@ -446,7 +466,7 @@ class IntersectionPoset:
         """The node g . node i: the node whose support is pi_g of the
         support of node i (see `intersection_poset`)."""
         return self._by_support[_move_mask(self.arrangement.moves[g.perm],
-                                           self.support[i])]
+                                           self.support_ids(i))]
 
     def level_counts(self) -> dict[int, int]:
         counts: dict[int, int] = {}
@@ -462,9 +482,10 @@ class IntersectionPoset:
         return lines
 
 
-def _move_mask(pi: Sequence[int], mask: int) -> int:
-    """A support mask moved by pi: bit k goes to bit pi[k]."""
-    return sum(1 << pi[k] for k in _bit_list(mask))
+def _move_mask(pi: Sequence[int], bits: Iterable[int]) -> int:
+    """A support mask, given by its set bits, moved by pi: bit k goes to
+    bit pi[k]."""
+    return sum(1 << pi[k] for k in bits)
 
 
 def _bit_list(mask: int) -> list[int]:
@@ -494,25 +515,30 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
     it meets one element per orbit of the permutations that fix its support
     so far, taken again when the support grows (`_stabiliser`).  The
     meet is the meeting node r itself or c, the node of fewest support bits
-    whose support holds the meet's mask, or a new node.  Two exact rules
-    decide it in the carrier of r, with no key: a linear element whose rows
-    vanish on the carrier holds r, and c is the meet when it is linear and
-    of at least the dimension of span(r) meet the element's carrier.  Any
-    other meet is keyed by its integer stage-one form.  A form not seen yet
-    is compared with c: as it is, and after the cone work of stage two only
-    on a mismatch.  The meets that give r itself make its exact support.
+    whose support holds the meet's mask, or a new node.  Two witnesses
+    decide it in the carrier of r with no key; an inequality reduced
+    modulo a carrier's rows (`_residues`) cuts the carrier as it does.  r
+    lies in m when m's rows vanish on span(r) and each inequality of m is
+    zero or a facet of r there.  c lies in r meet m, which lies in V =
+    span(r) & ker E_m: when dim V <= dim c, V is span(c), and the meet is c
+    when each facet of c is an inequality of r or m on span(c).  Any other
+    meet is keyed by its integer stage-one form.  A form not seen yet is
+    compared with c: as it is, and after the cone work of stage two only on
+    a mismatch.  The meets that give r itself make its exact support.
     The rest of its orbit is one node per distinct pi_g(support), which
     keeps g and builds its form (stage one only) when it is first read
     (`PosetNode`); the node that met the elements is the orbit's entry in
     `orbit`.  Then the closure from the maximal elements is replayed on
-    masks to number the nodes: the meet of node i and element m is the node
-    of fewest support bits among those whose support holds support[i] | m
-    (the intersection of that mask), a new one labelled meet<number>.  The
-    order follows from the supports (see IntersectionPoset), and the
-    replay finds the covers: when i covers j, i meets any element of
-    support[j] outside support[i] in a node between j and i, so in j.  So
-    the covers of j are the nodes i != j with i meet m = j for some m that
-    have inclusion-maximal support.
+    masks to number the nodes: the meet of node i and an element m outside
+    support[i] is the node of fewest support bits among those whose support
+    holds support[i] | m (the intersection of that mask), a new one
+    labelled meet<number>.  The order follows from the supports (see
+    IntersectionPoset), and the replay finds the covers of the
+    representatives: when i covers j, i meets any element of support[j]
+    outside support[i] in a node between j and i, so in j.  So the covers
+    of j are the nodes i with i meet m = j for some m that have
+    inclusion-maximal support.  g is an automorphism of the order, so the
+    covers of g . j are g . covers[j], moved by the pi_g that made the node.
 
     A maximal element given twice is a ValueError, and so is a distinct
     action whose row of the move table is missing or no permutation.
@@ -535,6 +561,7 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
     support = [1 << k for k in range(nmax)]
     members = list(support)  # bit j of members[m]: element m holds node j
     rep = list(range(nmax))  # node -> the node of its orbit settled
+    made: list = [None] * nmax  # node -> the pi_g that moved rep onto it
     by_support: dict = {}  # exact support -> node
 
     def grow(j: int, bits: int) -> None:
@@ -544,6 +571,7 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
 
     def add(nd: PosetNode, mask: int) -> int:
         rep.append(len(nodes))
+        made.append(None)
         nodes.append(nd)
         support.append(0)
         grow(len(nodes) - 1, mask)
@@ -558,12 +586,13 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
         # bits whose support holds support[r] | m.  A support bit is set
         # only by a true containment, so c lies in r meet m, which lies in
         # V = span(r) & ker E_m, of dimension dim r - rank(E_m K_r) for a
-        # basis K_r of span(r).  Two cases need no key: m linear with
-        # E_m K_r = 0 holds span(r), so r; and c linear with dim V <= dim c
-        # is V, so the meet is c, not r, and nothing is recorded
+        # basis K_r of span(r).  The two witnesses of the docstring need no
+        # key; when the meet is c, it is not r, and nothing is recorded
         a = nodes[r].subspace
         kb = integer_kernel(a.rows, dim)
+        facets = {(0,) * dim, *a.inequalities}
         fixed = 0  # the support that stab fixes
+        at = None  # (support[r], node count) when `above` was formed
         for m in range(nmax):
             if support[r] >> m & 1:
                 continue
@@ -581,21 +610,25 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
                 orb |= 1 << pi[m]
             if orb & (1 << m) - 1:
                 continue
-            em = _restrict(elems[m].rows, kb)
-            if elems[m].is_linear and not any(map(any, em)):
+            e = elems[m]
+            em = _restrict(e.rows, kb)
+            if not any(map(any, em)) and \
+                    _residues(e.inequalities, a.rows) <= facets:
                 grow(r, orb)
                 continue
-            mask = support[r] | 1 << m
-            below = -1
-            for k in _bit_list(mask):
-                below &= members[k]
-            c = min(_bit_list(below), default=None,
+            if at != (support[r], len(nodes)):  # r grew or a node was added
+                at, above = (support[r], len(nodes)), -1
+                for k in _bit_list(support[r]):
+                    above &= members[k]
+            c = min(_bit_list(above & members[m]), default=None,
                     key=lambda i: support[i].bit_count())
-            if c is not None and nodes[rep[c]].subspace.is_linear and \
-                    len(echelon(em)[0]) >= a.dim - nodes[c].dim:
+            ineqs = a.inequalities + e.inequalities
+            if c is not None and _rank_reaches(em, a.dim - nodes[c].dim) and (
+                    nodes[rep[c]].subspace.is_linear or _residues(
+                        ineqs, nodes[c].subspace.rows).issuperset(
+                        nodes[c].subspace.inequalities)):
                 continue
-            raw = _reduce(elems[m].rows,
-                          a.inequalities + elems[m].inequalities, a.rows)
+            raw = _reduce(e.rows, ineqs, a.rows)
             j = known.get(raw)
             if j is None:
                 seen = nodes[c].subspace.key() if c is not None else None
@@ -607,18 +640,19 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
                     j = c if seen == s.key() else known.get(s.key())
                     if j is None:
                         j = known[s.key()] = add(PosetNode(-1, s, s.dim, ""),
-                                                 mask)
+                                                 support[r] | 1 << m)
                         settle(j)
                 known[raw] = j
             if j == r:
                 grow(r, orb)
         by_support[support[r]] = r
+        bits = _bit_list(support[r])
         for g, pi in zip(actions, perms):
-            mask = _move_mask(pi, support[r])
+            mask = _move_mask(pi, bits)
             if mask not in by_support:
                 j = pi[r] if r < nmax else add(
                     PosetNode(-1, None, a.dim, "", (g, a)), mask)
-                rep[j] = r
+                rep[j], made[j] = r, pi
                 by_support[mask] = j
 
     for k in range(nmax):  # one element per orbit of elements
@@ -631,36 +665,42 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
     # node of fewest support bits; holds[m] has bit p when element m
     # contains node order[p]
     order = sorted(range(len(nodes)), key=lambda i: support[i].bit_count())
+    inside = list(map(_bit_list, support))
     holds = [0] * nmax
     for p, i in enumerate(order):
-        for m in _bit_list(support[i]):
+        for m in inside[i]:
             holds[m] |= 1 << p
     bfs = list(range(nmax))
-    numbered = set(bfs)
-    candidates: list[set] = [set() for _ in nodes]  # j -> i with i meet m = j
+    numbered = [i < nmax for i in range(len(nodes))]
+    # representative j -> the nodes i with i meet m = j
+    candidates = [set() if rep[j] == j else None for j in range(len(nodes))]
     for i in bfs:
         below = -1
-        for m in _bit_list(support[i]):
+        for m in inside[i]:
             below &= holds[m]
-        for h in holds:
-            c = below & h  # lowest bit: the meet with that element
+        for m, h in enumerate(holds):
+            if support[i] >> m & 1:  # i lies in m
+                continue
+            c = below & h  # lowest bit: the meet with m, a node j != i
             j = order[(c & -c).bit_length() - 1]
-            if j != i:
+            if candidates[j] is not None:
                 candidates[j].add(i)
-            if j not in numbered:
-                numbered.add(j)
+            if not numbered[j]:
+                numbered[j] = True
                 bfs.append(j)
     position = {j: i for i, j in enumerate(bfs)}
     orbit = [position[rep[j]] for j in bfs]
     # in order of decreasing support size, a candidate whose support lies
     # in a larger one is dominated by a cover already found
-    covers = []
-    for j in bfs:
-        cs: list[int] = []
-        for i in sorted(candidates[j], key=lambda i: -support[i].bit_count()):
+    ups = [[] for _ in nodes]
+    for found, cs in zip(candidates, ups):
+        for i in sorted(found or (), key=lambda i: -support[i].bit_count()):
             if all(support[i] & ~support[c] for c in cs):
                 cs.append(i)
-        covers.append(sorted(position[i] for i in cs))
+    # the poset automorphism g moves the covers of j onto those of g . j
+    covers = [sorted(position[i] if made[j] is None else
+                     position[by_support[_move_mask(made[j], inside[i])]]
+                     for i in ups[rep[j]]) for j in bfs]
     support = [support[j] for j in bfs]
     nodes = [nodes[j] for j in bfs]
     for i, nd in enumerate(nodes):

@@ -38,22 +38,18 @@ from .homology import UnsupportedArrangement, WallNode, ZZBasis
 
 @dataclass
 class OrientedGeneratorAction:
-    """Integer matrices of the plain (untwisted) action on the basis."""
+    """Integer matrices of the plain and the determinant-twisted action."""
 
     group: ActionGroup
     basis: ZZBasis
     matrices: dict            # word -> Matrix (rank x rank, integer)
+    twisted: dict             # word -> det(g) times matrices[word]
 
     def matrix(self, g: GroupElement) -> Matrix:
         return self.matrices[g.word]
 
     def modified_matrix(self, g: GroupElement) -> Matrix:
-        d = det_character(g)
-        m = self.matrices[g.word]
-        if d == 1:
-            return m
-        return Matrix._wrap(tuple(tuple(-x for x in row) for row in m.entries),
-                            m.cols)
+        return self.twisted[g.word]
 
 
 def _carrier_frames(zz: ZZBasis) -> dict:
@@ -146,16 +142,17 @@ def _top_gen_image(zz: ZZBasis, g: GroupElement, node: int,
 
 
 def induced_action(group: ActionGroup, zz: ZZBasis) -> OrientedGeneratorAction:
-    """Plain-action matrices of every group element on the basis.
+    """Plain and twisted matrices of every group element on the basis.
 
-    A matrix reads g only through its permutation (`act`, `act_node`), so
-    it is computed once per distinct permutation (`distinct_actions`) and
-    shared by the elements that act alike.  Under each element the images
-    of the sheets of a wall are computed once, when the first generator on
-    that wall needs them: the base sheet enters the image of every
-    generator on the wall, and every other sheet is a generator."""
+    A matrix reads g only through its permutation (`act`, `act_node`), and
+    so does det(g), so both are computed once per distinct permutation
+    (`distinct_actions`) and shared by the elements that act alike.  Under
+    each element the images of the sheets of a wall are computed once, when
+    the first generator on that wall needs them: the base sheet enters the
+    image of every generator on the wall, and every other sheet is a
+    generator."""
     r, frames = zz.rank, _carrier_frames(zz)
-    by_perm = {}
+    by_perm, twisted = {}, {}
     for g in distinct_actions(group):
         pages: dict = {}          # wall node -> `_wall_pages`
         cols = []
@@ -171,9 +168,12 @@ def induced_action(group: ActionGroup, zz: ZZBasis) -> OrientedGeneratorAction:
             for idx, c in img.items():
                 col[idx] = c
             cols.append(col)
-        by_perm[g.perm] = Matrix._wrap(tuple(zip(*cols)), r)
+        m = by_perm[g.perm] = Matrix._wrap(tuple(zip(*cols)), r)
+        twisted[g.perm] = m if det_character(g) == 1 else Matrix._wrap(
+            tuple(tuple(-x for x in row) for row in m.entries), r)
     return OrientedGeneratorAction(
-        group, zz, {g.word: by_perm[g.perm] for g in group.elements})
+        group, zz, {g.word: by_perm[g.perm] for g in group.elements},
+        {g.word: twisted[g.perm] for g in group.elements})
 
 
 @dataclass

@@ -410,13 +410,16 @@ def test_poset_order_matches_containment_n10_23():
     _assert_order_matches_oracle(poset)
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("a,b", [(1, 5), (4, 2)])
-def test_covers_from_meet_replay_n12(a, b):
-    # the covers come from the meets of the numbering pass, not from the
+@pytest.mark.parametrize("a,b", [
+    (1, 3), (3, 1), pytest.param(1, 5, marks=pytest.mark.slow),
+    pytest.param(4, 2, marks=pytest.mark.slow)])
+def test_covers_moved_along_orbits(a, b):
+    # the covers of a representative come from the meets of the numbering
+    # pass and every other node's are moved onto it, not read off the
     # up-sets: compare them with the minimal strict supersets by definition
-    group = quaternion_on_Wn(12)
-    poset = intersection_poset(orbit_closure(group, make_J_pieces(12, a, b)))
+    n = 2 * (a + b)
+    group = quaternion_on_Wn(n)
+    poset = intersection_poset(orbit_closure(group, make_J_pieces(n, a, b)))
     assert poset.covers == poset_oracle.covers(poset_oracle.up_sets(poset))
 
 
@@ -906,11 +909,11 @@ def test_poset_matches_rational_closure_n10_23(main_data, monkeypatch):
     # element per orbit of H outside its support, H the permutations of the
     # elements that fix it.  The mask the node was made from bounds the
     # meets by 364; H is taken again as the support grows, which leaves 338
-    # (`_record_meets`).  The carrier of the node decides 257 of them with no
-    # stage-one form, so at most 81 are keyed (the reductions that are
+    # (`_record_meets`).  The carrier of the node decides 307 of them with no
+    # stage-one form, so at most 31 are keyed (the reductions that are
     # neither moves nor promotions), and at most 30 of their forms are new.
     # The move table comes with the arrangement, so the moves are one per
-    # moved node whose form was read: 97 stage-one reductions in all
+    # moved node whose form was read: 47 stage-one reductions in all
     group, nmax = data["group"], len(arr.maximal_elements)
 
     def orbits_outside(mask):
@@ -924,10 +927,25 @@ def test_poset_matches_rational_closure_n10_23(main_data, monkeypatch):
     assert count["meets"] <= sum(len(orbits_outside(mask)) for mask in masks)
     assert count["meets"] <= 338
     assert count["reduce"] - count["moved"] - count["promoted"] <= \
-        count["meets"] - 257
+        count["meets"] - 307
     assert count["settle"] <= 30
     assert count["moved"] == len(formed)
-    assert count["reduce"] <= 97
+    assert count["reduce"] <= 47
+
+
+def test_poset_work_bounds_n8_13(main_data, monkeypatch):
+    # the bounds above at (1, 3), so that a meet that falls back to the key
+    # route shows in the fast run: the carrier decides 91 of the 99 meets,
+    # which leaves 8 keyed, and 11 stage-one reductions in all
+    arr = main_data(8, 1, 3)["poset"].arrangement
+    poset, count, masks, formed = _count_poset_work(monkeypatch, arr)
+    assert len(set(poset.orbit)) == len(masks) == 9
+    assert count["meets"] <= 99
+    assert count["reduce"] - count["moved"] - count["promoted"] <= \
+        count["meets"] - 91
+    assert count["settle"] <= 8
+    assert count["moved"] == len(formed)
+    assert count["reduce"] <= 11
 
 
 def _meets_decided_in_carrier(monkeypatch, arr):
@@ -965,34 +983,40 @@ def _meet_of_mask(poset, mask):
 
 
 @pytest.mark.parametrize("case", [
-    (1, 2), (1, 3), pytest.param((2, 3), marks=pytest.mark.slow)],
-    ids=lambda v: "-".join(map(str, v)))
-def test_meets_decided_in_carrier_match_the_key_route(main_data, case,
-                                                      monkeypatch):
+    "z4", (1, 2), (1, 3), (3, 1),
+    pytest.param((2, 3), marks=pytest.mark.slow)],
+    ids=lambda v: v if isinstance(v, str) else "-".join(map(str, v)))
+def test_meets_decided_in_carrier_match_the_key_route(fixture_data, main_data,
+                                                      case, monkeypatch):
     # each meet r ^ m decided with no stage-one form is the node that the
     # full canonical form of the meet's description names: r itself when
-    # the containment rule grew r's support by m, and otherwise a node
+    # the containment witness grew r's support by m, and otherwise a node
     # other than r, the meet of the two masks
     from fanpart.arrangement import _reduce, _settle_cone
-    a, b = case
-    arr = main_data(2 * (a + b), a, b)["poset"].arrangement
+    arr = _case_poset(fixture_data, main_data, case)[1].arrangement
     poset, decided = _meets_decided_in_carrier(monkeypatch, arr)
     by_key = {nd.subspace.key(): nd.index for nd in poset.nodes}
-    held = 0
+    held, cut = [], []  # per decided meet: did an inequality take part
     for r, m in decided:
         s, e = poset.nodes[r].subspace, arr.maximal_elements[m]
         meet = _settle_cone(HalfOpenSubspace(*_reduce(
             e.rows, s.inequalities + e.inequalities, s.rows), arr.ambient_dim))
         j = by_key[meet.key()]
         if poset.support[r] >> m & 1:
-            held += 1
             assert j == r, (r, m)
+            held.append(not e.is_linear)
         else:
             assert j != r and \
                 j == _meet_of_mask(poset, poset.support[r] | 1 << m), (r, m)
-    # both rules decide some meets: at (1, 2) containment decides 3 of its
-    # 33 meets and a known linear node 22
-    assert 0 < held < len(decided)
+            cut.append(not meet.is_linear)
+    # both witnesses decide some meets: at (1, 2) containment decides 9 of
+    # its 33 meets, 6 of them in an element with an inequality, and a node
+    # already made 22.  At (1, 3) and (2, 3) each witness also decides a
+    # meet that its linear case would leave to the key route: r in an
+    # element with an inequality, and a meet with a facet
+    assert held and cut
+    if case in ((1, 3), (2, 3)):
+        assert any(held) and any(cut)
 
 
 def _arrangement_in_R3(*elements):
@@ -1005,8 +1029,9 @@ def _arrangement_in_R3(*elements):
 def test_candidate_of_the_meets_dimension_that_is_no_subspace_decides_nothing():
     # h = {x >= 0} meets the planes z = 0 and y = 0 first, so when the plane
     # z = 0 meets y = 0 the only node below both is the ray {x >= 0} of the
-    # x-axis: of the meet's dimension, and strictly inside it.  Only a
-    # linear candidate of that dimension is the meet
+    # x-axis: of the meet's dimension, and strictly inside it.  A candidate
+    # of that dimension is the meet only when each of its facets is an
+    # inequality of the two, and neither plane has one
     h = make_subspace([], [[1, 0, 0]], 3, "h")
     z = make_subspace([[0, 0, 1]], [], 3, "z")
     y = make_subspace([[0, 1, 0]], [], 3, "y")
@@ -1018,9 +1043,26 @@ def test_candidate_of_the_meets_dimension_that_is_no_subspace_decides_nothing():
     assert len(poset.nodes) == 7
 
 
+def test_candidate_of_the_meets_dimension_needs_every_facet():
+    # the plane z = 0 meets y >= 0 first, and that half-plane meets x >= 0
+    # in the quadrant Q.  When the plane meets x >= 0, Q is a candidate of
+    # the meet's dimension, but only its facet x >= 0 is an inequality of
+    # the two: the meet is the half-plane {z = 0, x >= 0}, a new node
+    z = make_subspace([[0, 0, 1]], [], 3, "z")
+    y = make_subspace([], [[0, 1, 0]], 3, "y")
+    x = make_subspace([], [[1, 0, 0]], 3, "x")
+    arr = _arrangement_in_R3(z, y, x)
+    poset = intersection_poset(arr)
+    _assert_poset_matches_rational_closure(arr, poset)
+    half = make_subspace([[0, 0, 1]], [[1, 0, 0]], 3).key()
+    assert half in {nd.subspace.key() for nd in poset.nodes}
+
+
 def test_element_whose_rows_vanish_on_the_carrier_holds_it_only_if_linear():
     # the half-space {x >= 0} has no equality, so its rows vanish on the
-    # plane z = 0, but its inequality cuts the plane in a half-plane
+    # plane z = 0, but its inequality is no facet of the plane and cuts it
+    # in a half-plane: only an element whose inequalities are facets of
+    # the carrier, or vanish on it, holds it
     z = make_subspace([[0, 0, 1]], [], 3, "z")
     h = make_subspace([], [[1, 0, 0]], 3, "h")
     arr = _arrangement_in_R3(z, h)

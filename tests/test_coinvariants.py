@@ -278,6 +278,23 @@ def test_shared_matrix_equals_one_computed_alone(main_data, case):
 
 
 @pytest.mark.parametrize("case", ["z4", (6, 1, 2), (8, 1, 3)])
+def test_twisted_matrix_built_once_per_distinct_permutation(
+        fixture_data, main_data, case):
+    # det(g) times the plain matrix, one object shared by the elements that
+    # act alike, and the same object on every read
+    data = fixture_data(case) if isinstance(case, str) else main_data(*case)
+    group, action = data["group"], data["action"]
+    first = {g.perm: g for g in distinct_actions(group)}
+    for g in group.elements:
+        twisted = action.modified_matrix(g)
+        assert twisted.entries == tuple(
+            tuple(det_character(g) * x for x in row)
+            for row in action.matrix(g).entries)
+        assert twisted is action.modified_matrix(first[g.perm])
+    assert len({id(m) for m in action.twisted.values()}) == len(first)
+
+
+@pytest.mark.parametrize("case", ["z4", (6, 1, 2), (8, 1, 3)])
 def test_coinvariants_over_distinct_actions_equal_all_elements(
         fixture_data, main_data, case):
     # the relation lists are those of every element, and so are the
@@ -699,8 +716,11 @@ def test_non_integer_action_is_refused(fixture_data):
             rows = [list(row) for row in action.matrix(g).entries]
             for i, j in cells:
                 rows[i][j] = Fraction(1, 2)
+            d = det_character(g)
             bad = OrientedGeneratorAction(
-                group, action.basis, {**action.matrices, g.word: Matrix(rows)})
+                group, action.basis, {**action.matrices, g.word: Matrix(rows)},
+                {**action.twisted,
+                 g.word: Matrix([[d * x for x in row] for row in rows])})
             with pytest.raises(ValueError):
                 modified_coinvariants(bad, group)
             with pytest.raises(ValueError):
