@@ -117,22 +117,6 @@ def _rank_reaches(rows: Iterable[Sequence[int]], k: int) -> bool:
     return k <= 0
 
 
-def cone_feasible(rows: Sequence[Sequence[int]], dim: int,
-                  loose: Sequence[Vec], strict: Sequence[Vec]) -> bool:
-    """Feasibility of {x in Q^dim: E x = 0, loose.x >= 0, strict.x > 0},
-    E given by integer echelon rows (`HalfOpenSubspace.rows`)."""
-    kb = integer_kernel(rows, dim)
-    if not kb:
-        return len(strict) == 0  # only x = 0 remains
-    return _fm_feasible(_restrict(loose, kb), _restrict(strict, kb), len(kb))
-
-
-def cone_implies(rows: Sequence[Sequence[int]], dim: int,
-                 loose: Sequence[Vec], q: Vec) -> bool:
-    """Does E x = 0, loose.x >= 0 imply q.x >= 0?"""
-    return not cone_feasible(rows, dim, list(loose), [tuple(-x for x in q)])
-
-
 # ---------------------------------------------------------------------------
 # half-open subspaces
 
@@ -261,16 +245,16 @@ def transform(group: ActionGroup, g: GroupElement,
 
 
 def contains_set(big: HalfOpenSubspace, small: HalfOpenSubspace) -> bool:
-    """Set containment small <= big."""
-    piv_small = [leading_column(r) for r in small.rows]
-    for row in big.rows:
-        if any(reduce_row(row, small.rows, piv_small)):
-            return False
-    for q in big.inequalities:
-        if not cone_implies(small.rows, small.ambient_dim,
-                            small.inequalities, q):
-            return False
-    return True
+    """Set containment small <= big: big's rows vanish on small's carrier,
+    and small's inequalities, restricted once to its integer kernel basis,
+    leave no point with q.x < 0 for an inequality q of big."""
+    pivots = [leading_column(r) for r in small.rows]
+    if any(any(reduce_row(row, small.rows, pivots)) for row in big.rows):
+        return False
+    kb = integer_kernel(small.rows, small.ambient_dim)
+    loose = _restrict(small.inequalities, kb)
+    return not any(_fm_feasible(loose, [tuple(-x for x in q)], len(kb))
+                   for q in _restrict(big.inequalities, kb))
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +506,11 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
     zero or a facet of r there.  c lies in r meet m, which lies in V =
     span(r) & ker E_m: when dim V <= dim c, V is span(c), and the meet is c
     when each facet of c is an inequality of r or m on span(c).  Any other
-    meet is keyed by its integer stage-one form.  A form not seen yet is
-    compared with c: as it is, and after the cone work of stage two only on
-    a mismatch.  The meets that give r itself make its exact support.
+    meet is keyed by its integer stage-one form; a form not seen yet gets
+    the cone work of stage two and is compared with c and the known keys.
+    (A stage-one form equal to c's key has rank(E_m K_r) = dim r - dim c
+    and c's facets among the reduced inequalities: the candidate witness
+    decided it.)  The meets that give r itself make its exact support.
     The rest of its orbit is one node per distinct pi_g(support), which
     keeps g and builds its form (stage one only) when it is first read
     (`PosetNode`); the node that met the elements is the orbit's entry in
@@ -632,16 +618,13 @@ def intersection_poset(arr: Arrangement) -> IntersectionPoset:
             j = known.get(raw)
             if j is None:
                 seen = nodes[c].subspace.key() if c is not None else None
-                if seen == raw:
-                    j = c
-                else:
-                    s = _settle_cone(HalfOpenSubspace(*raw, dim))
-                    # known has r's key: the meet is r when r lies in m
-                    j = c if seen == s.key() else known.get(s.key())
-                    if j is None:
-                        j = known[s.key()] = add(PosetNode(-1, s, s.dim, ""),
-                                                 support[r] | 1 << m)
-                        settle(j)
+                s = _settle_cone(HalfOpenSubspace(*raw, dim))
+                # known has r's key: the meet is r when r lies in m
+                j = c if seen == s.key() else known.get(s.key())
+                if j is None:
+                    j = known[s.key()] = add(PosetNode(-1, s, s.dim, ""),
+                                             support[r] | 1 << m)
+                    settle(j)
                 known[raw] = j
             if j == r:
                 grow(r, orb)

@@ -7,8 +7,9 @@ image of a wall cone is transported by the determinant of its (spine, ray)
 frame against the canonical frame of the target page.  Projection onto the
 free columns F of the target carrier's echelon rows is injective on the
 carrier, so each determinant is det(frame[:, F]) / det(B[:, F]) for the
-target basis B: two signs of `exactlin.free_minor_sign`, the one route
-that also gives the rewrite signs s of the wall tables.  When a group
+target basis B.  Every stored basis is an `integer_kernel` basis, positive
+diagonal on F, so each sign is one `exactlin.free_minor_sign` of the moved
+frame, as are the rewrite signs s of the wall tables.  When a group
 element throws a cone across to the non-canonical page of a full
 subspace, the rewrite C(anti) = C(rep) - s * [sphere] converts it back to
 basis form; this is where the boundary-wall correction terms come from.
@@ -20,6 +21,7 @@ the non-canonical page.
 Step 6 is one routine, `twisted_coinvariants`, which certificates, fixtures
 and the selftest read: the primal quotient's shape by sparse elimination,
 the dual quotient by a Smith form that keeps its `U`, and their three laws.
+Each refuses a non-integer relation once, in `_shape` and in the Smith form.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import reduce
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .exactlin import (Matrix, Vec, free_minor_sign, integer_dot, sign,
+from .exactlin import (Matrix, free_minor_sign, integer_dot, sign,
                        smith_normal_form, sparse_rank_and_factors)
 from .groups import (ActionGroup, GroupElement, act, det_character,
                      distinct_actions)
@@ -52,27 +54,7 @@ class OrientedGeneratorAction:
         return self.twisted[g.word]
 
 
-def _carrier_frames(zz: ZZBasis) -> dict:
-    """node -> (rows, sign) for each top node and wall: its carrier's
-    echelon rows and the `free_minor_sign` of its stored basis."""
-    frames = {}
-    for node, basis in (*zz.top_basis.items(),
-                        *((w.node, w.spine_basis) for w in zz.walls)):
-        rows = zz.poset.nodes[node].subspace.rows
-        frames[node] = rows, free_minor_sign(rows, basis)
-    return frames
-
-
-def _transport_sign(g: GroupElement, basis: Sequence[Vec],
-                    frame: tuple) -> int:
-    """Sign of det of (g applied to basis) in the basis of a target frame
-    (`_carrier_frames`); a moved vector off its carrier is a ValueError."""
-    rows, basis_sign = frame
-    return basis_sign * free_minor_sign(rows, [act(g, v) for v in basis])
-
-
-def _wall_pages(zz: ZZBasis, g: GroupElement, wall: WallNode,
-                frames: dict) -> dict:
+def _wall_pages(zz: ZZBasis, g: GroupElement, wall: WallNode) -> dict:
     """Image data of the representative cone of every sheet of `wall`
     under g: sheet -> (target wall node, target element, target side,
     orientation sign), read off the integer frames of the two walls.
@@ -82,14 +64,15 @@ def _wall_pages(zz: ZZBasis, g: GroupElement, wall: WallNode,
     phi2 vanishes.  So its determinant is det(g spine in spine2) times
     phi2(g ray) / phi2(ray2), and the spine sign is taken once per wall.
     Each sheet checks that g ray lies in its target sheet's carrier and
-    that the ray factor is positive; `frames` is `_carrier_frames(zz)`."""
+    that the ray factor is positive."""
     poset = zz.poset
     v2 = poset.act_node(g, wall.node)
     wall2 = zz.wall_by_node.get(v2)
     if wall2 is None:
         raise UnsupportedArrangement(
             f"image node {v2} of walls under {g!r} carries no wall table")
-    spine_sign = _transport_sign(g, wall.spine_basis, frames[v2])
+    spine_sign = free_minor_sign(poset.nodes[v2].subspace.rows,
+                                 [act(g, v) for v in wall.spine_basis])
     pages = {}
     for e in wall.elements:
         e2 = poset.arrangement.moves[g.perm][e]
@@ -131,14 +114,14 @@ def _wall_gen_image(zz: ZZBasis, wall: WallNode, elem: int,
     return out
 
 
-def _top_gen_image(zz: ZZBasis, g: GroupElement, node: int,
-                   frames: dict) -> dict:
+def _top_gen_image(zz: ZZBasis, g: GroupElement, node: int) -> dict:
     n2 = zz.poset.act_node(g, node)
     if ("top", n2) not in zz.index:
         raise UnsupportedArrangement(
             f"image of a full maximal element is not in the basis: node {n2}")
-    return {zz.top_index(n2):
-            _transport_sign(g, zz.top_basis[node], frames[n2])}
+    return {zz.top_index(n2): free_minor_sign(
+        zz.poset.nodes[n2].subspace.rows,
+        [act(g, v) for v in zz.top_basis[node]])}
 
 
 def induced_action(group: ActionGroup, zz: ZZBasis) -> OrientedGeneratorAction:
@@ -151,18 +134,18 @@ def induced_action(group: ActionGroup, zz: ZZBasis) -> OrientedGeneratorAction:
     the first generator on that wall needs them: the base sheet enters the
     image of every generator on the wall, and every other sheet is a
     generator."""
-    r, frames = zz.rank, _carrier_frames(zz)
+    r = zz.rank
     by_perm, twisted = {}, {}
     for g in distinct_actions(group):
         pages: dict = {}          # wall node -> `_wall_pages`
         cols = []
         for gen in zz.generators:
             if gen.kind == "top":
-                img = _top_gen_image(zz, g, gen.node, frames)
+                img = _top_gen_image(zz, g, gen.node)
             else:
                 wall = zz.wall_by_node[gen.node]
                 if gen.node not in pages:
-                    pages[gen.node] = _wall_pages(zz, g, wall, frames)
+                    pages[gen.node] = _wall_pages(zz, g, wall)
                 img = _wall_gen_image(zz, wall, gen.element, pages[gen.node])
             col = [0] * r
             for idx, c in img.items():
@@ -223,7 +206,7 @@ def coinvariants_from_relations(relations: Sequence[Sequence[int]],
 
 def _relations(matrices: Iterable[Matrix]) -> list[tuple]:
     """The nonzero columns of M - I over the matrices, each kept once in
-    the order of first occurrence; a non-integer entry is a ValueError."""
+    the order of first occurrence."""
     rels: dict = {}
     for m in matrices:
         for j, col in enumerate(zip(*m.entries)):
@@ -231,17 +214,19 @@ def _relations(matrices: Iterable[Matrix]) -> list[tuple]:
             rel[j] -= 1
             if any(rel):
                 rels[tuple(rel)] = None
-    if any(x.denominator != 1 for rel in rels for x in rel):
-        raise ValueError("relations require integer entries")
     return list(rels)
 
 
 def _shape(matrices: Iterable[Matrix], r: int) -> tuple[list[int], int]:
     """(factors > 1, free rank) of Z^r by `_relations(matrices)`, from
-    `sparse_rank_and_factors`, with no `U`."""
+    `sparse_rank_and_factors`, with no `U`; a non-integer entry, which
+    sparse elimination can clear silently, is a ValueError."""
+    rels = _relations(matrices)
+    if any(x.denominator != 1 for rel in rels for x in rel):
+        raise ValueError("relations require integer entries")
     rank, factors = sparse_rank_and_factors(
         {k: {i: x for i, x in enumerate(rel) if x}
-         for k, rel in enumerate(_relations(matrices))})
+         for k, rel in enumerate(rels)})
     return factors, r - rank
 
 

@@ -92,20 +92,6 @@ class SphereComplex:
         return [("a", i), ("a", self._idx(i + 1)),
                 ("b", j), ("b", self._idx(j + 1))]
 
-    def act_cell(self, g: GroupElement, cell: tuple[int, int]
-                 ) -> Optional[tuple[int, int]]:
-        """Image cell, or None when the image is not an (a-arc, b-arc) cell
-        in the standard listing (j swaps the families)."""
-        imgs = [self.act_vertex(g, v) for v in self.cell_vertices(cell)]
-        starts = []
-        for fam in ("a", "b"):
-            arc = {i for f, i in imgs if f == fam}
-            start = [i for i in arc if self._idx(i + 1) in arc]
-            if len(arc) != 2 or len(start) != 1:
-                return None
-            starts.append(start[0])
-        return tuple(starts)
-
     def fundamental_cells(self) -> list[tuple[int, int]]:
         return [(i, 1) for i in range(1, self.n + 1)]
 
@@ -379,11 +365,15 @@ def intersect_with_Jpieces(h: GeneralPositionMap, l1: HalfOpenSubspace,
                            l2: HalfOpenSubspace, n: int, a: int, b: int
                            ) -> dict:
     """Hits of the image simplices on both seed pieces, and the excluded
-    candidate: rho3's hit on the carrier of L1* if outside L1*, or None."""
+    candidate: rho3's hit on the carrier of L1* if outside L1*, or None.
+
+    L1* is its carrier cut by its inequalities, and a meeting locus of
+    dimension 1 or more with the carrier is refused.  So L1* meets a
+    simplex in the carrier's one point when that point lies in L1*, and
+    nowhere else: the census has two columns, the carrier and L2*."""
     out = {"l1_hits": [], "l2_hits": [], "rho3_candidate": None}
     rho3 = rho_cells(n, a, b)["rho3"]
-    elements = (HalfOpenSubspace(l1.rows, (), n, "carrier(L1*)"),
-                l1, l2)
+    elements = (HalfOpenSubspace(l1.rows, (), n, "carrier(L1*)"), l2)
     for arcs, hits in arc_census(n, elements).items():
         if arcs[0] == arcs[1]:
             continue
@@ -392,13 +382,13 @@ def intersect_with_Jpieces(h: GeneralPositionMap, l1: HalfOpenSubspace,
                 raise GeneralPositionError(
                     f"simplex meets {elem.label or 'an element'} in a "
                     f"{hit[0]}-dimensional locus")
-        c_hit, hit1, hit2 = hits
-        if arcs == rho3 and c_hit is not None \
-                and not l1.contains_point(c_hit[2]):
+        c_hit, hit2 = hits
+        if c_hit is not None and l1.contains_point(c_hit[2]):
+            out["l1_hits"].append((arcs, c_hit[2]))
+        elif c_hit is not None and arcs == rho3:
             out["rho3_candidate"] = (arcs, c_hit[2])
-        for key, hit in (("l1_hits", hit1), ("l2_hits", hit2)):
-            if hit is not None:
-                out[key].append((arcs, hit[2]))
+        if hit2 is not None:
+            out["l2_hits"].append((arcs, hit2[2]))
     return out
 
 
@@ -452,9 +442,13 @@ def preimage_simplices(h: GeneralPositionMap, poset: IntersectionPoset,
                 cell, [], [], ids in special_sets))
             rec.hits.append((m, lam, pt))
     sigma = (a + b, 1)
-    sigma_images = [(g.word, sphere.act_cell(g, sigma)) for g in group.elements]
+    # a cell is fixed by its vertex set
+    sigma_images = [(g.word, {sphere.act_vertex(g, v)
+                              for v in sphere.cell_vertices(sigma)})
+                    for g in group.elements]
     for rec in cells.values():
-        rec.orbit_words = [w for w, c in sigma_images if c == rec.cell]
+        vertices = set(sphere.cell_vertices(rec.cell))
+        rec.orbit_words = [w for w, vs in sigma_images if vs == vertices]
     return sorted(cells.values(), key=lambda r: r.cell)
 
 

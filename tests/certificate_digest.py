@@ -13,6 +13,13 @@ after:
 
 prints, per flip setting, the sha256 of its record.  Several cases in one
 call, such as `14 2 5 14 1 6`, print each line led by its case.
+
+A certificate does not record the orientation signs of Step 6 (its rank,
+coinvariants and class read the action only up to a change of basis), so
+`action_record(a, b)` and `fixture_action_record(name)` pin them apart:
+one sha256 over the plain action matrix of each distinct permutation, in
+`distinct_actions` order, and every wall's `rep_side` and `rewrite_sign`
+(`action_digest`), or None where `zz_basis` refuses the case.
 """
 
 from __future__ import annotations
@@ -21,6 +28,12 @@ import hashlib
 import json
 import sys
 
+from fanpart.arrangement import (intersection_poset, make_J_pieces,
+                                 orbit_closure)
+from fanpart.coinvariants import induced_action
+from fanpart.fixtures import z4_fixture, z8_fixture
+from fanpart.groups import distinct_actions, quaternion_on_Wn
+from fanpart.homology import UnsupportedArrangement, zz_basis
 from fanpart.obstruction import obstruction_class
 
 FLIPS = {"no flip": {}, "flips (1, -1) and global":
@@ -39,6 +52,38 @@ def certificate_record(a, b):
                 "\n".join(cert.poset_lines).encode()).hexdigest(),
         }
     return out
+
+
+def action_digest(group, zz) -> str:
+    """sha256 of the action matrices of the distinct permutations and of
+    the walls' `rep_side` and `rewrite_sign`."""
+    action = induced_action(group, zz)
+    record = {
+        "matrices": [action.matrix(g).entries
+                     for g in distinct_actions(group)],
+        "walls": [[w.node, sorted(w.rep_side.items()),
+                   sorted(w.rewrite_sign.items())] for w in zz.walls],
+    }
+    return hashlib.sha256(json.dumps(record).encode()).hexdigest()
+
+
+def _action_of(group, seeds):
+    poset = intersection_poset(orbit_closure(group, seeds))
+    try:
+        zz = zz_basis(poset)
+    except UnsupportedArrangement:
+        return None
+    return action_digest(group, zz)
+
+
+def action_record(a, b):
+    n = 2 * (a + b)
+    return _action_of(quaternion_on_Wn(n), list(make_J_pieces(n, a, b)))
+
+
+def fixture_action_record(name):
+    group, seed = {"z8": z8_fixture, "z4": z4_fixture}[name]()
+    return _action_of(group, [seed])
 
 
 def main(argv: list[str]) -> int:

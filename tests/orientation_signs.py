@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from fanpart.arrangement import HalfOpenSubspace
-from fanpart.coinvariants import _carrier_frames, _top_gen_image, _wall_pages
+from fanpart.coinvariants import _top_gen_image, _wall_pages
 from fanpart.exactlin import (Matrix, Vec, _bareiss, _integer_row,
                               determinant, dot, echelon, from_columns,
                               integer_dot, kernel_basis, rref, sign,
@@ -177,12 +177,11 @@ def wall_gen_image_by_cone_sums(zz: ZZBasis, wall: WallNode, elem: int,
 def action_matrix_by_cone_sums(zz: ZZBasis, g: GroupElement) -> Matrix:
     """The plain-action matrix of g on the basis, column j the image of
     generator j."""
-    frames = _carrier_frames(zz)
-    pages = {w.node: _wall_pages(zz, g, w, frames) for w in zz.walls}
+    pages = {w.node: _wall_pages(zz, g, w) for w in zz.walls}
     cols = []
     for gen in zz.generators:
         if gen.kind == "top":
-            img = _top_gen_image(zz, g, gen.node, frames)
+            img = _top_gen_image(zz, g, gen.node)
         else:
             img = wall_gen_image_by_cone_sums(
                 zz, zz.wall_by_node[gen.node], gen.element, pages[gen.node])

@@ -6,7 +6,6 @@ import pytest
 
 from fanpart import obstruction
 from fanpart.arrangement import (Arrangement, HalfOpenSubspace, cached_kernel,
-                                 cone_feasible, cone_implies,
                                  contains_set, h1_form, h2_form,
                                  intersection_poset, k_form, make_J_pieces,
                                  make_L_alpha, make_subspace, ones_form,
@@ -46,18 +45,29 @@ def z4_fixture():
 # --- feasibility machinery ------------------------------------------------
 
 
+# `contains_set` cases with no rows in the larger set, so its inequality
+# branch decides them: one Fourier-Motzkin test per inequality of the
+# larger set, on the smaller set's carrier
+
+
 def test_cone_feasible_basic():
-    E = ()                                   # no equalities on Q^2
-    assert cone_feasible(E, 2, [vec([1, 0])], [vec([0, 1])])
-    # x >= 0 and -x > 0 cannot both hold
-    assert not cone_feasible(E, 2, [vec([1, 0])], [vec([-1, 0])])
+    # a point of {x >= 0} with y < 0 violates y >= 0: no containment; the
+    # set's own facet holds
+    half = make_subspace([], [[1, 0]], 2)
+    assert not contains_set(make_subspace([], [[0, 1]], 2), half)
+    assert contains_set(make_subspace([], [[1, 0]], 2), half)
 
 
 def test_cone_implies():
-    E = ()
-    # x >= 0 and y >= 0 imply x + y >= 0
-    assert cone_implies(E, 2, [vec([1, 0]), vec([0, 1])], vec([1, 1]))
-    assert not cone_implies(E, 2, [vec([1, 0])], vec([0, 1]))
+    # x >= 0 and y >= 0 imply x + y >= 0, which is no facet of the
+    # quadrant; on the plane z = 0 they imply x + y + 5z >= 0 but not
+    # x - y >= 0
+    quadrant = make_subspace([], [[1, 0], [0, 1]], 2)
+    assert contains_set(make_subspace([], [[1, 1]], 2), quadrant)
+    assert not contains_set(quadrant, make_subspace([], [[1, 1]], 2))
+    flat = make_subspace([[0, 0, 1]], [[1, 0, 0], [0, 1, 0]], 3)
+    assert contains_set(make_subspace([], [[1, 1, 5]], 3), flat)
+    assert not contains_set(make_subspace([], [[1, -1, 0]], 3), flat)
 
 
 # --- canonical form -------------------------------------------------------
@@ -1056,6 +1066,23 @@ def test_candidate_of_the_meets_dimension_needs_every_facet():
     _assert_poset_matches_rational_closure(arr, poset)
     half = make_subspace([[0, 0, 1]], [[1, 0, 0]], 3).key()
     assert half in {nd.subspace.key() for nd in poset.nodes}
+
+
+def test_containment_through_an_implied_inequality_is_decided_by_key():
+    # {x >= 0, y >= 0} lies in {x + y >= 0} only through an inequality that
+    # is no facet of the quadrant, so the containment witness fails, no
+    # node lies below both yet, and the settled key of the meet is the
+    # quadrant's own: the meet is r, and r's support takes the half-space.
+    # orbit_closure would prune the contained element, so the arrangement
+    # is built directly
+    quadrant = make_subspace([], [[1, 0, 0], [0, 1, 0]], 3, "q")
+    half = make_subspace([], [[1, 1, 0]], 3, "h")
+    arr = _arrangement_in_R3(quadrant, half)
+    poset = intersection_poset(arr)
+    _assert_poset_matches_rational_closure(arr, poset)
+    assert len(poset.nodes) == 2
+    assert poset.support == [0b11, 0b10]
+    assert poset.covers == [[1], []]
 
 
 def test_element_whose_rows_vanish_on_the_carrier_holds_it_only_if_linear():

@@ -5,15 +5,15 @@ import pytest
 from fanpart.arrangement import (HalfOpenSubspace, intersection_poset,
                                  make_J_pieces, make_subspace, orbit_closure,
                                  transform)
-from fanpart.coinvariants import (_carrier_frames, _relations, _shape,
-                                  _transport_sign, _wall_pages,
+from fanpart.coinvariants import (_relations, _shape, _top_gen_image,
+                                  _wall_pages,
                                   coinvariants_from_relations,
                                   describe_factors, dual_coinvariants,
                                   induced_action, modified_coinvariants,
                                   twisted_coinvariants)
-from fanpart.exactlin import (Matrix, determinant, dot, from_columns,
-                              integer_dot, kernel_basis, sign, solve_affine,
-                              vec)
+from fanpart.exactlin import (Matrix, determinant, dot, free_minor_sign,
+                              from_columns, integer_dot, kernel_basis, sign,
+                              solve_affine, vec)
 from fanpart.groups import (ActionGroup, act, cyclic_shift_group,
                             det_character, distinct_actions, quaternion_on_Wn)
 from fanpart.fixtures import run_fixture
@@ -148,10 +148,9 @@ def test_wall_signs_equal_the_full_frame_per_sheet(fixture_data, main_data,
     data = fixture_data(case) if isinstance(case, str) else main_data(*case)
     zz = data["zz"]
     assert zz.walls or case == "z8"
-    frames = _carrier_frames(zz)
     for g in data["group"].elements:
         for wall in zz.walls:
-            assert _wall_pages(zz, g, wall, frames) == {
+            assert _wall_pages(zz, g, wall) == {
                 e: page_image_by_frame(zz, g, wall, e) for e in wall.elements}
 
 
@@ -169,9 +168,10 @@ def test_action_matrices_equal_the_cone_sums(fixture_data, main_data, case):
 def test_induced_action_takes_one_minor_per_wall_and_top_node(
         main_data, monkeypatch):
     # no elimination: one transport minor per distinct permutation and per
-    # wall or top node, 12 x 6 = 72 at (6, 1, 2), and one minor of each
-    # target node's basis, 78 in all, each taken by `free_minor_sign`; one
-    # fraction-free solve per element and sheet took 24 x 18 = 432
+    # wall or top node, 12 x 6 = 72 at (6, 1, 2), each taken by
+    # `free_minor_sign`, and none of a stored basis, whose minor is
+    # positive by construction; one fraction-free solve per element and
+    # sheet took 24 x 18 = 432
     import fanpart.arrangement as arrangement
     import fanpart.coinvariants as co
     import fanpart.exactlin as exactlin
@@ -191,7 +191,7 @@ def test_induced_action_takes_one_minor_per_wall_and_top_node(
         monkeypatch.setattr(module, "echelon", refuse)
     assert induced_action(group, zz).matrices == data["action"].matrices
     nodes = len(zz.walls) + len(zz.top_nodes)
-    assert len(calls) == (len(distinct_actions(group)) + 1) * nodes == 78
+    assert len(calls) == len(distinct_actions(group)) * nodes == 72
 
 
 def _bases(zz):
@@ -199,35 +199,34 @@ def _bases(zz):
     return {**zz.top_basis, **{w.node: w.spine_basis for w in zz.walls}}
 
 
-def _negate_first(basis):
-    return [tuple(-x for x in v) if i == 0 else v for i, v in enumerate(basis)]
+@pytest.mark.parametrize("case", ["z8", "z4", (6, 1, 2), (8, 1, 3)])
+def test_transport_minor_matches_frame_det(fixture_data, main_data, case):
+    # the free-column minor of the moved basis against one fraction-free
+    # solve of it in the stored target basis, for every distinct action and
+    # every top node and wall
+    data = fixture_data(case) if isinstance(case, str) else main_data(*case)
+    group, poset, zz = data["group"], data["poset"], data["zz"]
+    bases, signs = _bases(zz), set()
+    for g in distinct_actions(group):
+        for node, basis in bases.items():
+            target = poset.act_node(g, node)
+            got = free_minor_sign(poset.nodes[target].subspace.rows,
+                                  [act(g, v) for v in basis])
+            assert got == transport_sign(g, basis, bases[target]), (g, node)
+            signs.add(got)
+    assert signs == {1, -1}
 
 
 @pytest.mark.parametrize("case", ["z8", "z4", (6, 1, 2), (8, 1, 3)])
-def test_transport_minor_matches_frame_det(fixture_data, main_data, case):
-    # the ratio of free-column minors against one fraction-free solve of the
-    # moved basis in the target basis, for every distinct action and every
-    # top node and wall, on the stored bases and again with each basis
-    # negated in its first vector or reversed in order: a basis of either
-    # orientation gives the minor route the sign of its own minor
+def test_stored_bases_have_positive_free_minor(fixture_data, main_data,
+                                               case):
+    # every stored basis is its carrier's `integer_kernel` basis, positive
+    # diagonal on the free columns: the transport signs read no sign of
+    # their own target basis, and the rewrite signs rely on it too
     data = fixture_data(case) if isinstance(case, str) else main_data(*case)
-    group, poset = data["group"], data["poset"]
-    signs = set()
-    for edit in (list, _negate_first, lambda b: b[::-1]):
-        zz = zz_basis(poset)              # tables of its own, edited here
-        for node in zz.top_basis:
-            zz.top_basis[node] = edit(zz.top_basis[node])
-        for w in zz.walls:
-            w.spine_basis = edit(w.spine_basis)
-        bases, frames = _bases(zz), _carrier_frames(zz)
-        for g in distinct_actions(group):
-            for node, basis in bases.items():
-                target = poset.act_node(g, node)
-                got = _transport_sign(g, basis, frames[target])
-                assert got == transport_sign(g, basis, bases[target]), \
-                    (g, node)
-                signs.add(got)
-    assert signs == {1, -1}
+    poset = data["poset"]
+    for node, basis in _bases(data["zz"]).items():
+        assert free_minor_sign(poset.nodes[node].subspace.rows, basis) == 1
 
 
 @pytest.mark.parametrize("case", ["z8", "z4", (6, 1, 2), (8, 1, 3)])
@@ -248,18 +247,21 @@ def test_rewrite_sign_matches_frame_det(fixture_data, main_data, case):
 
 def test_transport_minor_refuses_a_vector_off_the_target_carrier(main_data):
     # a moved basis vector that a row of the target carrier does not
-    # annihilate has no coordinates in the target basis
+    # annihilate has no coordinates in the target basis: the image of a top
+    # node, or of a wall's spine, under the identity is refused
     data = main_data(6, 1, 2)
-    zz, poset = data["zz"], data["poset"]
-    frames = _carrier_frames(zz)
+    poset, e = data["poset"], data["group"].identity()
+    zz = zz_basis(poset)              # tables of its own, edited here
     for node, basis in _bases(zz).items():
         rows = poset.nodes[node].subspace.rows
-        off = next(tuple(int(c == k) for c in range(len(rows[0])))
-                   for k in range(len(rows[0]))
-                   if any(row[k] for row in rows))
-        moved = [off] + list(basis[1:])
+        basis[0] = next(tuple(int(c == k) for c in range(len(rows[0])))
+                        for k in range(len(rows[0]))
+                        if any(row[k] for row in rows))
         with pytest.raises(ValueError, match="not in span"):
-            _transport_sign(data["group"].identity(), moved, frames[node])
+            if node in zz.top_basis:
+                _top_gen_image(zz, e, node)
+            else:
+                _wall_pages(zz, e, zz.wall_by_node[node])
 
 
 @pytest.mark.parametrize("case", [(6, 1, 2), (8, 1, 3)])
@@ -322,16 +324,15 @@ def test_wall_pages_check_each_ray(main_data):
     data = main_data(6, 1, 2)
     group, poset = data["group"], data["poset"]
     zz = zz_basis(poset)              # tables of its own, edited below
-    frames = _carrier_frames(zz)
     g, wall, v2, e2, side2 = next(
         (g, w, v2, e2, side2) for g in group.elements for w in zz.walls
-        for v2, e2, side2, _ in _wall_pages(zz, g, w, frames).values()
+        for v2, e2, side2, _ in _wall_pages(zz, g, w).values()
         if side2 != zz.wall_by_node[v2].rep_side[e2])
     rays2 = zz.wall_by_node[v2].rays
     ray2 = rays2[e2, side2]
     rays2[e2, side2] = tuple(-x for x in ray2)
     with pytest.raises(UnsupportedArrangement, match="ray factor"):
-        _wall_pages(zz, g, wall, frames)
+        _wall_pages(zz, g, wall)
     rays2[e2, side2] = ray2
     e = wall.elements[0]
     rows = poset.nodes[e].subspace.rows
@@ -342,7 +343,7 @@ def test_wall_pages_check_each_ray(main_data):
     ray = wall.rays[e, wall.rep_side[e]]
     wall.rays[e, wall.rep_side[e]] = tuple(x + y for x, y in zip(ray, out))
     with pytest.raises(ValueError, match="carrier"):
-        _wall_pages(zz, group.identity(), wall, frames)
+        _wall_pages(zz, group.identity(), wall)
 
 
 def test_z8_relation_l_equals_minus_eps2_l(fixture_data):
@@ -633,20 +634,6 @@ def test_graph_link_oracle_matches_action(main_data):
     action = data["action"]
     for word, m in oracle.items():
         assert m == action.matrices[word]
-
-
-def test_spine_convention_invariance(main_data):
-    # recomputing the quotient with a reversed spine basis at one wall
-    # changes nothing
-    import copy
-    data = main_data(6, 1, 2)
-    group, poset = data["group"], data["poset"]
-    zz2 = zz_basis(poset)
-    w = zz2.walls[0]
-    w.spine_basis = [tuple(-x for x in v) for v in w.spine_basis]
-    action2 = induced_action(group, zz2)
-    assert modified_coinvariants(action2, group) == \
-        modified_coinvariants(data["action"], group)
 
 
 def test_projection_of_doubled_wall_generator(main_data):
