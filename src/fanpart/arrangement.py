@@ -22,12 +22,11 @@ integer rows only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import mul
 from typing import Iterable, Sequence
 
-from .exactlin import (Vec, echelon, echelon_rationals, integer_form,
-                       integer_kernel, integer_rows, is_zero_vec,
+from .exactlin import (Frozen, Vec, echelon, echelon_rationals,
+                       integer_form, integer_kernel, integer_rows, is_zero_vec,
                        leading_column, primitive_row, reduce_row)
 from .groups import ActionGroup, GroupElement, distinct_actions
 
@@ -121,15 +120,17 @@ def _rank_reaches(rows: Iterable[Sequence[int]], k: int) -> bool:
 # half-open subspaces
 
 
-@dataclass(frozen=True)
-class HalfOpenSubspace:
-    # the equalities: the RREF with each row a primitive integer row with
-    # positive pivot (`exactlin.echelon`), full row rank
-    rows: tuple[tuple[int, ...], ...]
-    # primitive integer forms, reduced, irredundant, sorted
-    inequalities: tuple[tuple[int, ...], ...]
-    ambient_dim: int
-    label: str = ""
+class HalfOpenSubspace(Frozen):
+    __slots__ = ("rows", "inequalities", "ambient_dim", "label")
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...],
+                 inequalities: tuple[tuple[int, ...], ...],
+                 ambient_dim: int, label: str = ""):
+        # rows: the equalities, the RREF with each row a primitive integer
+        # row with positive pivot (`exactlin.echelon`), full row rank;
+        # inequalities: primitive integer forms, reduced, irredundant, sorted
+        self._set(rows=rows, inequalities=inequalities,
+                  ambient_dim=ambient_dim, label=label)
 
     @property
     def dim(self) -> int:
@@ -323,15 +324,16 @@ def make_J_pieces(n: int, a: int, b: int) -> tuple[HalfOpenSubspace, HalfOpenSub
 # arrangements and intersection posets
 
 
-@dataclass
 class Arrangement:
     """The maximal elements, in certificate order, and the group: g moves
     element k onto element moves[g.perm][k], for each distinct action g."""
 
-    maximal_elements: list[HalfOpenSubspace]
-    group: ActionGroup
-    ambient_dim: int
-    moves: dict  # g.perm -> pi_g, a permutation of range(len(elements))
+    __slots__ = ("maximal_elements", "group", "ambient_dim", "moves")
+
+    def __init__(self, maximal_elements: list[HalfOpenSubspace],
+                 group: ActionGroup, ambient_dim: int, moves: dict):
+        self.maximal_elements, self.group = maximal_elements, group
+        self.ambient_dim, self.moves = ambient_dim, moves
 
 
 def orbit_closure(group: ActionGroup,
@@ -407,7 +409,6 @@ class PosetNode:
         return self._subspace
 
 
-@dataclass
 class IntersectionPoset:
     """All intersections of arrangement elements, ordered by inclusion.
 
@@ -425,17 +426,22 @@ class IntersectionPoset:
     representative of every node.
     """
 
-    nodes: list[PosetNode]
-    maximal_node_ids: list[int]
-    support: list[int]                 # bitmask over maximal_node_ids
-    covers: list[list[int]]            # minimal strict supersets
-    orbit: list[int]                   # the orbit representative
-    arrangement: Arrangement
-    # support mask -> node index
-    _by_support: dict = field(default_factory=dict, repr=False)
-    # (orbit representative, degree) -> reduced homology below the node;
-    # filled by homology.node_homology
-    _homology_memo: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("nodes", "maximal_node_ids", "support", "covers", "orbit",
+                 "arrangement", "_by_support", "_homology_memo")
+
+    def __init__(self, nodes: list[PosetNode], maximal_node_ids: list[int],
+                 support: list[int], covers: list[list[int]],
+                 orbit: list[int], arrangement: Arrangement,
+                 _by_support: dict | None = None,
+                 _homology_memo: dict | None = None):
+        self.nodes, self.maximal_node_ids = nodes, maximal_node_ids
+        self.support, self.covers, self.orbit = support, covers, orbit
+        self.arrangement = arrangement
+        # support mask -> node index
+        self._by_support = {} if _by_support is None else _by_support
+        # (orbit representative, degree) -> reduced homology below the
+        # node; filled by homology.node_homology
+        self._homology_memo = {} if _homology_memo is None else _homology_memo
 
     def support_ids(self, i: int) -> list[int]:
         """Maximal-element nodes whose set contains node i (i itself

@@ -26,26 +26,28 @@ Each refuses a non-integer relation once, in `_shape` and in the Smith form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .exactlin import (Matrix, free_minor_sign, integer_dot, sign,
+from .exactlin import (Matrix, Record, free_minor_sign, integer_dot, sign,
                        smith_normal_form, sparse_rank_and_factors)
 from .groups import (ActionGroup, GroupElement, act, det_character,
                      distinct_actions)
 from .homology import UnsupportedArrangement, WallNode, ZZBasis
 
 
-@dataclass
 class OrientedGeneratorAction:
-    """Integer matrices of the plain and the determinant-twisted action."""
+    """Integer matrices of the plain and the determinant-twisted action:
+    `matrices` maps a word to a rank x rank integer Matrix, `twisted` to
+    det(g) times it."""
 
-    group: ActionGroup
-    basis: ZZBasis
-    matrices: dict            # word -> Matrix (rank x rank, integer)
-    twisted: dict             # word -> det(g) times matrices[word]
+    __slots__ = ("group", "basis", "matrices", "twisted")
+
+    def __init__(self, group: ActionGroup, basis: ZZBasis, matrices: dict,
+                 twisted: dict):
+        self.group, self.basis = group, basis
+        self.matrices, self.twisted = matrices, twisted
 
     def matrix(self, g: GroupElement) -> Matrix:
         return self.matrices[g.word]
@@ -159,13 +161,15 @@ def induced_action(group: ActionGroup, zz: ZZBasis) -> OrientedGeneratorAction:
         {g.word: twisted[g.perm] for g in group.elements})
 
 
-@dataclass
-class CoinvariantGroup:
-    invariant_factors: list[int]          # the factors > 1
-    rank: int                             # free rank of the quotient
-    U: Matrix                             # unimodular coordinate change
-    diag: list[int]                       # all nonzero SNF diagonal entries
-    module_rank: int
+class CoinvariantGroup(Record):
+    __slots__ = ("invariant_factors", "rank", "U", "diag", "module_rank")
+
+    def __init__(self, invariant_factors: list[int], rank: int, U: Matrix,
+                 diag: list[int], module_rank: int):
+        # the factors > 1, and the free rank of the quotient
+        self.invariant_factors, self.rank = invariant_factors, rank
+        # unimodular coordinate change, all nonzero SNF diagonal entries
+        self.U, self.diag, self.module_rank = U, diag, module_rank
 
     def project(self, x: Sequence[int]) -> tuple:
         y = [integer_dot(row, x) for row in self.U.entries]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -50,6 +49,41 @@ def integer_form(form: Sequence) -> tuple[int, ...]:
 def integer_dot(u: Sequence[int], v: Sequence[int]) -> int:
     """The dot product of two integer rows."""
     return sum(map(operator.mul, u, v))
+
+
+class Record:
+    """Base of the records whose `==` has a reader: two records of one class
+    are equal when their `_key`s are, by default the `__slots__` values."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+
+class Frozen(Record):
+    """An immutable record, hashed like its `_key`; `__init__` sets the
+    fields once, through `_set`."""
+
+    __slots__ = ()
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 class Matrix:
@@ -437,16 +471,17 @@ def sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(Frozen):
     """U @ A @ V = D.  V is built the first time it is read, by replaying
     the recorded column operations on the identity: `(i, j, 0)` swaps
     columns i and j, `(src, dst, f)` with f != 0 adds f times column src to
-    column dst."""
-    U: Matrix
-    D: Matrix
-    rank: int
-    col_ops: tuple = field(repr=False, compare=False)
+    column dst.  Two forms are equal when U, D and the rank are."""
+
+    def __init__(self, U: Matrix, D: Matrix, rank: int, col_ops: tuple):
+        self._set(U=U, D=D, rank=rank, col_ops=col_ops)
+
+    def _key(self) -> tuple:
+        return self.U, self.D, self.rank
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:

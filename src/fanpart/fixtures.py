@@ -9,9 +9,7 @@ value that differs from the reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .exactlin import vec
+from .exactlin import Record, vec
 from .groups import ActionGroup, cyclic_shift_group
 from .arrangement import (HalfOpenSubspace, intersection_poset, make_subspace,
                           orbit_closure)
@@ -50,16 +48,18 @@ REFERENCE = {
 }
 
 
-@dataclass
-class FixtureReport:
-    name: str
-    degree: int
-    rank: int
-    torsion: list
-    factors: list
-    free_rank: int
-    expected: dict = field(default_factory=dict)
-    diffs: list = field(default_factory=list)
+class FixtureReport(Record):
+    __slots__ = ("name", "degree", "rank", "torsion", "factors", "free_rank",
+                 "expected", "diffs")
+
+    def __init__(self, name: str, degree: int, rank: int, torsion: list,
+                 factors: list, free_rank: int, expected: dict | None = None,
+                 diffs: list | None = None):
+        self.name, self.degree, self.rank = name, degree, rank
+        self.torsion, self.factors = torsion, factors
+        self.free_rank = free_rank
+        self.expected = {} if expected is None else expected
+        self.diffs = [] if diffs is None else diffs
 
     @property
     def matches(self) -> bool:

@@ -9,17 +9,19 @@ permutation matrix is derived on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 
-from .exactlin import Matrix, Vec
+from .exactlin import Frozen, Matrix, Vec
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    word: tuple[int, int]  # (k, jflag) meaning eps^k * j^jflag
-    perm: tuple[int, ...]  # e_i -> e_{perm[i]} (0-based)
+class GroupElement(Frozen):
+    def __init__(self, word: tuple[int, int], perm: tuple[int, ...]):
+        # word (k, jflag) means eps^k * j^jflag; e_i -> e_{perm[i]} (0-based)
+        self._set(word=word, perm=perm)
+
+    def _key(self) -> tuple:
+        return self.word, self.perm
 
     def __repr__(self):
         k, j = self.word
@@ -50,18 +52,18 @@ def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p[i] for i in q)
 
 
-@dataclass
 class ActionGroup:
-    """A fully enumerated group of signed-permutation actions."""
+    """A fully enumerated group of signed-permutation actions; `modulus` is
+    the word exponent modulus (2n for quaternion, m for cyclic)."""
 
-    elements: list[GroupElement]
-    ambient_dim: int
-    generators: list[GroupElement]
-    modulus: int      # word exponent modulus (2n for quaternion, m for cyclic)
-    _by_word: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("elements", "ambient_dim", "generators", "modulus",
+                 "_by_word")
 
-    def __post_init__(self):
-        self._by_word = {g.word: g for g in self.elements}
+    def __init__(self, elements: list[GroupElement], ambient_dim: int,
+                 generators: list[GroupElement], modulus: int):
+        self.elements, self.ambient_dim = elements, ambient_dim
+        self.generators, self.modulus = generators, modulus
+        self._by_word = {g.word: g for g in elements}
 
     @property
     def order(self) -> int:

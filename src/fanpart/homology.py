@@ -31,12 +31,11 @@ is left without a unit entry gets a dense Smith normal form finish.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Optional
 
-from .exactlin import (Matrix, echelon, free_minor_sign, integer_kernel,
-                       leading_column, primitive_row, reduce_row,
-                       sparse_rank_and_factors)
+from .exactlin import (Frozen, Matrix, echelon, free_minor_sign,
+                       integer_kernel, leading_column, primitive_row,
+                       reduce_row, sparse_rank_and_factors)
 from .arrangement import HalfOpenSubspace, IntersectionPoset
 
 
@@ -48,10 +47,12 @@ class UnsupportedArrangement(Exception):
 # simplicial complexes
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
-    vertices: tuple
-    facets: tuple  # tuples of vertex ids, strictly increasing
+class SimplicialComplex(Frozen):
+    __slots__ = ("vertices", "facets")
+
+    def __init__(self, vertices: tuple, facets: tuple):
+        # facets: tuples of vertex ids, strictly increasing
+        self._set(vertices=vertices, facets=facets)
 
     def faces(self, k: int) -> list[tuple]:
         if k < 0:
@@ -75,10 +76,11 @@ def complex_from_facets(facets) -> SimplicialComplex:
     return SimplicialComplex(vertices, tuple(sorted(maximal)))
 
 
-@dataclass
 class HomologyGroup:
-    rank: int
-    torsion: list[int]
+    __slots__ = ("rank", "torsion")
+
+    def __init__(self, rank: int, torsion: list[int]):
+        self.rank, self.torsion = rank, torsion
 
     def is_zero(self) -> bool:
         return self.rank == 0 and not self.torsion
@@ -195,25 +197,34 @@ def node_homology(poset: IntersectionPoset, node: int, d: int) -> HomologyGroup:
 # wall/page tables and the basis of the top homology
 
 
-@dataclass
 class WallNode:
     """The frames of a wall, all integer vectors: a vector scaled by a
     positive factor changes no orientation sign and no side of a wall."""
-    node: int
-    spine_basis: list[tuple]                 # the node's carrier basis
-    elements: list[int]                      # maximal elements above, sorted
-    functionals: dict[int, tuple]            # element -> primitive wall form
-    rep_side: dict[int, int]
-    rays: dict[tuple[int, int], tuple]       # (element, side) -> ray point
-    rewrite_sign: dict[int, int]             # full element -> s in
-                                             # C(anti) = C(rep) - s * [sphere]
+
+    __slots__ = ("node", "spine_basis", "elements", "functionals",
+                 "rep_side", "rays", "rewrite_sign")
+
+    def __init__(self, node: int, spine_basis: list[tuple],
+                 elements: list[int], functionals: dict[int, tuple],
+                 rep_side: dict[int, int], rays: dict[tuple[int, int], tuple],
+                 rewrite_sign: dict[int, int]):
+        # the node's carrier basis; the maximal elements above, sorted
+        self.node, self.spine_basis = node, spine_basis
+        self.elements = elements
+        # element -> primitive wall form
+        self.functionals, self.rep_side = functionals, rep_side
+        # (element, side) -> ray point; full element -> s in
+        # C(anti) = C(rep) - s * [sphere]
+        self.rays, self.rewrite_sign = rays, rewrite_sign
 
 
-@dataclass(frozen=True)
-class ZZGenerator:
-    kind: str                    # "top" or "wall"
-    node: int                    # carrier poset node
-    element: Optional[int] = None  # for wall generators: the varying sheet
+class ZZGenerator(Frozen):
+    __slots__ = ("kind", "node", "element")
+
+    def __init__(self, kind: str, node: int, element: Optional[int] = None):
+        # "top" or "wall", the carrier poset node, and for wall generators
+        # the varying sheet
+        self._set(kind=kind, node=node, element=element)
 
     def __repr__(self):
         if self.kind == "top":
@@ -221,16 +232,22 @@ class ZZGenerator:
         return f"[wall {self.node}: {self.element}]"
 
 
-@dataclass
 class ZZBasis:
-    poset: IntersectionPoset
-    top_dim: int
-    top_nodes: list[int]                  # full maximal elements, sorted
-    walls: list[WallNode]
-    generators: list[ZZGenerator]
-    index: dict = field(default_factory=dict)
-    top_basis: dict = field(default_factory=dict)     # node -> carrier basis
-    wall_by_node: dict = field(default_factory=dict)
+    __slots__ = ("poset", "top_dim", "top_nodes", "walls", "generators",
+                 "index", "top_basis", "wall_by_node")
+
+    def __init__(self, poset: IntersectionPoset, top_dim: int,
+                 top_nodes: list[int], walls: list[WallNode],
+                 generators: list[ZZGenerator], index: dict | None = None,
+                 top_basis: dict | None = None,
+                 wall_by_node: dict | None = None):
+        # top_nodes: the full maximal elements, sorted
+        self.poset, self.top_dim, self.top_nodes = poset, top_dim, top_nodes
+        self.walls, self.generators = walls, generators
+        self.index = {} if index is None else index
+        # node -> carrier basis
+        self.top_basis = {} if top_basis is None else top_basis
+        self.wall_by_node = {} if wall_by_node is None else wall_by_node
 
     @property
     def rank(self) -> int:

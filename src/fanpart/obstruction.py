@@ -31,13 +31,12 @@ sheets (`_crossings`), and every sign is read off integer determinants.
 from __future__ import annotations
 
 from copy import deepcopy
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .exactlin import (Vec, echelon, from_columns, integer_dot,
+from .exactlin import (Record, Vec, echelon, from_columns, integer_dot,
                        integer_kernel, point_key, scaled_det, scaled_points,
                        sign, vec)
 from .groups import (ActionGroup, GroupElement, act, distinct_actions,
@@ -60,11 +59,13 @@ class GeneralPositionError(Exception):
 # the join sphere and the vertex map
 
 
-@dataclass
 class SphereComplex:
     """Join of two cycles of length 2n; the free-action model of the sphere."""
 
-    n: int
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self.n = n
 
     def vertices(self) -> list[tuple[str, int]]:
         return [("a", i) for i in range(1, 2 * self.n + 1)] + \
@@ -102,13 +103,14 @@ def u_vector(i: int, n: int) -> Vec:
                  for k in range(n))
 
 
-@dataclass
 class GeneralPositionMap:
     """Equivariant vertex map of the join sphere into the zero-sum
     hyperplane; simplices map affinely."""
 
-    n: int
-    sphere: SphereComplex
+    __slots__ = ("n", "sphere")
+
+    def __init__(self, n: int, sphere: SphereComplex):
+        self.n, self.sphere = n, sphere
 
     def scaled_vertex_image(self, v: tuple[str, int]) -> tuple[int, ...]:
         """n h(v) = n e_k - 1 for h(v) = u_k: a_i -> u_{(i-1 mod n)+1},
@@ -242,10 +244,12 @@ def _eliminate(den: int, P: Sequence[Sequence[int]],
 # the censuses
 
 
-@dataclass
 class CensusRow:
-    arcs: tuple[int, int]      # unordered (i, j), i <= j: the two u-arcs
-    locus_dim: int             # dimension of the meeting locus
+    __slots__ = ("arcs", "locus_dim")
+
+    def __init__(self, arcs: tuple[int, int], locus_dim: int):
+        # the two u-arcs (i, j), i <= j, and the meeting locus's dimension
+        self.arcs, self.locus_dim = arcs, locus_dim
 
 
 def arc_census(n: int, elements: Sequence[HalfOpenSubspace]
@@ -392,12 +396,16 @@ def intersect_with_Jpieces(h: GeneralPositionMap, l1: HalfOpenSubspace,
     return out
 
 
-@dataclass
 class PreimageCell:
-    cell: tuple[int, int]
-    hits: list             # (element node id, barycentric, ambient point)
-    orbit_words: list      # words g with g . sigma = cell
-    special: bool          # image simplex is one of the two distinguished ones
+    __slots__ = ("cell", "hits", "orbit_words", "special")
+
+    def __init__(self, cell: tuple[int, int], hits: list, orbit_words: list,
+                 special: bool):
+        # hits: (element node id, barycentric, ambient point); orbit_words:
+        # the words g with g . sigma = cell; special: the image simplex is
+        # one of the two distinguished ones
+        self.cell, self.hits, self.orbit_words = cell, hits, orbit_words
+        self.special = special
 
 
 def preimage_simplices(h: GeneralPositionMap, poset: IntersectionPoset,
@@ -438,9 +446,9 @@ def preimage_simplices(h: GeneralPositionMap, poset: IntersectionPoset,
             if any(x == 0 for x in lam):
                 raise GeneralPositionError(
                     f"boundary intersection in cell {cell}")
-            rec = cells.setdefault(cell, PreimageCell(
-                cell, [], [], ids in special_sets))
-            rec.hits.append((m, lam, pt))
+            if cell not in cells:
+                cells[cell] = PreimageCell(cell, [], [], ids in special_sets)
+            cells[cell].hits.append((m, lam, pt))
     sigma = (a + b, 1)
     # a cell is fixed by its vertex set
     sigma_images = [(g.word, {sphere.act_vertex(g, v)
@@ -465,17 +473,21 @@ def vstar_barycentric(n: int, a: int, b: int) -> dict:
 # broken point classes: decomposition by translation, and the pairing
 
 
-@dataclass
 class PointTerm:
     """An ordinary point class: a point strictly inside one element, with
     the transversal disc orientation frame.  Every element is a cone
     through 0, so the point and the frame vectors may be given up to
-    positive factors; the pipeline gives them as integers."""
-    element: int              # poset node id of the maximal element
-    point: Vec
-    disc: tuple[Vec, Vec, Vec]
-    sign: int                 # intersection sign of the disc with the sheet
-                              # (the tau/mu coefficient of the decomposition)
+    positive factors; the pipeline gives them as integers.  `element` is
+    the poset node id of the maximal element, `sign` the intersection sign
+    of the disc with the sheet (the tau/mu coefficient of the
+    decomposition)."""
+
+    __slots__ = ("element", "point", "disc", "sign")
+
+    def __init__(self, element: int, point: Vec, disc: tuple[Vec, Vec, Vec],
+                 sign: int):
+        self.element, self.point, self.disc, self.sign = \
+            element, point, disc, sign
 
 
 def generic_shift(n: int, k: int) -> Vec:
@@ -626,29 +638,50 @@ def _paired_sum(poset: IntersectionPoset, zz: ZZBasis,
 # the certificate and the full pipeline
 
 
-@dataclass
-class ObstructionCertificate:
-    n: int
-    a: int
-    b: int
-    poset_nodes: int = 0
-    poset_max_elements: int = 0
-    poset_levels: dict = field(default_factory=dict)
-    poset_lines: list = field(default_factory=list)   # listing, not in JSON
-    homology_rank: int = 0
-    homology_rank_expected: int = 0
-    homology_torsion: list = field(default_factory=list)
-    coinvariant_factors: list = field(default_factory=list)
-    coinvariant_rank: int = 0
-    class_basis_coords: list = field(default_factory=list)
-    class_factor_coords: list = field(default_factory=list)
-    class_order: Optional[int] = None
-    class_nonzero: bool = False
-    tau_signs: list = field(default_factory=list)
-    mu_signs: list = field(default_factory=list)
-    checks: dict = field(default_factory=dict)
-    verdict: str = "inconclusive"
-    steps: list = field(default_factory=list)
+class ObstructionCertificate(Record):
+    __slots__ = ("n", "a", "b", "poset_nodes", "poset_max_elements",
+                 "poset_levels", "poset_lines", "homology_rank",
+                 "homology_rank_expected", "homology_torsion",
+                 "coinvariant_factors", "coinvariant_rank",
+                 "class_basis_coords", "class_factor_coords", "class_order",
+                 "class_nonzero", "tau_signs", "mu_signs", "checks",
+                 "verdict", "steps")
+
+    def __init__(self, n: int, a: int, b: int, poset_nodes: int = 0,
+                 poset_max_elements: int = 0, poset_levels: dict | None = None,
+                 poset_lines: list | None = None, homology_rank: int = 0,
+                 homology_rank_expected: int = 0,
+                 homology_torsion: list | None = None,
+                 coinvariant_factors: list | None = None,
+                 coinvariant_rank: int = 0,
+                 class_basis_coords: list | None = None,
+                 class_factor_coords: list | None = None,
+                 class_order: Optional[int] = None,
+                 class_nonzero: bool = False, tau_signs: list | None = None,
+                 mu_signs: list | None = None, checks: dict | None = None,
+                 verdict: str = "inconclusive", steps: list | None = None):
+        self.n, self.a, self.b, self.poset_nodes = n, a, b, poset_nodes
+        self.poset_max_elements = poset_max_elements
+        self.poset_levels = {} if poset_levels is None else poset_levels
+        # the listing, not in the JSON
+        self.poset_lines = [] if poset_lines is None else poset_lines
+        self.homology_rank = homology_rank
+        self.homology_rank_expected = homology_rank_expected
+        self.homology_torsion = \
+            [] if homology_torsion is None else homology_torsion
+        self.coinvariant_factors = \
+            [] if coinvariant_factors is None else coinvariant_factors
+        self.coinvariant_rank = coinvariant_rank
+        self.class_basis_coords = \
+            [] if class_basis_coords is None else class_basis_coords
+        self.class_factor_coords = \
+            [] if class_factor_coords is None else class_factor_coords
+        self.class_order, self.class_nonzero = class_order, class_nonzero
+        self.tau_signs = [] if tau_signs is None else tau_signs
+        self.mu_signs = [] if mu_signs is None else mu_signs
+        self.checks = {} if checks is None else checks
+        self.verdict = verdict
+        self.steps = [] if steps is None else steps
 
     def all_checks_ok(self) -> bool:
         return all(self.checks.values())
@@ -715,12 +748,14 @@ def disc_frames_compatible(g: GroupElement, source: Sequence[Vec],
         permutation_sign(perm) == 1
 
 
-@dataclass
 class CocycleTerm:
-    word: tuple[int, int]      # group decoration of the broken class
-    point: Vec                 # the broken point on its wall
-    wall_node: int
-    disc: tuple[Vec, Vec, Vec]
+    __slots__ = ("word", "point", "wall_node", "disc")
+
+    def __init__(self, word: tuple[int, int], point: Vec, wall_node: int,
+                 disc: tuple[Vec, Vec, Vec]):
+        # the group decoration of the broken class, the broken point
+        self.word, self.point, self.wall_node, self.disc = \
+            word, point, wall_node, disc
 
 
 def assemble_cocycle(poset: IntersectionPoset, zz: ZZBasis,
